@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-baseline bench-diff check fuzz
+.PHONY: build test race vet bench bench-baseline bench-diff check e2ebench-check fuzz
 
 # Per-target budget for `make fuzz` (the CI smoke job uses the default).
 FUZZTIME ?= 30s
@@ -45,13 +45,19 @@ bench-diff:
 	$(GO) run ./cmd/bench -diff BENCH_core.json -benchtime 100ms
 
 # Fuzz the untrusted-input decoders (the tracefile reader and the WAL
-# record decoder), the streaming-vs-exact KCD equivalence, and the
-# incident transition-sequence replayer. Each target gets $(FUZZTIME).
+# record decoder), the KCD kernel on gap-bearing windows, and the incident
+# transition-sequence replayer. Each target gets $(FUZZTIME).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/tracefile
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/store
-	$(GO) test -run '^$$' -fuzz FuzzStreamKCD -fuzztime $(FUZZTIME) ./internal/correlate
+	$(GO) test -run '^$$' -fuzz FuzzKCD -fuzztime $(FUZZTIME) ./internal/correlate
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME) ./internal/incident
 	$(GO) test -run '^$$' -fuzz FuzzPromParse -fuzztime $(FUZZTIME) ./internal/scrape
 
-check: build vet test
+# The end-to-end benchmark harness is its own module (it replaces
+# dbcatcher with ../), so `./...` above never compiles it. Vet and test it
+# here so an API change it depends on fails the gate, not the benchmark.
+e2ebench-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) test -timeout $(TESTTIMEOUT) ./...
+
+check: build vet test e2ebench-check

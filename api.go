@@ -101,13 +101,6 @@ type Config struct {
 	Workers int
 	// Active marks participating databases; nil means all.
 	Active []bool
-	// Streaming opts into the incremental streaming KCD tier: per-pair
-	// rolling statistics updated in O(1) per tick instead of an O(W)
-	// window recompute per round. Explicit fast-math opt-in — scores can
-	// differ from the exact path within a documented ~1e-9 bound (see
-	// correlate.Stream), so verdicts are expected but not guaranteed to be
-	// identical; windows with collector gaps still score exactly.
-	Streaming bool
 }
 
 // thresholdsFor resolves the configured thresholds for a q-KPI unit,
@@ -138,7 +131,6 @@ func detectConfig(cfg Config, q int) detect.Config {
 		KCDOptions: kcdFor(cfg),
 		Workers:    cfg.Workers,
 		Active:     cfg.Active,
-		Streaming:  cfg.Streaming,
 	}
 }
 

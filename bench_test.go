@@ -50,20 +50,6 @@ func BenchmarkKCDDirect(b *testing.B) {
 	}
 }
 
-// BenchmarkKCDFFT is the O(n log n) ablation of the same computation
-// (DESIGN.md: direct vs FFT cross-correlation).
-func BenchmarkKCDFFT(b *testing.B) {
-	for _, n := range []int{20, 60, 240, 1024} {
-		x, y := randomPair(n, 1)
-		opts := correlate.Options{MaxDelayFraction: 0.5, Normalize: true, UseFFT: true}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				correlate.KCD(x, y, opts)
-			}
-		})
-	}
-}
-
 // BenchmarkKCDDelayScan ablates the delay budget: the paper's full n/2
 // scan vs the detection default capped at ±4 points.
 func BenchmarkKCDDelayScan(b *testing.B) {

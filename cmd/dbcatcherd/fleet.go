@@ -45,10 +45,9 @@ type fleetConfig struct {
 	speedup     float64
 	anomalies   float64
 	horizon     int
-	workers     int // per-unit correlation pool; 0 = auto
-	fleetConc   int // scheduler pool; 0 = GOMAXPROCS
-	history     int // verdict buffer per unit
-	streaming   bool
+	workers     int                // per-unit correlation pool; 0 = auto
+	fleetConc   int                // scheduler pool; 0 = GOMAXPROCS
+	history     int                // verdict buffer per unit
 	plan        workload.FaultPlan // template; seeded per unit
 	dataDir     string
 	fsyncPolicy string
@@ -120,7 +119,6 @@ func runFleet(cfg fleetConfig) {
 		onlines[i], err = monitor.NewOnline(detect.Config{
 			Thresholds: window.DefaultThresholds(kpi.Count),
 			Workers:    workers,
-			Streaming:  cfg.streaming,
 		}, kpi.Count, cfg.dbs)
 		if err != nil {
 			log.Fatalf("dbcatcherd: unit %d: %v", i, err)

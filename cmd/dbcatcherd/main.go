@@ -85,7 +85,6 @@ func main() {
 		foTick    = flag.Int("failover-tick", 0, "tick at which a failover promotes a replica (0 = none)")
 		foTarget  = flag.Int("failover-target", 1, "replica promoted at -failover-tick")
 		conc      = flag.Int("concurrency", 0, "correlation worker pool per window (0 = GOMAXPROCS, 1 = serial; verdicts identical)")
-		streaming = flag.Bool("streaming-kcd", false, "incremental streaming KCD: O(1)-per-tick rolling correlation updates instead of per-round window recomputes (fast-math opt-in, ~1e-9 score bound; gap windows stay exact)")
 
 		faultDropTick = flag.Float64("fault-drop-tick", 0, "probability a whole collection tick is lost")
 		faultDropCell = flag.Float64("fault-drop-cell", 0, "per-cell probability a (KPI, database) point is lost")
@@ -189,8 +188,8 @@ func main() {
 	// the aggregated /api/fleet surface. The single-unit integrations that
 	// assume exactly one judge (network scrape wiring, relearning,
 	// failover scheduling) are rejected rather than silently applied to
-	// unit 0 only; collector faults, persistence, and streaming KCD all
-	// compose with the fleet.
+	// unit 0 only; collector faults and persistence compose with the
+	// fleet.
 	if *units > 1 {
 		if *units > maxFleetUnits {
 			log.Fatalf("dbcatcherd: -units %d exceeds the %d-unit bound", *units, maxFleetUnits)
@@ -244,7 +243,6 @@ func main() {
 			workers:       *conc,
 			fleetConc:     *fleetConc,
 			history:       *fleetHist,
-			streaming:     *streaming,
 			plan:          plan,
 			dataDir:       *dataDir,
 			fsyncPolicy:   *fsyncPolicy,
@@ -358,7 +356,6 @@ func main() {
 	online, err := monitor.NewOnline(detect.Config{
 		Thresholds: window.DefaultThresholds(kpi.Count),
 		Workers:    *conc,
-		Streaming:  *streaming,
 	}, kpi.Count, *dbs)
 	if err != nil {
 		log.Fatalf("dbcatcherd: %v", err)

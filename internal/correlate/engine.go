@@ -34,18 +34,22 @@ const minParallelWork = 50000
 // worker pool. The Q×pairs task grid is sharded per KPI: each worker claims
 // whole KPIs off an atomic counter and fills that matrix alone, so the
 // result is bit-identical to the serial build regardless of worker count or
-// scheduling. Every worker draws a private Scratch from an internal pool,
-// making steady-state KCD matrix builds allocation-lean: only the output
-// matrices themselves are allocated.
+// scheduling. Every worker draws a private Scratch from the engine's free
+// list, making steady-state KCD matrix builds allocation-lean: only the
+// output matrices themselves are allocated. Unlike a sync.Pool the free
+// list survives garbage collection and is not per-P, so a warm engine's
+// allocation count does not depend on GC timing or GOMAXPROCS.
 //
 // An Engine is safe for concurrent use and is meant to be built once and
-// reused across windows (the streaming monitor keeps one per unit).
+// reused across windows (the online monitor keeps one per unit).
 type Engine struct {
 	workers int
 	useKCD  bool
 	opts    Options
 	measure Measure
-	pool    sync.Pool // *Scratch
+
+	mu   sync.Mutex
+	free []*Scratch // idle worker scratches
 }
 
 // NewEngine returns the allocation-lean KCD engine: pairs are scored with
@@ -71,12 +75,25 @@ func (e *Engine) Workers() int { return resolveWorkers(e.workers) }
 
 // scratch draws a worker-private scratch sized for a d-database unit.
 func (e *Engine) scratch(d int) *Scratch {
-	s, _ := e.pool.Get().(*Scratch)
+	var s *Scratch
+	e.mu.Lock()
+	if n := len(e.free); n > 0 {
+		s = e.free[n-1]
+		e.free = e.free[:n-1]
+	}
+	e.mu.Unlock()
 	if s == nil {
 		s = NewScratch()
 	}
 	s.growWindows(d)
 	return s
+}
+
+// release returns a worker's scratch to the free list.
+func (e *Engine) release(s *Scratch) {
+	e.mu.Lock()
+	e.free = append(e.free, s)
+	e.mu.Unlock()
 }
 
 // BuildMatrices computes the Q correlation matrices for the window
@@ -100,7 +117,7 @@ func (e *Engine) BuildMatrices(u *timeseries.UnitSeries, start, n int, active []
 	}
 	if workers <= 1 {
 		s := e.scratch(u.Databases)
-		defer e.pool.Put(s)
+		defer e.release(s)
 		for k := 0; k < u.KPIs; k++ {
 			if err := e.buildKPI(u, start, n, active, out[k], k, s); err != nil {
 				return nil, err
@@ -119,7 +136,7 @@ func (e *Engine) BuildMatrices(u *timeseries.UnitSeries, start, n int, active []
 		go func() {
 			defer wg.Done()
 			s := e.scratch(u.Databases)
-			defer e.pool.Put(s)
+			defer e.release(s)
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= u.KPIs || failed.Load() {

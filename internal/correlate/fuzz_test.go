@@ -5,77 +5,19 @@ import (
 	"testing"
 )
 
-// FuzzStreamKCD drives the streaming tier with byte-derived push/gap/drop
-// sequences on a single pair and checks the invariants the detector relies
-// on: scores stay finite in [-1, 1] and track the exact kernel over the
-// materialized window within the documented fast-math bound (bit-identical
-// whenever the window carries a gap, since that routes the exact kernel).
-func FuzzStreamKCD(f *testing.F) {
-	f.Add([]byte{10, 20, 30, 40, 50, 60, 70, 80})
-	f.Add([]byte{255, 0, 255, 0, 255})
-	f.Add([]byte{1, 2, 3, 254, 4, 5, 253, 6})
-	f.Fuzz(func(t *testing.T, ops []byte) {
-		if len(ops) == 0 || len(ops) > 512 {
-			return
-		}
-		const capacity = 24
-		opts := DetectionOptions()
-		st, err := NewStream(1, 2, opts, capacity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.RebuildEvery = 5
-		var xs, ys []float64 // absolute history
-		sample := [][]float64{{0, 0}}
-		mats := []*Matrix{NewMatrix(2)}
-		for _, op := range ops {
-			switch {
-			case op == 254 && st.Len() > 0:
-				st.Drop(1)
-			case op == 253:
-				st.Invalidate()
-			default:
-				x := float64(op) - 100
-				y := 3 * float64(op%97)
-				if op == 255 {
-					x = math.NaN()
-				}
-				xs = append(xs, x)
-				ys = append(ys, y)
-				sample[0][0], sample[0][1] = x, y
-				if err := st.Push(sample); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if st.Len() == 0 {
-				continue
-			}
-			if err := st.ScoreInto(mats, nil); err != nil {
-				t.Fatal(err)
-			}
-			got := mats[0].At(0, 1)
-			if math.IsNaN(got) || got < -1-1e-9 || got > 1+1e-9 {
-				t.Fatalf("stream score out of range: %v", got)
-			}
-			want, _ := KCDWithDelay(xs[st.Base():st.End()], ys[st.Base():st.End()], opts)
-			if st.GapCells() > 0 {
-				if got != want {
-					t.Fatalf("gap window diverged from exact kernel: %v vs %v", got, want)
-				}
-			} else if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("stream diverged: %v vs exact %v (n=%d)", got, want, st.Len())
-			}
-		}
-	})
-}
+// gapByte is the fuzz byte that stands for a collector gap (a NaN point),
+// so the corpus exercises the kernel's gap repair alongside clean windows.
+const gapByte = 255
 
-// FuzzKCD drives the delay scan with arbitrary byte-derived windows: the
-// score must always be a finite value in [-1, 1] and symmetric, for both
-// the direct and FFT paths.
+// FuzzKCD drives the delay scan with arbitrary byte-derived windows, gaps
+// included: the score must always be a finite value in [-1, 1] and
+// symmetric, the scratch path must be bit-identical to the allocating one,
+// and gap repair must never write through to the caller's windows.
 func FuzzKCD(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})
 	f.Add([]byte{0, 0, 0, 0}, []byte{1, 1, 1, 1})
 	f.Add([]byte{255}, []byte{0})
+	f.Add([]byte{255, 2, 255, 255, 5, 6, 7, 255}, []byte{1, 2, 3, 4, 255, 6, 7, 8})
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		n := len(a)
 		if len(b) < n {
@@ -89,12 +31,19 @@ func FuzzKCD(f *testing.F) {
 		for i := 0; i < n; i++ {
 			x[i] = float64(a[i]) - 100
 			y[i] = float64(b[i]) * 3
+			if a[i] == gapByte {
+				x[i] = math.NaN()
+			}
+			if b[i] == gapByte {
+				y[i] = math.NaN()
+			}
 		}
+		x0 := append([]float64(nil), x...)
+		y0 := append([]float64(nil), y...)
 		// One scratch reused across every option set and both argument
 		// orders: stale buffer contents must never leak into a result.
 		scratch := NewScratch()
-		for _, opts := range []Options{DefaultOptions(), DetectionOptions(),
-			{MaxDelayFraction: 0.5, Normalize: true, UseFFT: true}} {
+		for _, opts := range []Options{DefaultOptions(), DetectionOptions()} {
 			s, d := KCDWithDelay(x, y, opts)
 			if math.IsNaN(s) || s < -1-1e-9 || s > 1+1e-9 {
 				t.Fatalf("KCD out of range: %v (opts %+v)", s, opts)
@@ -108,6 +57,12 @@ func FuzzKCD(f *testing.F) {
 			if ss != s || sd != d {
 				t.Fatalf("scratch path diverged: (%v, %v) vs (%v, %v) (opts %+v)",
 					ss, sd, s, d, opts)
+			}
+		}
+		for i := 0; i < n; i++ {
+			if math.Float64bits(x[i]) != math.Float64bits(x0[i]) ||
+				math.Float64bits(y[i]) != math.Float64bits(y0[i]) {
+				t.Fatalf("KCD wrote through to the input windows at %d", i)
 			}
 		}
 	})

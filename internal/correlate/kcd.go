@@ -24,16 +24,13 @@ type Options struct {
 	// abnormal window rescue itself by aligning at some large spurious
 	// lag. The detection pipeline uses 4; 0 disables the cap.
 	MaxDelayPoints int
-	// UseFFT selects the O(n log n) cross-correlation path instead of the
-	// direct O(n·m) scan. Both produce identical scores.
-	UseFFT bool
 	// Normalize applies min-max scaling (Eq. 1) before correlating. The
 	// paper always normalizes; tests may disable it.
 	Normalize bool
 }
 
 // DefaultOptions mirrors the paper's setup: scan delays up to n/2 on
-// min-max-normalized windows using the direct path.
+// min-max-normalized windows.
 func DefaultOptions() Options {
 	return Options{MaxDelayFraction: 0.5, Normalize: true}
 }
@@ -88,15 +85,12 @@ func KCDWithDelay(x, y []float64, opts Options) (score float64, delay int) {
 	return KCDWithDelayScratch(x, y, opts, nil)
 }
 
-// Scratch holds the reusable working buffers of a KCD computation
-// (normalized/centered copies and, on the FFT path, prefix sums of
-// squares), so that steady-state correlation passes allocate nothing. A
-// Scratch must not be shared between goroutines; the matrix Engine keeps
-// one per worker.
+// Scratch holds the reusable working buffers of a KCD computation (the
+// normalized, centered window copies), so that steady-state correlation
+// passes allocate nothing. A Scratch must not be shared between goroutines;
+// the matrix Engine keeps one per worker.
 type Scratch struct {
 	xc, yc []float64
-	px, py []float64
-	fft    *mathx.FFTScratch
 	// windows stages per-database window slices during a matrix build.
 	windows [][]float64
 }
@@ -115,16 +109,6 @@ func (s *Scratch) grow(n int) {
 	s.yc = s.yc[:n]
 }
 
-// growPrefix sizes the prefix-sum buffers used by the FFT path.
-func (s *Scratch) growPrefix(n int) {
-	if cap(s.px) < n+1 {
-		s.px = make([]float64, n+1)
-		s.py = make([]float64, n+1)
-	}
-	s.px = s.px[:n+1]
-	s.py = s.py[:n+1]
-}
-
 // growWindows sizes the window staging area for a d-database unit.
 func (s *Scratch) growWindows(d int) [][]float64 {
 	if cap(s.windows) < d {
@@ -135,10 +119,9 @@ func (s *Scratch) growWindows(d int) [][]float64 {
 }
 
 // KCDWithDelayScratch is KCDWithDelay computing through caller-owned
-// scratch buffers: with a reused Scratch the direct path performs no
-// allocations. A nil scratch allocates a transient one, making it
-// equivalent to KCDWithDelay. Scores and delays are bit-identical to the
-// allocating path.
+// scratch buffers: with a reused Scratch it performs no allocations. A nil
+// scratch allocates a transient one, making it equivalent to KCDWithDelay.
+// Scores and delays are bit-identical to the allocating path.
 func KCDWithDelayScratch(x, y []float64, opts Options, s *Scratch) (score float64, delay int) {
 	n := len(x)
 	if len(y) != n {
@@ -177,11 +160,7 @@ func KCDWithDelayScratch(x, y []float64, opts Options, s *Scratch) (score float6
 	if constX || constY {
 		return 0, 0
 	}
-	m := opts.maxDelay(n)
-	if opts.UseFFT {
-		return kcdFFT(s.xc, s.yc, m, s)
-	}
-	return kcdDirect(s.xc, s.yc, m)
+	return kcdDirect(s.xc, s.yc, opts.maxDelay(n))
 }
 
 // repairGaps fills NaN holes in place: interior runs are linearly
@@ -291,48 +270,6 @@ func kcdDirect(xc, yc []float64, m int) (float64, int) {
 		if score > best+tieEps {
 			best = score
 			bestDelay = s
-		}
-	}
-	return best, bestDelay
-}
-
-// kcdFFT computes every lag's numerator with one FFT cross-correlation and
-// the per-lag norms from prefix sums of squares, for O(n log n) total. Both
-// the frequency-domain buffers and the prefix sums come from the scratch,
-// so a warm FFT delay scan allocates nothing.
-func kcdFFT(xc, yc []float64, m int, s *Scratch) (float64, int) {
-	n := len(xc)
-	if s.fft == nil {
-		s.fft = mathx.NewFFTScratch()
-	}
-	// full[k + n - 1] = sum_i xc[i+k]*yc[i].
-	full := mathx.CrossCorrelateFFTInto(xc, yc, s.fft)
-	// Prefix sums of squares: px[i] = sum of xc[0:i]^2.
-	s.growPrefix(n)
-	px, py := s.px, s.py
-	px[0], py[0] = 0, 0
-	for i := 0; i < n; i++ {
-		px[i+1] = px[i] + xc[i]*xc[i]
-		py[i+1] = py[i] + yc[i]*yc[i]
-	}
-	epsX, epsY := energyEps(xc), energyEps(yc)
-	best := math.Inf(-1)
-	bestDelay := 0
-	for idx := 0; idx <= 2*m; idx++ {
-		d := delayAt(idx)
-		num := full[d+n-1]
-		var nx, ny float64
-		if d >= 0 {
-			nx = px[n] - px[d]   // xc[d:]
-			ny = py[n-d] - py[0] // yc[:n-d]
-		} else {
-			nx = px[n+d] - px[0] // xc[:n+d]
-			ny = py[n] - py[-d]  // yc[-d:]
-		}
-		score := safeRatio(num, nx, ny, epsX, epsY)
-		if score > best+tieEps {
-			best = score
-			bestDelay = d
 		}
 	}
 	return best, bestDelay

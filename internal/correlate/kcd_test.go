@@ -107,29 +107,6 @@ func TestKCDPanicsOnLengthMismatch(t *testing.T) {
 	KCD([]float64{1}, []float64{1, 2}, DefaultOptions())
 }
 
-func TestKCDFFTMatchesDirect(t *testing.T) {
-	rng := mathx.NewRNG(21)
-	for trial := 0; trial < 50; trial++ {
-		n := 10 + rng.Intn(120)
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := 0; i < n; i++ {
-			x[i] = rng.Norm()
-			y[i] = 0.5*x[i] + rng.Norm()
-		}
-		d := Options{MaxDelayFraction: 0.5, Normalize: true}
-		f := Options{MaxDelayFraction: 0.5, Normalize: true, UseFFT: true}
-		sd, dd := KCDWithDelay(x, y, d)
-		sf, df := KCDWithDelay(x, y, f)
-		if math.Abs(sd-sf) > 1e-9 {
-			t.Fatalf("trial %d: direct %v vs FFT %v", trial, sd, sf)
-		}
-		if dd != df {
-			t.Fatalf("trial %d: direct delay %d vs FFT delay %d", trial, dd, df)
-		}
-	}
-}
-
 func TestKCDSymmetricInScoreProperty(t *testing.T) {
 	// KCD(x, y) == KCD(y, x): the delay scan is symmetric in sign.
 	f := func(seed uint32, nRaw uint8) bool {

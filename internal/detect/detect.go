@@ -40,16 +40,6 @@ type Config struct {
 	Workers int
 	// Active marks databases that participate; nil means all.
 	Active []bool
-	// Streaming selects the incremental streaming KCD tier: per-pair
-	// rolling statistics updated in O(1) per tick instead of an O(W)
-	// recompute per round. It is an explicit fast-math opt-in — scores
-	// match the exact recompute mathematically (KCD is invariant under the
-	// min-max normalization's affine maps) but can differ by a documented
-	// O(ε·κ) rounding bound (see correlate.Stream), so verdict streams are
-	// expected, not guaranteed, to be identical. Gap-bearing windows still
-	// route through the exact gap-repairing kernel bit-for-bit. Ignored
-	// when Measure is non-nil (custom measures have no incremental form).
-	Streaming bool
 	// Primary is the index of the unit's primary database. KPIs whose
 	// Table II correlation type is R-R are only judged among replicas:
 	// the primary is neither scored on them nor used as a peer for them.
@@ -271,18 +261,6 @@ func (c *CachedProvider) Shape() (int, int, int) { return c.inner.Shape() }
 // arrive, §IV-A3).
 func Run(u *timeseries.UnitSeries, cfg Config) ([]Verdict, *Timing, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Streaming && cfg.Measure == nil {
-		r, err := NewStreamer(cfg, u.KPIs, u.Databases)
-		if err != nil {
-			return nil, nil, err
-		}
-		verdicts, err := r.RunAppend(u, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		t := r.Timing()
-		return verdicts, &t, nil
-	}
 	return RunProvider(NewEngineProvider(u, cfg.Engine(), cfg.Active), cfg)
 }
 
@@ -388,16 +366,11 @@ type JudgeScratch struct {
 // NewJudgeScratch returns an empty scratch; buffers grow on first use.
 func NewJudgeScratch() *JudgeScratch { return &JudgeScratch{} }
 
-// Judge maps a window's correlation matrices to tentative per-database
+// judge maps a window's correlation matrices to tentative per-database
 // states (Algorithm 1 + Fig. 7), honouring each KPI's Table II correlation
 // type: an R-R KPI is only judged among replicas. The returned slice is
 // the scratch's internal buffer, valid until the next call; results are
 // identical to JudgeMatrices.
-func (js *JudgeScratch) Judge(mats []*correlate.Matrix, cfg Config, kpis, dbs int) []window.State {
-	cfg = cfg.withDefaults()
-	return js.judge(mats, cfg, kpis, dbs)
-}
-
 func (js *JudgeScratch) judge(mats []*correlate.Matrix, cfg Config, kpis, dbs int) []window.State {
 	if cap(js.states) < dbs {
 		js.states = make([]window.State, dbs)

@@ -163,59 +163,14 @@ func RealIFFT(spec []complex128) []float64 {
 // O(n log n). The result slice has length len(a)+len(b)-1 and index
 // k + len(b) - 1 holds lag k.
 func CrossCorrelateFFT(a, b []float64) []float64 {
-	// A transient scratch is never reused, so handing its output buffer to
-	// the caller is safe.
-	return CrossCorrelateFFTInto(a, b, nil)
-}
-
-// FFTScratch holds the reusable frequency-domain and output buffers of an
-// FFT cross-correlation, so steady-state delay scans allocate nothing once
-// the buffers have grown to the working size. The zero value is ready to
-// use. Not safe for concurrent use.
-type FFTScratch struct {
-	fa, fb []complex128
-	out    []float64
-}
-
-// NewFFTScratch returns an empty scratch; buffers grow on first use.
-func NewFFTScratch() *FFTScratch { return &FFTScratch{} }
-
-// grow sizes the buffers for an m-point transform with a total-length
-// correlation output, zeroing the frequency-domain staging area.
-func (s *FFTScratch) grow(m, total int) {
-	if cap(s.fa) < m {
-		s.fa = make([]complex128, m)
-		s.fb = make([]complex128, m)
-	}
-	s.fa = s.fa[:m]
-	s.fb = s.fb[:m]
-	for i := range s.fa {
-		s.fa[i] = 0
-		s.fb[i] = 0
-	}
-	if cap(s.out) < total {
-		s.out = make([]float64, total)
-	}
-	s.out = s.out[:total]
-}
-
-// CrossCorrelateFFTInto is CrossCorrelateFFT computing through caller-owned
-// scratch buffers: with a reused FFTScratch the pass performs no
-// allocations. A nil scratch allocates a transient one. The returned slice
-// aliases the scratch and is only valid until its next use. Results are
-// bit-identical to CrossCorrelateFFT.
-func CrossCorrelateFFTInto(a, b []float64, s *FFTScratch) []float64 {
 	na, nb := len(a), len(b)
 	if na == 0 || nb == 0 {
 		return nil
 	}
-	if s == nil {
-		s = NewFFTScratch()
-	}
 	total := na + nb - 1
 	m := NextPow2(total)
-	s.grow(m, total)
-	fa, fb := s.fa, s.fb
+	fa := make([]complex128, m)
+	fb := make([]complex128, m)
 	for i, v := range a {
 		fa[i] = complex(v, 0)
 	}
@@ -229,7 +184,7 @@ func CrossCorrelateFFTInto(a, b []float64, s *FFTScratch) []float64 {
 		fa[i] *= fb[i]
 	}
 	IFFT(fa)
-	out := s.out
+	out := make([]float64, total)
 	for i := range out {
 		out[i] = real(fa[i])
 	}

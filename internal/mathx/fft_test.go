@@ -139,48 +139,6 @@ func TestCrossCorrelateFFTMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestCrossCorrelateFFTIntoMatchesAllocating: the scratch-reusing variant
-// must be bit-identical to the allocating one (same FFT plan, same op
-// order), warm calls must not allocate, and stale scratch contents from a
-// larger previous call must never leak into a smaller one.
-func TestCrossCorrelateFFTIntoMatchesAllocating(t *testing.T) {
-	rng := NewRNG(9)
-	scratch := NewFFTScratch()
-	sizes := [][2]int{{33, 7}, {4, 4}, {20, 20}, {8, 5}, {64, 64}, {5, 3}}
-	for _, sz := range sizes {
-		a := make([]float64, sz[0])
-		b := make([]float64, sz[1])
-		for i := range a {
-			a[i] = rng.Norm()
-		}
-		for i := range b {
-			b[i] = rng.Norm()
-		}
-		want := CrossCorrelateFFT(a, b)
-		got := CrossCorrelateFFTInto(a, b, scratch)
-		if len(got) != len(want) {
-			t.Fatalf("sizes %v: length %d, want %d", sz, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("sizes %v: index %d: %v != %v (want bit-identical)", sz, i, got[i], want[i])
-			}
-		}
-	}
-	a := make([]float64, 48)
-	b := make([]float64, 48)
-	for i := range a {
-		a[i] = rng.Norm()
-		b[i] = rng.Norm()
-	}
-	CrossCorrelateFFTInto(a, b, scratch) // warm for this size
-	if allocs := testing.AllocsPerRun(10, func() {
-		CrossCorrelateFFTInto(a, b, scratch)
-	}); allocs != 0 {
-		t.Fatalf("warm CrossCorrelateFFTInto allocates %.1f/op, want 0", allocs)
-	}
-}
-
 func TestPeriodogramPeak(t *testing.T) {
 	// A pure sinusoid with 8 cycles over 128 samples must peak at bin 8.
 	n := 128

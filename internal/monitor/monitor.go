@@ -161,26 +161,6 @@ func (p *Processor) IngestDegraded(sample [][]float64, silent []bool) (gaps int,
 	return gaps, nil
 }
 
-// tickInto copies the cells of absolute tick abs into sample (gap cells
-// read NaN). The streaming tier uses it to replay retained ticks into its
-// rolling statistics, so pushed values match ring contents bit-for-bit.
-func (p *Processor) tickInto(abs int, sample [][]float64) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	oldest := p.oldestLocked()
-	if abs < oldest || abs >= p.total {
-		return fmt.Errorf("monitor: tick %d outside retained range [%d, %d)", abs, oldest, p.total)
-	}
-	i := abs - oldest
-	for k := range sample {
-		row := sample[k]
-		for d := range row {
-			row[d] = p.rings[k][d].At(i)
-		}
-	}
-	return nil
-}
-
 // WindowStats summarizes collector damage inside a materialized window.
 type WindowStats struct {
 	// Gaps is the total number of gap cells in the window.
@@ -343,18 +323,6 @@ type Online struct {
 
 	// persister, when set, receives durable-state hooks (see persist.go).
 	persister Persister
-
-	// Streaming tier (cfg.Streaming): the incremental correlation state,
-	// reusable matrices and judgment scratch, and the staging row for
-	// replaying ring ticks into the stream. The stream always covers a
-	// prefix of the current round's window — topped up from the rings one
-	// tick per push in steady state, fully replayed after a resync or a
-	// state restore (restored rolling stats start cold). See stream.go in
-	// internal/correlate for the numerical contract.
-	stream       *correlate.Stream
-	streamMats   []*correlate.Matrix
-	streamJudge  *detect.JudgeScratch
-	streamSample [][]float64
 }
 
 // NewOnline builds a streaming judge for the given shape. The processor's
@@ -378,7 +346,7 @@ func NewOnline(cfg detect.Config, kpis, dbs int) (*Online, error) {
 	o := &Online{
 		cfg:  cfg,
 		dcfg: dcfg,
-		// One engine for the judge's lifetime: its scratch pool makes the
+		// One engine for the judge's lifetime: its scratch free list makes the
 		// steady-state per-tick correlation pass allocation-lean.
 		engine: cfg.Engine(),
 		proc:   NewProcessor(kpis, dbs, cfg.Flex.MaxWindow()),
@@ -389,27 +357,6 @@ func NewOnline(cfg detect.Config, kpis, dbs int) (*Online, error) {
 			return nil, fmt.Errorf("monitor: active mask has %d entries for %d databases", len(cfg.Active), dbs)
 		}
 		o.userActive = append([]bool(nil), cfg.Active...)
-	}
-	if cfg.Streaming && cfg.Measure == nil {
-		opts := correlate.DetectionOptions()
-		if cfg.KCDOptions != nil {
-			opts = *cfg.KCDOptions
-		}
-		stream, err := correlate.NewStream(kpis, dbs, opts, cfg.Flex.MaxWindow())
-		if err != nil {
-			return nil, err
-		}
-		o.stream = stream
-		o.streamMats = make([]*correlate.Matrix, kpis)
-		for k := range o.streamMats {
-			o.streamMats[k] = correlate.NewMatrix(dbs)
-		}
-		o.streamJudge = detect.NewJudgeScratch()
-		back := make([]float64, kpis*dbs)
-		o.streamSample = make([][]float64, kpis)
-		for k := range o.streamSample {
-			o.streamSample[k] = back[k*dbs : (k+1)*dbs]
-		}
 	}
 	o.initDegraded(dbs)
 	return o, nil
@@ -601,28 +548,6 @@ func countActive(active []bool, dbs int) int {
 	return n
 }
 
-// topUpStream advances the streaming correlation state to cover the round
-// prefix [roundStart, target) by replaying retained ticks from the rings.
-// In steady state the stream already tracks the round and exactly one tick
-// (the one that just arrived) is pushed — the O(1) path. After a round
-// boundary, a resync, or a state restore the stream's base no longer
-// matches the round start, so it is reset and the whole prefix replayed
-// (bounded by the window size, and by ring capacity overall).
-func (o *Online) topUpStream(target int) error {
-	if o.stream.Base() != o.roundStart || o.stream.End() > target {
-		o.stream.ResetAt(o.roundStart)
-	}
-	for abs := o.stream.End(); abs < target; abs++ {
-		if err := o.proc.tickInto(abs, o.streamSample); err != nil {
-			return err
-		}
-		if err := o.stream.Push(o.streamSample); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // skipVerdict emits a HealthSkipped verdict covering [start, start+size)
 // and resets the round machinery.
 func (o *Online) skipVerdict(start, size int) *Verdict {
@@ -675,17 +600,6 @@ func (o *Online) pushLocked(sample [][]float64) (*Verdict, error) {
 		return v, nil
 	}
 	size := o.flex.Size()
-	if o.stream != nil {
-		// Keep the rolling statistics current on every push — the O(1)
-		// amortized streaming path — but never past the round's window.
-		target := o.roundStart + size
-		if t := o.proc.Ticks(); t < target {
-			target = t
-		}
-		if err := o.topUpStream(target); err != nil {
-			return nil, err
-		}
-	}
 	if o.proc.Ticks() < o.roundStart+size {
 		return nil, nil // detection task blocked until the window fills
 	}
@@ -697,33 +611,17 @@ func (o *Online) pushLocked(sample [][]float64) (*Verdict, error) {
 		o.roundStart += size
 		return v, nil
 	}
+	u, stats, err := o.proc.WindowWithStats(o.roundStart, size)
+	if err != nil {
+		return nil, err
+	}
+	mats, err := o.engine.BuildMatrices(u, 0, size, active)
+	if err != nil {
+		return nil, err
+	}
 	cfg := o.cfg
 	cfg.Active = active
-	var (
-		mats     []*correlate.Matrix
-		gapCells int
-		states   []window.State
-	)
-	if o.stream != nil {
-		// The top-up above left the stream covering exactly this round's
-		// window; score it straight from the rolling statistics.
-		gapCells = o.stream.GapCells()
-		if err := o.stream.ScoreInto(o.streamMats, active); err != nil {
-			return nil, err
-		}
-		mats = o.streamMats
-		states = o.streamJudge.Judge(mats, cfg, kpis, dbs)
-	} else {
-		u, stats, err := o.proc.WindowWithStats(o.roundStart, size)
-		if err != nil {
-			return nil, err
-		}
-		if mats, err = o.engine.BuildMatrices(u, 0, size, active); err != nil {
-			return nil, err
-		}
-		gapCells = stats.Gaps
-		states = detect.JudgeMatrices(mats, cfg, kpis, dbs)
-	}
+	states := detect.JudgeMatrices(mats, cfg, kpis, dbs)
 	round := detect.RoundState(states)
 	final, done := o.flex.Resolve(round)
 	if !done {
@@ -733,7 +631,7 @@ func (o *Online) pushLocked(sample [][]float64) (*Verdict, error) {
 	exhausted := round == window.Observable && final == o.cfg.Flex.ExhaustState && !o.cfg.Flex.Disabled
 	finals := detect.FinalizeStates(states, o.cfg.Flex, exhausted)
 	o.observeShadow(mats, finals, cfg, kpis, dbs)
-	v := &Verdict{Tick: o.proc.Ticks(), GapCells: gapCells, MeanCorr: meanPairScore(mats, active)}
+	v := &Verdict{Tick: o.proc.Ticks(), GapCells: stats.Gaps, MeanCorr: meanPairScore(mats, active)}
 	v.Start = o.roundStart
 	v.Size = size
 	v.Expansions = o.expansions
@@ -747,7 +645,7 @@ func (o *Online) pushLocked(sample [][]float64) (*Verdict, error) {
 			}
 		}
 	}
-	if gapCells > 0 || anyTrue(o.autoDown) {
+	if stats.Gaps > 0 || anyTrue(o.autoDown) {
 		v.Health = detect.HealthDegraded
 		o.degradedVerdicts++
 	}

@@ -232,14 +232,6 @@ func (o *Online) RestoreState(st *PersistentState) error {
 	proc.missedTicks = st.MissedTicks
 	o.proc = proc
 
-	if o.stream != nil {
-		// Restored rolling statistics start cold: reset to the restored
-		// round start and let the next push replay the retained prefix from
-		// the rings (topUpStream). A state whose round start predates the
-		// oldest retained tick resynchronizes before any replay happens.
-		o.stream.ResetAt(st.RoundStart)
-	}
-
 	o.roundStart = st.RoundStart
 	o.expansions = st.Expansions
 	o.cfg.Primary = st.Primary

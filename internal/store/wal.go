@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,10 +72,11 @@ func openWAL(dir string, opts Options, m *Metrics) (*wal, []SeqRecord, error) {
 			}
 			continue
 		}
-		segRecs, truncAt, bad := replaySegment(seg, m)
-		for _, r := range segRecs {
-			recs = append(recs, r)
-		}
+		before := len(recs)
+		var truncAt int64
+		var bad bool
+		recs, truncAt, bad = replaySegment(seg, m, recs)
+		segRecs := recs[before:]
 		if len(segRecs) > 0 {
 			w.nextSeq = segRecs[len(segRecs)-1].Seq + 1
 		}
@@ -125,16 +127,19 @@ func listSegments(dir string) ([]segment, error) {
 	return segs, nil
 }
 
-// replaySegment decodes one segment file. It returns the valid records,
-// the byte offset the file should be truncated to if damage was found, and
-// whether it was damaged. Damage never fails recovery — the log simply
-// ends at the last intact record (torn final writes are the expected crash
-// signature).
-func replaySegment(seg segment, m *Metrics) (recs []SeqRecord, truncAt int64, bad bool) {
+// replaySegment decodes one segment file, appending its valid records to
+// recs. It returns the extended slice, the byte offset the file should be
+// truncated to if damage was found, and whether it was damaged. Damage
+// never fails recovery — the log simply ends at the last intact record
+// (torn final writes are the expected crash signature).
+func replaySegment(seg segment, m *Metrics, recs []SeqRecord) (_ []SeqRecord, truncAt int64, bad bool) {
 	data, err := os.ReadFile(seg.path)
 	if err != nil {
-		return nil, 0, true
+		return recs, 0, true
 	}
+	// Records are large (every payload kind inline), so size the slice
+	// once rather than letting append regrow and copy it per doubling.
+	recs = slices.Grow(recs, countFrames(data))
 	off := 0
 	seq := seg.base
 	for off < len(data) {
@@ -163,6 +168,22 @@ func replaySegment(seg segment, m *Metrics) (recs []SeqRecord, truncAt int64, ba
 		off += frameHeader + length
 	}
 	return recs, int64(off), false
+}
+
+// countFrames returns how many whole frames data holds, stopping at the
+// first torn or insane header: an upper bound on the records replay
+// decodes from it.
+func countFrames(data []byte) int {
+	n, off := 0, 0
+	for len(data)-off >= frameHeader {
+		length := int(binary.LittleEndian.Uint32(data[off:]))
+		if length == 0 || length > maxRecordBytes || len(data)-off-frameHeader < length {
+			break
+		}
+		off += frameHeader + length
+		n++
+	}
+	return n
 }
 
 // append frames and writes one record, returning its sequence number.
