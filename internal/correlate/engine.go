@@ -21,9 +21,10 @@ func resolveWorkers(w int) int {
 // minParallelWork is the smallest score-cell volume (KPIs x database pairs x
 // window points) the engine fans out over goroutines. Below it the pool's
 // spawn/join overhead rivals the build itself: at the paper's detection
-// shape (14 KPIs x 10 pairs x 60 points = 8400 cells, ~20 ns/cell measured)
-// a whole serial build finishes in ~180 us, while waking even a few workers
-// costs tens of microseconds — and on single-core hosts (GOMAXPROCS=1) the
+// shape (14 KPIs x 10 pairs x 60 points = 8400 cells) a whole serial build
+// takes 80-100 us (9-12 ns/cell on a 2-vCPU host), and two workers measured
+// 0.9-1.1x of it; 8 databases (23520 cells) were the smallest measured shape
+// where two workers won (1.4x). On single-core hosts (GOMAXPROCS=1) the
 // fan-out is a pure loss. Results are bit-identical either way: each KPI
 // matrix is filled by exactly one goroutine, so the cutoff only changes
 // scheduling, never scores. Larger fleets (more databases) or longer
@@ -160,7 +161,9 @@ func (e *Engine) BuildMatrices(u *timeseries.UnitSeries, start, n int, active []
 }
 
 // buildKPI fills one KPI's matrix: stage the database windows, then score
-// every unordered pair.
+// every unordered pair. On the KCD path each active window is prepared once
+// (the per-window half of KCDWithDelayScratch) and every pair runs only the
+// delay scan over two prepared windows.
 func (e *Engine) buildKPI(u *timeseries.UnitSeries, start, n int, active []bool, m *Matrix, k int, s *Scratch) error {
 	windows := s.growWindows(u.Databases)
 	for d := 0; d < u.Databases; d++ {
@@ -170,6 +173,16 @@ func (e *Engine) buildKPI(u *timeseries.UnitSeries, start, n int, active []bool,
 		}
 		windows[d] = w
 	}
+	var prep []prepared
+	var num []float64
+	if e.useKCD {
+		prep, num = s.growPrepared(u.Databases, n, e.opts.maxDelay(n))
+		for d, w := range windows {
+			if active == nil || active[d] {
+				prep[d].load(w, e.opts.Normalize)
+			}
+		}
+	}
 	for i := 0; i < u.Databases; i++ {
 		for j := i + 1; j < u.Databases; j++ {
 			if active != nil && (!active[i] || !active[j]) {
@@ -177,7 +190,7 @@ func (e *Engine) buildKPI(u *timeseries.UnitSeries, start, n int, active []bool,
 				continue
 			}
 			if e.useKCD {
-				score, _ := KCDWithDelayScratch(windows[i], windows[j], e.opts, s)
+				score, _ := kcdPrepared(&prep[i], &prep[j], num)
 				m.Set(i, j, score)
 			} else {
 				m.Set(i, j, e.measure(windows[i], windows[j]))

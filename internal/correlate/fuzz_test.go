@@ -11,8 +11,9 @@ const gapByte = 255
 
 // FuzzKCD drives the delay scan with arbitrary byte-derived windows, gaps
 // included: the score must always be a finite value in [-1, 1] and
-// symmetric, the scratch path must be bit-identical to the allocating one,
-// and gap repair must never write through to the caller's windows.
+// symmetric, the scratch path must be bit-identical to the allocating one
+// and to the paper-literal oracle (score bits and delay), and gap repair
+// must never write through to the caller's windows.
 func FuzzKCD(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{8, 7, 6, 5, 4, 3, 2, 1})
 	f.Add([]byte{0, 0, 0, 0}, []byte{1, 1, 1, 1})
@@ -43,7 +44,7 @@ func FuzzKCD(f *testing.F) {
 		// One scratch reused across every option set and both argument
 		// orders: stale buffer contents must never leak into a result.
 		scratch := NewScratch()
-		for _, opts := range []Options{DefaultOptions(), DetectionOptions()} {
+		for _, opts := range []Options{DefaultOptions(), DetectionOptions(), {MaxDelayFraction: 0.3}} {
 			s, d := KCDWithDelay(x, y, opts)
 			if math.IsNaN(s) || s < -1-1e-9 || s > 1+1e-9 {
 				t.Fatalf("KCD out of range: %v (opts %+v)", s, opts)
@@ -57,6 +58,10 @@ func FuzzKCD(f *testing.F) {
 			if ss != s || sd != d {
 				t.Fatalf("scratch path diverged: (%v, %v) vs (%v, %v) (opts %+v)",
 					ss, sd, s, d, opts)
+			}
+			if want, wantDelay := oracleKCD(x, y, opts); math.Float64bits(ss) != math.Float64bits(want) || sd != wantDelay {
+				t.Fatalf("kernel diverged from the oracle: (%v, %v) vs (%v, %v) (opts %+v)",
+					ss, sd, want, wantDelay, opts)
 			}
 		}
 		for i := 0; i < n; i++ {

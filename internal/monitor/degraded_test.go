@@ -1,10 +1,12 @@
 package monitor
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"dbcatcher/internal/cluster"
+	"dbcatcher/internal/correlate"
 	"dbcatcher/internal/detect"
 	"dbcatcher/internal/kpi"
 	"dbcatcher/internal/window"
@@ -13,8 +15,9 @@ import (
 
 // feedCollector streams a unit through the online judge via a lossy
 // collector, collecting verdicts and every error (with the tick it
-// occurred at).
-func feedCollector(t *testing.T, o *Online, u *cluster.Unit, plan workload.FaultPlan) ([]*Verdict, []error) {
+// occurred at). A non-nil check sees each verdict right after the push
+// that produced it, while its window is still in the rings.
+func feedCollector(t *testing.T, o *Online, u *cluster.Unit, plan workload.FaultPlan, check func(*Verdict)) ([]*Verdict, []error) {
 	t.Helper()
 	c, err := cluster.NewCollector(u.Series, plan)
 	if err != nil {
@@ -33,6 +36,9 @@ func feedCollector(t *testing.T, o *Online, u *cluster.Unit, plan workload.Fault
 			continue
 		}
 		if v != nil {
+			if check != nil {
+				check(v)
+			}
 			verdicts = append(verdicts, v)
 		}
 	}
@@ -74,7 +80,7 @@ func TestOnlineEndToEndCollectorFaults(t *testing.T) {
 		DropCellRate: 0.01,
 		Silences:     []workload.Silence{{DB: 3, Start: 200, Length: 120}},
 	}
-	verdicts, errs := feedCollector(t, o, u, plan)
+	verdicts, errs := feedCollector(t, o, u, plan, nil)
 	if len(errs) > 0 {
 		t.Fatalf("push errors under faults: %d, first: %v", len(errs), errs[0])
 	}
@@ -128,6 +134,78 @@ func TestOnlineEndToEndCollectorFaults(t *testing.T) {
 	}
 }
 
+// The judge copies every round into one window it reuses across rounds
+// and sizes: each verdict's gap count and mean correlation must equal a
+// recomputation from a freshly materialized window through a fresh engine
+// under the same mask, so a longer earlier window's values can never leak
+// into a shorter later one. The run expands to 40 and 60 points, drops
+// ticks and cells, and benches a silent database.
+func TestOnlineReusedWindowMatchesFresh(t *testing.T) {
+	u, err := cluster.Simulate(cluster.Config{
+		Name: "u", Ticks: 600, Seed: 92, Profile: workload.TencentIrregular,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := newDegradedOnline(t)
+	plan := workload.FaultPlan{
+		Seed:         13,
+		DropTickRate: 0.02,
+		DropCellRate: 0.01,
+		Silences:     []workload.Silence{{DB: 3, Start: 200, Length: 120}},
+	}
+	fresh := correlate.NewEngine(correlate.DetectionOptions(), 1)
+	sizes := map[int]int{}
+	gappy, masked := 0, 0
+	check := func(v *Verdict) {
+		if v.Health == detect.HealthSkipped {
+			return
+		}
+		win, stats, err := o.Processor().WindowWithStats(v.Start, v.Size)
+		if err != nil {
+			t.Fatalf("verdict window [%d, +%d): %v", v.Start, v.Size, err)
+		}
+		// The round's mask is the gap budget's overlay as the push left it.
+		var active []bool
+		for d, down := range o.Health().AutoDeactivated {
+			if down {
+				if active == nil {
+					active = []bool{true, true, true, true, true}
+				}
+				active[d] = false
+			}
+		}
+		mats, err := fresh.BuildMatrices(win, 0, v.Size, active)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Gaps != v.GapCells {
+			t.Fatalf("verdict [%d, +%d): GapCells %d, fresh window has %d", v.Start, v.Size, v.GapCells, stats.Gaps)
+		}
+		if got := meanPairScore(mats, active); math.Float64bits(got) != math.Float64bits(v.MeanCorr) {
+			t.Fatalf("verdict [%d, +%d): MeanCorr %v, fresh window gives %v", v.Start, v.Size, v.MeanCorr, got)
+		}
+		sizes[v.Size]++
+		if v.GapCells > 0 {
+			gappy++
+		}
+		if active != nil {
+			masked++
+		}
+	}
+	if _, errs := feedCollector(t, o, u, plan, check); len(errs) > 0 {
+		t.Fatalf("push errors under faults: %d, first: %v", len(errs), errs[0])
+	}
+	for _, size := range []int{20, 40, 60} {
+		if sizes[size] == 0 {
+			t.Fatalf("no judged verdict of size %d (sizes %v)", size, sizes)
+		}
+	}
+	if gappy == 0 || masked == 0 {
+		t.Fatalf("run lacks gap-bearing (%d) or masked (%d) verdicts", gappy, masked)
+	}
+}
+
 // When every database goes silent, too few peers remain to correlate: the
 // judge must emit skipped verdicts and keep advancing, then recover.
 func TestOnlineSkipsWhenTooFewActive(t *testing.T) {
@@ -143,7 +221,7 @@ func TestOnlineSkipsWhenTooFewActive(t *testing.T) {
 	for d := 0; d < 4; d++ { // 4 of 5 databases silent for 140 ticks
 		plan.Silences = append(plan.Silences, workload.Silence{DB: d, Start: 150, Length: 140})
 	}
-	verdicts, errs := feedCollector(t, o, u, plan)
+	verdicts, errs := feedCollector(t, o, u, plan, nil)
 	if len(errs) > 0 {
 		t.Fatalf("push errors: %v", errs[0])
 	}
@@ -183,7 +261,7 @@ func TestOnlineFaultFreeCollectorBitIdentical(t *testing.T) {
 	direct := newDegradedOnline(t)
 	viaCollector := newDegradedOnline(t)
 	want := feedOnline(t, direct, u)
-	got, errs := feedCollector(t, viaCollector, u, workload.FaultPlan{})
+	got, errs := feedCollector(t, viaCollector, u, workload.FaultPlan{}, nil)
 	if len(errs) > 0 {
 		t.Fatalf("fault-free collector errored: %v", errs[0])
 	}

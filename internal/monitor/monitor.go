@@ -174,51 +174,77 @@ type WindowStats struct {
 // gap-tolerant correlation path repairs them). It fails when the range has
 // been evicted from the rings or has not arrived yet.
 func (p *Processor) Window(start, size int) (*timeseries.UnitSeries, error) {
-	u, _, err := p.window(start, size, false)
+	u, _, err := p.readWindow(nil, start, size, nil)
 	return u, err
 }
 
 // WindowWithStats is Window additionally reporting the gap cells inside the
 // materialized range.
 func (p *Processor) WindowWithStats(start, size int) (*timeseries.UnitSeries, WindowStats, error) {
-	return p.window(start, size, true)
+	stats := WindowStats{PerDB: make([]int, p.dbs)}
+	u, gaps, err := p.readWindow(nil, start, size, stats.PerDB)
+	if err != nil {
+		return nil, WindowStats{}, err
+	}
+	stats.Gaps = gaps
+	return u, stats, nil
 }
 
-func (p *Processor) window(start, size int, wantStats bool) (*timeseries.UnitSeries, WindowStats, error) {
+// readWindow copies the absolute tick range [start, start+size) from the
+// rings into dst and returns it with the number of gap cells inside the
+// range, adding each database's share to perDB when it is non-nil. A nil
+// dst gets a fresh layout; a reused one must come from newWindowSeries with
+// room for the ring capacity, which bounds every readable window.
+func (p *Processor) readWindow(dst *timeseries.UnitSeries, start, size int, perDB []int) (*timeseries.UnitSeries, int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var stats WindowStats
 	if size <= 0 {
-		return nil, stats, fmt.Errorf("monitor: non-positive window size %d", size)
+		return nil, 0, fmt.Errorf("monitor: non-positive window size %d", size)
 	}
 	if start+size > p.total {
-		return nil, stats, fmt.Errorf("monitor: window [%d, %d) not yet collected (have %d)", start, start+size, p.total)
+		return nil, 0, fmt.Errorf("monitor: window [%d, %d) not yet collected (have %d)", start, start+size, p.total)
 	}
 	oldest := p.oldestLocked()
 	if start < oldest {
-		return nil, stats, fmt.Errorf("monitor: window start %d evicted (oldest %d)", start, oldest)
+		return nil, 0, fmt.Errorf("monitor: window start %d evicted (oldest %d)", start, oldest)
 	}
-	if wantStats {
-		stats.PerDB = make([]int, p.dbs)
+	if dst == nil {
+		dst = newWindowSeries(p.kpis, p.dbs, size)
 	}
-	u := timeseries.NewUnitSeries("live", p.kpis, p.dbs)
-	for k := 0; k < p.kpis; k++ {
-		for d := 0; d < p.dbs; d++ {
-			ring := p.rings[k][d]
+	gaps := 0
+	for k, row := range p.rings {
+		for d, ring := range row {
 			// Ring index 0 is absolute tick `oldest`.
-			vals := make([]float64, size)
-			for i := 0; i < size; i++ {
-				vals[i] = ring.At(start - oldest + i)
-			}
-			u.Data[k][d].Values = vals
-			if wantStats {
-				g := ring.GapsInRange(start-oldest, size)
-				stats.Gaps += g
-				stats.PerDB[d] += g
+			s := dst.Data[k][d]
+			s.Values = s.Values[:size]
+			g := ring.CopyRange(s.Values, start-oldest)
+			gaps += g
+			if perDB != nil {
+				perDB[d] += g
 			}
 		}
 	}
-	return u, stats, nil
+	return dst, gaps, nil
+}
+
+// newWindowSeries allocates an unnamed kpis × dbs layout whose series share
+// one backing slab with room for capacity points each.
+func newWindowSeries(kpis, dbs, capacity int) *timeseries.UnitSeries {
+	slab := make([]float64, kpis*dbs*capacity)
+	series := make([]timeseries.Series, kpis*dbs)
+	cells := make([]*timeseries.Series, kpis*dbs)
+	u := &timeseries.UnitSeries{Unit: "live", KPIs: kpis, Databases: dbs, Data: make([][]*timeseries.Series, kpis)}
+	for i := range series {
+		series[i] = timeseries.Series{
+			IntervalSeconds: timeseries.DefaultIntervalSeconds,
+			Values:          slab[i*capacity : i*capacity : (i+1)*capacity],
+		}
+		cells[i] = &series[i]
+	}
+	for k := range u.Data {
+		u.Data[k] = cells[k*dbs : (k+1)*dbs : (k+1)*dbs]
+	}
+	return u
 }
 
 // Verdict augments a detection verdict with collection bookkeeping.
@@ -323,6 +349,10 @@ type Online struct {
 
 	// persister, when set, receives durable-state hooks (see persist.go).
 	persister Persister
+
+	// win is the judged window, copied from the rings on every judgment
+	// and sized for the largest one; allocated on the first judgment.
+	win *timeseries.UnitSeries
 }
 
 // NewOnline builds a streaming judge for the given shape. The processor's
@@ -611,11 +641,14 @@ func (o *Online) pushLocked(sample [][]float64) (*Verdict, error) {
 		o.roundStart += size
 		return v, nil
 	}
-	u, stats, err := o.proc.WindowWithStats(o.roundStart, size)
+	if o.win == nil {
+		o.win = newWindowSeries(kpis, dbs, o.cfg.Flex.MaxWindow())
+	}
+	_, gaps, err := o.proc.readWindow(o.win, o.roundStart, size, nil)
 	if err != nil {
 		return nil, err
 	}
-	mats, err := o.engine.BuildMatrices(u, 0, size, active)
+	mats, err := o.engine.BuildMatrices(o.win, 0, size, active)
 	if err != nil {
 		return nil, err
 	}
@@ -631,7 +664,7 @@ func (o *Online) pushLocked(sample [][]float64) (*Verdict, error) {
 	exhausted := round == window.Observable && final == o.cfg.Flex.ExhaustState && !o.cfg.Flex.Disabled
 	finals := detect.FinalizeStates(states, o.cfg.Flex, exhausted)
 	o.observeShadow(mats, finals, cfg, kpis, dbs)
-	v := &Verdict{Tick: o.proc.Ticks(), GapCells: stats.Gaps, MeanCorr: meanPairScore(mats, active)}
+	v := &Verdict{Tick: o.proc.Ticks(), GapCells: gaps, MeanCorr: meanPairScore(mats, active)}
 	v.Start = o.roundStart
 	v.Size = size
 	v.Expansions = o.expansions
@@ -645,7 +678,7 @@ func (o *Online) pushLocked(sample [][]float64) (*Verdict, error) {
 			}
 		}
 	}
-	if stats.Gaps > 0 || anyTrue(o.autoDown) {
+	if gaps > 0 || anyTrue(o.autoDown) {
 		v.Health = detect.HealthDegraded
 		o.degradedVerdicts++
 	}

@@ -91,22 +91,31 @@ func (r *Ring) IsGap(i int) bool {
 	return r.gap[(r.head+i)%len(r.buf)]
 }
 
-// GapsInRange counts the gaps among observations [start, start+n) (0 =
-// oldest stored).
-func (r *Ring) GapsInRange(start, n int) int {
-	if start < 0 || n < 0 || start+n > r.count {
+// CopyRange copies observations [start, start+len(dst)) (0 = oldest stored)
+// into dst, gap slots as NaN, and returns how many of them are gaps.
+func (r *Ring) CopyRange(dst []float64, start int) (gaps int) {
+	n := len(dst)
+	if start < 0 || start+n > r.count {
 		panic("timeseries: ring range out of bounds")
 	}
+	// The range is at most two contiguous runs of the backing array.
+	i := (r.head + start) % len(r.buf)
+	first := copy(dst, r.buf[i:])
+	copy(dst[first:], r.buf[:n-first])
 	if r.gaps == 0 {
 		return 0
 	}
-	total := 0
-	for i := start; i < start+n; i++ {
-		if r.gap[(r.head+i)%len(r.buf)] {
-			total++
+	for _, g := range r.gap[i : i+first] {
+		if g {
+			gaps++
 		}
 	}
-	return total
+	for _, g := range r.gap[:n-first] {
+		if g {
+			gaps++
+		}
+	}
+	return gaps
 }
 
 // Last returns the n most recent observations, oldest first. If fewer than

@@ -86,11 +86,11 @@ func TestRingGapMarking(t *testing.T) {
 	if !math.IsNaN(r.At(1)) || !math.IsNaN(r.At(2)) {
 		t.Fatal("gap slots must read NaN")
 	}
-	if got := r.GapsInRange(1, 2); got != 2 {
-		t.Fatalf("GapsInRange(1,2) = %d", got)
+	if got := r.CopyRange(make([]float64, 2), 1); got != 2 {
+		t.Fatalf("CopyRange over [1,3) counts %d gaps", got)
 	}
-	if got := r.GapsInRange(0, 1); got != 0 {
-		t.Fatalf("GapsInRange(0,1) = %d", got)
+	if got := r.CopyRange(make([]float64, 1), 0); got != 0 {
+		t.Fatalf("CopyRange over [0,1) counts %d gaps", got)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestRingEvictionBoundary(t *testing.T) {
 	if got := r.Last(4); !mathx.EqualApprox(got, []float64{5, 6, 7, 8}, 0) {
 		t.Fatalf("exact-fit window = %v", got)
 	}
-	if got := r.GapsInRange(0, r.Len()); got != 0 {
+	if got := r.CopyRange(make([]float64, r.Len()), 0); got != 0 {
 		t.Fatalf("gapless ring reports %d gaps", got)
 	}
 }
@@ -151,7 +151,7 @@ func TestRingEmpty(t *testing.T) {
 	if got := r.Last(2); len(got) != 0 {
 		t.Fatalf("Last on empty = %v", got)
 	}
-	if got := r.GapsInRange(0, 0); got != 0 {
+	if got := r.CopyRange(nil, 0); got != 0 {
 		t.Fatalf("empty range gaps = %d", got)
 	}
 	defer func() {
@@ -180,4 +180,43 @@ func TestRingHoldsSuffixProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// CopyRange must agree with At and IsGap on every range of a wrapped,
+// gap-bearing ring, including ranges that straddle the wrap point.
+func TestRingCopyRange(t *testing.T) {
+	r := NewRing(5)
+	for i := 0; i < 8; i++ { // ticks 3..7 retained, head mid-buffer
+		if i%3 == 1 {
+			r.PushGap()
+			continue
+		}
+		r.Push(float64(i))
+	}
+	for start := 0; start <= r.Len(); start++ {
+		for n := 0; start+n <= r.Len(); n++ {
+			dst := make([]float64, n)
+			gaps := r.CopyRange(dst, start)
+			want := 0
+			for i := start; i < start+n; i++ {
+				if r.IsGap(i) {
+					want++
+				}
+			}
+			if gaps != want {
+				t.Fatalf("CopyRange(%d, %d) gaps = %d, want %d", start, n, gaps, want)
+			}
+			for i, v := range dst {
+				if w := r.At(start + i); math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("CopyRange(%d, %d)[%d] = %v, want %v", start, n, i, v, w)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-range CopyRange must panic")
+		}
+	}()
+	r.CopyRange(make([]float64, 2), 4)
 }

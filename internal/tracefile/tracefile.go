@@ -12,13 +12,15 @@
 //
 // Rows must cover every database for every tick, in any order. KPI columns
 // are matched by Table II display name; unknown columns are rejected so
-// typos fail loudly.
+// typos fail loudly. A NaN cell is a collector gap; ±Inf cells are
+// rejected.
 package tracefile
 
 import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -115,6 +117,11 @@ func Read(r io.Reader, name string) (*timeseries.UnitSeries, error) {
 			v, err := strconv.ParseFloat(rec[col], 64)
 			if err != nil {
 				return nil, fmt.Errorf("tracefile: line %d: bad value %q for %s", line, rec[col], k)
+			}
+			// NaN is a collector gap; ±Inf has no meaning as a KPI
+			// sample and would poison every correlation it touches.
+			if math.IsInf(v, 0) {
+				return nil, fmt.Errorf("tracefile: line %d: non-finite value %q for %s", line, rec[col], k)
 			}
 			values[k] = v
 		}

@@ -96,6 +96,9 @@ func TestReadRejectsBadInput(t *testing.T) {
 		"bad tick":       header() + "\nx,0," + zeros() + "\n",
 		"bad db":         header() + "\n0,-1," + zeros() + "\n",
 		"bad value":      header() + "\n0,0," + strings.Replace(zeros(), "0", "abc", 1) + "\n",
+		"inf value":      header() + "\n0,0," + strings.Replace(zeros(), "0", "inf", 1) + "\n",
+		"+Inf value":     header() + "\n0,0," + strings.Replace(zeros(), "0", "+Inf", 1) + "\n",
+		"-Infinity":      header() + "\n0,0," + strings.Replace(zeros(), "0", "-Infinity", 1) + "\n",
 		"incomplete": header() + "\n0,0," + zeros() + "\n0,1," + zeros() + "\n" +
 			"1,0," + zeros() + "\n", // missing (1,1)
 		"duplicate":  header() + "\n0,0," + zeros() + "\n0,0," + zeros() + "\n",
@@ -105,6 +108,12 @@ func TestReadRejectsBadInput(t *testing.T) {
 		if _, err := Read(strings.NewReader(data), "x"); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+	// Like the Prometheus parser, ±Inf is a non-finite value, reported
+	// with its line.
+	if _, err := Read(strings.NewReader(cases["inf value"]), "x"); err == nil ||
+		!strings.Contains(err.Error(), "line 2: non-finite value") {
+		t.Errorf("inf value: error %v, want a line-numbered non-finite value error", err)
 	}
 }
 
