@@ -83,9 +83,8 @@ func benchUnit(b *testing.B, ticks int) *cluster.Unit {
 
 // BenchmarkBuildMatrices measures one window's Q correlation matrices (the
 // dominant §IV-D4 component) across the engine variants: the seed's
-// allocating measure-closure path, the allocation-lean scratch engine, and
-// the parallel scratch engine. cmd/bench records the same three variants
-// into BENCH_core.json.
+// allocating measure-closure path and the allocation-lean scratch engine.
+// cmd/bench records the same two variants into BENCH_core.json.
 func BenchmarkBuildMatrices(b *testing.B) {
 	u := benchUnit(b, 200)
 	for _, w := range []int{20, 60} {
@@ -102,7 +101,6 @@ func BenchmarkBuildMatrices(b *testing.B) {
 		}
 		run("serial-alloc", correlate.NewMeasureEngine(correlate.KCDMeasure(correlate.DetectionOptions()), 1))
 		run("serial-scratch", correlate.NewEngine(correlate.DetectionOptions(), 1))
-		run("parallel-scratch", correlate.NewEngine(correlate.DetectionOptions(), 0))
 	}
 }
 

@@ -10,10 +10,8 @@
 //	bench -benchtime 2s        # steadier numbers
 //
 // The emitted document records, per benchmark, ns/op, B/op, and allocs/op,
-// plus derived ratios: the parallel-vs-serial matrix-build speedup and the
-// allocation reduction of the scratch engine against the seed's allocating
-// measure-closure path. Speedups are bounded by gomaxprocs — the file
-// records the value the run actually had.
+// plus the allocation reduction of the scratch engine against the seed's
+// allocating measure-closure path and the zero-alloc contracts.
 package main
 
 import (
@@ -74,10 +72,6 @@ type Report struct {
 	KPIs        int     `json:"kpis"`
 	Databases   int     `json:"databases"`
 	Benches     []Entry `json:"benches"`
-	// BuildSpeedupParallel = serial-scratch ns/op over parallel-scratch
-	// ns/op for the matrix build; approaches the core count on
-	// multi-core hosts and ~1.0 when gomaxprocs is 1.
-	BuildSpeedupParallel float64 `json:"build_speedup_parallel"`
 	// BuildAllocReduction = allocs/op of the seed-equivalent allocating
 	// build over the scratch engine's.
 	BuildAllocReduction float64 `json:"build_alloc_reduction"`
@@ -95,12 +89,6 @@ type Report struct {
 	// allocs/op for a 32-unit reinforcing round — its zero-alloc contract,
 	// asserted by TestSteadyStateDedupIsAllocationFree.
 	IncidentIngestAllocs int64 `json:"incident_ingest_allocs"`
-	// FleetRoundScale32 = ns/op of one 32-shard fleet round over 32x the
-	// 1-shard round. 1.0 means round latency grows exactly linearly with
-	// shard count; below 1.0 the scheduler amortizes per-round overhead
-	// across shards. The fleet benches pin the scheduler to one worker, so
-	// this is serial amortization, not fan-out speedup.
-	FleetRoundScale32 float64 `json:"fleet_round_scale_32"`
 }
 
 func measure(name string, fn func(b *testing.B)) Entry {
@@ -188,24 +176,16 @@ func main() {
 	serialScratch := measure("build_matrices/serial-scratch",
 		buildWith(correlate.NewEngine(opts, 1)))
 	add(serialScratch)
-	parallelScratch := measure("build_matrices/parallel-scratch",
-		buildWith(correlate.NewEngine(opts, 0)))
-	add(parallelScratch)
 
-	for _, c := range []struct {
-		name    string
-		workers int
-	}{{"detect_run/serial", 1}, {"detect_run/parallel", 0}} {
-		cfg := detect.Config{Thresholds: window.DefaultThresholds(kpi.Count), Workers: c.workers}
-		add(measure(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := detect.Run(u.Series, cfg); err != nil {
-					b.Fatal(err)
-				}
+	detectCfg := detect.Config{Thresholds: window.DefaultThresholds(kpi.Count), Workers: 1}
+	add(measure("detect_run/serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := detect.Run(u.Series, detectCfg); err != nil {
+				b.Fatal(err)
 			}
-		}))
-	}
+		}
+	}))
 
 	// Durable-state paths: the WAL append (per-verdict persistence cost,
 	// no fsync so the framing/encode cost is what's measured) and a full
@@ -362,9 +342,8 @@ func main() {
 	// scheduler — every unit ingests W ticks and emits exactly one
 	// fixed-window verdict. All shards read the same staged tick (judges
 	// copy during ingestion), so the measurement isolates scheduling and
-	// detection cost from sample construction. The derived scale ratio
-	// (fleet_round_scale_32) tracks how round latency grows with shard
-	// count. The scheduler pool is pinned to one worker: a GOMAXPROCS-sized
+	// detection cost from sample construction. The scheduler pool is pinned
+	// to one worker: a GOMAXPROCS-sized
 	// pool spawns one goroutine per core on every push, which would make
 	// allocs/op depend on the host's core count and the gate on the host.
 	const fleetWin = 20
@@ -413,11 +392,9 @@ func main() {
 			}
 		})
 	}
-	fleet1 := fleetBench(1)
-	add(fleet1)
+	add(fleetBench(1))
 	add(fleetBench(8))
-	fleet32 := fleetBench(32)
-	add(fleet32)
+	add(fleetBench(32))
 
 	// server/status: the API status document under dashboard polling. The
 	// cached variant is the steady-state hit — a conditional GET against an
@@ -513,13 +490,11 @@ func main() {
 	})
 	add(incidentIngest)
 
-	rep.BuildSpeedupParallel = serialScratch.NsPerOp / parallelScratch.NsPerOp
 	rep.BuildAllocReduction = float64(serialAlloc.AllocsPerOp) / float64(serialScratch.AllocsPerOp)
 	rep.KCDAllocsScratch = kcdScratch.AllocsPerOp
 	rep.ScrapeAssembleAllocs = scrapeAssemble.AllocsPerOp
 	rep.PromParseAllocs = parseProm.AllocsPerOp
 	rep.IncidentIngestAllocs = incidentIngest.AllocsPerOp
-	rep.FleetRoundScale32 = fleet32.NsPerOp / (32 * fleet1.NsPerOp)
 
 	if *diff != "" {
 		os.Exit(diffBaseline(*diff, rep))
@@ -539,8 +514,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (speedup %.2fx, alloc reduction %.1fx)\n",
-		*out, rep.BuildSpeedupParallel, rep.BuildAllocReduction)
+	fmt.Fprintf(os.Stderr, "wrote %s (alloc reduction %.1fx)\n", *out, rep.BuildAllocReduction)
 }
 
 // diffBaseline compares the fresh run's allocs/op against the committed

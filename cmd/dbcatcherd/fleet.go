@@ -73,8 +73,8 @@ func runFleet(cfg fleetConfig) {
 		cfg.units, cfg.dbs, cfg.profile, cfg.horizon, fleet.Resolve(cfg.fleetConc))
 
 	// The scheduler already fans out across units; nesting a correlation
-	// pool inside each judge would only add scheduling overhead (the same
-	// rule fleet.DetectUnits applies). Verdicts are identical either way.
+	// pool inside each judge would only add scheduling overhead. Verdicts
+	// are identical either way.
 	workers := cfg.workers
 	if workers == 0 && fleet.Resolve(cfg.fleetConc) > 1 {
 		workers = 1

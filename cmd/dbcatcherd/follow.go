@@ -41,23 +41,11 @@ type followerConfig struct {
 // promoting it would resurrect a stale epoch instead of continuing one.
 var errNeverContacted = errors.New("no primary contact yet")
 
-// runFollower tails the primary until promotion or shutdown. It returns
-// true when the node was promoted (the mirror now durably owns the next
-// epoch; the caller proceeds into normal primary startup) and false on a
-// clean SIGTERM/SIGINT exit as a standby.
-func runFollower(cfg followerConfig, opts store.Options) bool {
-	tl, err := replicate.NewTailer(replicate.Config{
-		Primary:         cfg.primary,
-		Dir:             cfg.dir,
-		Poll:            cfg.poll,
-		StalenessBudget: cfg.budget,
-		Seed:            cfg.seed,
-	})
-	if err != nil {
-		log.Fatalf("dbcatcherd: follower: %v", err)
-	}
-
-	manual := make(chan struct{}, 1)
+// followerMux is the follower's probe/role surface: /healthz, /readyz
+// (ready only once caught up within the staleness budget), /api/status
+// with the role block, and POST /api/promote, which requests promotion on
+// manual once and answers 409 to every later request.
+func followerMux(tl *replicate.Tailer, primary string, manual chan<- struct{}) *http.ServeMux {
 	var promoting atomic.Bool
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -87,7 +75,7 @@ func runFollower(cfg followerConfig, opts store.Options) bool {
 	})
 	mux.HandleFunc("/api/status", func(w http.ResponseWriter, r *http.Request) {
 		writeProbeJSON(w, http.StatusOK, map[string]interface{}{
-			"role": followerRoleBlock(tl, cfg.primary),
+			"role": followerRoleBlock(tl, primary),
 		})
 	})
 	mux.HandleFunc("/api/promote", func(w http.ResponseWriter, r *http.Request) {
@@ -105,6 +93,27 @@ func runFollower(cfg followerConfig, opts store.Options) bool {
 		}
 		writeProbeJSON(w, http.StatusAccepted, map[string]interface{}{"status": "promotion requested"})
 	})
+	return mux
+}
+
+// runFollower tails the primary until promotion or shutdown. It returns
+// true when the node was promoted (the mirror now durably owns the next
+// epoch; the caller proceeds into normal primary startup) and false on a
+// clean SIGTERM/SIGINT exit as a standby.
+func runFollower(cfg followerConfig, opts store.Options) bool {
+	tl, err := replicate.NewTailer(replicate.Config{
+		Primary:         cfg.primary,
+		Dir:             cfg.dir,
+		Poll:            cfg.poll,
+		StalenessBudget: cfg.budget,
+		Seed:            cfg.seed,
+	})
+	if err != nil {
+		log.Fatalf("dbcatcherd: follower: %v", err)
+	}
+
+	manual := make(chan struct{}, 1)
+	mux := followerMux(tl, cfg.primary, manual)
 
 	var httpSrv *http.Server
 	if cfg.addr != "" {

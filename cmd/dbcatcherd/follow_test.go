@@ -2,7 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,7 +148,7 @@ func TestPromoteCheckIntervalClamp(t *testing.T) {
 		after time.Duration
 		want  time.Duration
 	}{
-		{0, 200 * time.Millisecond},               // manual-only: default cadence
+		{0, 200 * time.Millisecond},                // manual-only: default cadence
 		{10 * time.Second, 200 * time.Millisecond}, // long budgets stay at default
 		{100 * time.Millisecond, 25 * time.Millisecond},
 		{3, time.Millisecond}, // 3ns/4 truncates to 0: clamp, don't panic NewTicker
@@ -166,5 +170,86 @@ func TestAutoPromotionRequiresContact(t *testing.T) {
 	manual := make(chan struct{}, 1)
 	if promoted := followUntilPromotion(ctx, tl, manual, 100*time.Millisecond); promoted {
 		t.Fatal("promoted with zero primary contact")
+	}
+}
+
+func TestFollowerProbeSurface(t *testing.T) {
+	_, srv := haPrimary(t, 1, 3)
+	defer srv.Close()
+	const budget = 500 * time.Millisecond
+	tl, err := replicate.NewTailer(replicate.Config{
+		Primary: srv.URL, Dir: t.TempDir(),
+		Poll: 10 * time.Millisecond, StalenessBudget: budget,
+		Attempts: 1, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
+		Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manual := make(chan struct{}, 1)
+	probes := httptest.NewServer(followerMux(tl, srv.URL, manual))
+	defer probes.Close()
+	call := func(method, path string) (int, map[string]interface{}) {
+		t.Helper()
+		req, err := http.NewRequest(method, probes.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body map[string]interface{}
+		_ = json.NewDecoder(resp.Body).Decode(&body) // 405 answers in plain text
+		return resp.StatusCode, body
+	}
+
+	if code, body := call(http.MethodGet, "/readyz"); code != http.StatusServiceUnavailable || body["reason"] != errNeverContacted.Error() {
+		t.Fatalf("readyz before contact = %d %v", code, body)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for !tl.Status().CaughtUp {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never caught up: %+v", tl.Status())
+		}
+		if err := tl.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code, body := call(http.MethodGet, "/readyz"); code != http.StatusOK || body["status"] != "ready" {
+		t.Fatalf("readyz once caught up = %d %v", code, body)
+	}
+	code, body := call(http.MethodGet, "/api/status")
+	role, _ := body["role"].(map[string]interface{})
+	if code != http.StatusOK || role["role"] != "follower" || role["primary"] != srv.URL || role["caughtUp"] != true {
+		t.Fatalf("status = %d %v", code, body)
+	}
+
+	for !tl.Status().Stale {
+		if time.Now().After(deadline.Add(budget)) {
+			t.Fatalf("follower never went stale: %+v", tl.Status())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if code, body := call(http.MethodGet, "/readyz"); code != http.StatusServiceUnavailable ||
+		!strings.Contains(fmt.Sprint(body["reason"]), "replication stale") {
+		t.Fatalf("readyz past the staleness budget = %d %v", code, body)
+	}
+
+	if code, body := call(http.MethodPost, "/api/promote"); code != http.StatusAccepted {
+		t.Fatalf("first promote = %d %v", code, body)
+	}
+	select {
+	case <-manual:
+	default:
+		t.Fatal("promote did not signal the follower loop")
+	}
+	if code, body := call(http.MethodPost, "/api/promote"); code != http.StatusConflict {
+		t.Fatalf("repeated promote = %d %v", code, body)
+	}
+	if code, _ := call(http.MethodGet, "/api/promote"); code != http.StatusMethodNotAllowed {
+		t.Fatalf("GET promote = %d", code)
 	}
 }

@@ -132,101 +132,3 @@ func TestExtrapolate(t *testing.T) {
 		t.Fatalf("short series extrapolation = %v", got)
 	}
 }
-
-func TestWaveletDetectorFindsSpikes(t *testing.T) {
-	spikes := []int{90, 260, 410}
-	x := spikySeries(512, spikes...)
-	scores := WaveletDetector{}.Scores(x)
-	if len(scores) != 512 {
-		t.Fatalf("score length %d", len(scores))
-	}
-	assertSpikesRank(t, "Wavelet", scores, spikes)
-}
-
-func TestWaveletDegenerate(t *testing.T) {
-	w := WaveletDetector{}
-	if w.Scores(nil) != nil {
-		t.Fatal("nil input")
-	}
-	short := w.Scores([]float64{1, 2, 3})
-	if len(short) != 3 {
-		t.Fatal("short input length")
-	}
-	// Non-power-of-two length must work via padding.
-	odd := w.Scores(spikySeries(300, 150))
-	if len(odd) != 300 {
-		t.Fatal("odd-length input")
-	}
-}
-
-func TestRRCFFindsSpikes(t *testing.T) {
-	spikes := []int{120, 300}
-	x := spikySeries(512, spikes...)
-	scores := NewRRCF(3).Scores(x)
-	if len(scores) != 512 {
-		t.Fatalf("score length %d", len(scores))
-	}
-	assertSpikesRank(t, "RRCF", scores, spikes)
-}
-
-func TestRRCFDegenerate(t *testing.T) {
-	r := NewRRCF(1)
-	short := r.Scores([]float64{1, 2, 3})
-	for _, v := range short {
-		if v != 0 {
-			t.Fatal("too-short input should score zero")
-		}
-	}
-	constant := r.Scores(make([]float64, 128))
-	for _, v := range constant {
-		if v != 0 {
-			t.Fatal("constant input should score zero")
-		}
-	}
-}
-
-func TestRRCFTreeInvariants(t *testing.T) {
-	rng := mathx.NewRNG(5)
-	pts := make([][]float64, 64)
-	for i := range pts {
-		pts[i] = []float64{rng.Norm(), rng.Norm(), rng.Norm()}
-	}
-	root := buildRC(pts, rng)
-	var walk func(n *rcNode) int
-	walk = func(n *rcNode) int {
-		if n.left == nil {
-			if n.point == nil {
-				t.Fatal("leaf without point")
-			}
-			return n.size
-		}
-		got := walk(n.left) + walk(n.right)
-		if got != n.size {
-			t.Fatalf("size mismatch: %d children vs %d recorded", got, n.size)
-		}
-		// Bounding box contains children's boxes.
-		for j := range n.lo {
-			if n.left.lo[j] < n.lo[j] || n.right.hi[j] > n.hi[j] {
-				t.Fatal("child box escapes parent box")
-			}
-		}
-		return got
-	}
-	if walk(root) != 64 {
-		t.Fatal("tree lost points")
-	}
-}
-
-func TestRRCFOutlierHasHighCoDisp(t *testing.T) {
-	rng := mathx.NewRNG(6)
-	pts := make([][]float64, 100)
-	for i := range pts {
-		pts[i] = []float64{rng.Norm(), rng.Norm()}
-	}
-	root := buildRC(pts, rng)
-	inlier := coDisp(root, []float64{0, 0})
-	outlier := coDisp(root, []float64{50, 50})
-	if outlier <= inlier {
-		t.Fatalf("outlier CoDisp %v should exceed inlier %v", outlier, inlier)
-	}
-}

@@ -53,71 +53,3 @@ func (b *UniformBalancer) Shares(int) []float64 {
 	}
 	return b.buf
 }
-
-// WeightedBalancer applies fixed relative weights (capacity-aware routing)
-// with jitter. It generalizes UniformBalancer.
-type WeightedBalancer struct {
-	rng     *mathx.RNG
-	weights []float64
-	jitter  float64
-	buf     []float64
-}
-
-// NewWeightedBalancer returns a balancer using the given positive weights.
-func NewWeightedBalancer(weights []float64, jitter float64, rng *mathx.RNG) *WeightedBalancer {
-	w := mathx.Clone(weights)
-	return &WeightedBalancer{rng: rng, weights: w, jitter: jitter, buf: make([]float64, len(w))}
-}
-
-// Shares implements Balancer.
-func (b *WeightedBalancer) Shares(int) []float64 {
-	var sum float64
-	for i, base := range b.weights {
-		w := base * (1 + b.rng.NormMeanStd(0, b.jitter))
-		if w < 0.001 {
-			w = 0.001
-		}
-		b.buf[i] = w
-		sum += w
-	}
-	for i := range b.buf {
-		b.buf[i] /= sum
-	}
-	return b.buf
-}
-
-// DefectiveBalancer reproduces the Fig. 4 incident: from StartTick on, a
-// defective strategy maps an excessive fraction of SQL to one target
-// database, starving the others. Before StartTick it behaves uniformly.
-type DefectiveBalancer struct {
-	inner     Balancer
-	Target    int
-	StartTick int
-	// Skew is the extra share routed to Target (0.3 means the target gets
-	// its fair share plus 30 points of everyone else's traffic).
-	Skew float64
-	buf  []float64
-}
-
-// NewDefectiveBalancer wraps inner and skews traffic toward target after
-// startTick.
-func NewDefectiveBalancer(inner Balancer, target, startTick int, skew float64) *DefectiveBalancer {
-	return &DefectiveBalancer{inner: inner, Target: target, StartTick: startTick, Skew: skew}
-}
-
-// Shares implements Balancer.
-func (b *DefectiveBalancer) Shares(t int) []float64 {
-	base := b.inner.Shares(t)
-	if t < b.StartTick {
-		return base
-	}
-	if b.buf == nil {
-		b.buf = make([]float64, len(base))
-	}
-	// Take Skew proportionally from everyone and give it to the target.
-	for i, s := range base {
-		b.buf[i] = s * (1 - b.Skew)
-	}
-	b.buf[b.Target] += b.Skew
-	return b.buf
-}

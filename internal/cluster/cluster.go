@@ -97,15 +97,6 @@ type Unit struct {
 	Delays []int
 }
 
-// PrimaryAt returns the primary database index at the given tick,
-// accounting for a configured failover.
-func (u *Unit) PrimaryAt(tick int) int {
-	if f := u.Config.Failover; f != nil && tick >= f.Tick {
-		return f.NewPrimary
-	}
-	return 0
-}
-
 // Simulate generates the unit's KPI series. The same Config (including
 // Seed) always yields identical output.
 func Simulate(cfg Config) (*Unit, error) {

@@ -38,9 +38,6 @@ func NewCollector(u *timeseries.UnitSeries, plan workload.FaultPlan) (*Collector
 	return c, nil
 }
 
-// Tick returns the next tick Next will deliver.
-func (c *Collector) Tick() int { return c.tick }
-
 // Next delivers the next collection tick. ok is false once the series is
 // exhausted. A nil sample with ok=true is a wholly-dropped tick. The
 // returned rows are reused between calls; ingest them before calling Next

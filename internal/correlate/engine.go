@@ -63,7 +63,7 @@ func NewEngine(opts Options, workers int) *Engine {
 }
 
 // NewMeasureEngine wraps an arbitrary pairwise measure (the Table X
-// ablations: Pearson, Spearman, DTW, or a custom closure). The measure must
+// ablations: Pearson, DTW, or a custom closure). The measure must
 // be safe for concurrent use — every measure in this repository is a pure
 // function. This path cannot reuse KCD scratch buffers, so a measure built
 // by KCDMeasure allocates per pair; prefer NewEngine for KCD.
@@ -200,40 +200,18 @@ func (e *Engine) buildKPI(u *timeseries.UnitSeries, start, n int, active []bool,
 	return nil
 }
 
-// BuildOption tunes a BuildMatrices call.
-type BuildOption func(*buildConfig)
-
-type buildConfig struct {
-	workers int
-}
-
-// WithWorkers bounds the fan-out worker pool (<= 0 means GOMAXPROCS).
-func WithWorkers(n int) BuildOption {
-	return func(c *buildConfig) { c.workers = n }
-}
-
-// Serial disables the fan-out entirely — the single-goroutine reference
-// path for determinism-sensitive callers (results are identical to the
-// parallel build; only scheduling differs).
-func Serial() BuildOption { return WithWorkers(1) }
-
 // BuildMatrices computes the Q correlation matrices of Eq. 5 for the window
 // [start, start+n) of a unit's multivariate series, fanning the per-KPI
-// work out over a GOMAXPROCS-bounded worker pool by default (opt out with
-// Serial, or bound it with WithWorkers). The measure must be safe for
-// concurrent use unless Serial is passed. active[d] marks whether database
-// d participates; a nil active slice means all databases are active.
+// work out over a GOMAXPROCS-bounded worker pool, so the measure must be
+// safe for concurrent use. active[d] marks whether database d
+// participates; a nil active slice means all databases are active.
 //
 // Callers on the KCD hot path should hold a reusable *Engine from
 // NewEngine instead: it scores pairs through per-worker scratch buffers
 // and avoids the per-call allocations of a generic measure closure.
-func BuildMatrices(u *timeseries.UnitSeries, start, n int, active []bool, measure Measure, opt ...BuildOption) ([]*Matrix, error) {
+func BuildMatrices(u *timeseries.UnitSeries, start, n int, active []bool, measure Measure) ([]*Matrix, error) {
 	if measure == nil {
 		return nil, fmt.Errorf("correlate: nil measure")
 	}
-	var cfg buildConfig
-	for _, o := range opt {
-		o(&cfg)
-	}
-	return NewMeasureEngine(measure, cfg.workers).BuildMatrices(u, start, n, active)
+	return NewMeasureEngine(measure, 0).BuildMatrices(u, start, n, active)
 }

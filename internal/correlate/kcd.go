@@ -1,7 +1,7 @@
 // Package correlate implements the paper's time-series correlation
 // measurement: the Key Correlation Distance (KCD, Eq. 1-4), the per-KPI
 // correlation matrices (Eq. 5), and the alternative correlation measures
-// DBCatcher is compared against (Pearson, Spearman, dynamic time warping).
+// DBCatcher is compared against (Pearson, dynamic time warping).
 package correlate
 
 import (

@@ -30,11 +30,6 @@ func DTWMeasure(radius int) Measure {
 	return func(x, y []float64) float64 { return DTWSimilarity(x, y, radius) }
 }
 
-// SpearmanMeasure adapts Spearman rank correlation.
-func SpearmanMeasure() Measure {
-	return func(x, y []float64) float64 { return Spearman(x, y) }
-}
-
 // Matrix is one correlation matrix CM_j of Eq. 5: the pairwise correlation
 // scores of N databases on one KPI within a time window. Only the upper
 // triangle is stored (the matrix is symmetric with unit diagonal).
@@ -77,21 +72,3 @@ func (m *Matrix) At(i, j int) float64 {
 
 // Set stores the score for the unordered pair (i, j), i != j.
 func (m *Matrix) Set(i, j int, v float64) { m.scores[m.index(i, j)] = v }
-
-// Row returns database j's scores against every other database, in
-// database order with j itself skipped. This is the Search function of
-// Algorithm 1 (the KCDS list).
-func (m *Matrix) Row(j int) []float64 {
-	out := make([]float64, 0, m.N-1)
-	for i := 0; i < m.N; i++ {
-		if i == j {
-			continue
-		}
-		out = append(out, m.At(i, j))
-	}
-	return out
-}
-
-// Pairs returns the number of stored pair scores.
-func (m *Matrix) Pairs() int { return len(m.scores) }
-

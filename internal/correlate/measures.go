@@ -2,7 +2,6 @@ package correlate
 
 import (
 	"math"
-	"sort"
 
 	"dbcatcher/internal/mathx"
 )
@@ -30,39 +29,6 @@ func Pearson(x, y []float64) float64 {
 		return 1
 	}
 	return safeRatio(num, nx, ny, 0, 0)
-}
-
-// Spearman returns Spearman's rank correlation coefficient, i.e. the
-// Pearson correlation of the ranks, with average ranks for ties.
-func Spearman(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(mathx.ErrLengthMismatch)
-	}
-	return Pearson(ranks(x), ranks(y))
-}
-
-// ranks assigns 1-based average ranks to v.
-func ranks(v []float64) []float64 {
-	n := len(v)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return v[idx[a]] < v[idx[b]] })
-	out := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && v[idx[j+1]] == v[idx[i]] {
-			j++
-		}
-		// Average rank for the tie group [i, j].
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			out[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return out
 }
 
 // DTWDistance returns the dynamic-time-warping distance between x and y

@@ -24,27 +24,6 @@ func TestPearsonKnownValues(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotonicTransform(t *testing.T) {
-	// Spearman is invariant under strictly monotone transforms.
-	x := []float64{1, 3, 2, 8, 5}
-	y := make([]float64, len(x))
-	for i, v := range x {
-		y[i] = math.Exp(v) // monotone
-	}
-	if got := Spearman(x, y); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("Spearman of monotone transform = %v, want 1", got)
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	// With average ranks, {1,2,2,3} ranks to {1, 2.5, 2.5, 4}.
-	r := ranks([]float64{1, 2, 2, 3})
-	want := []float64{1, 2.5, 2.5, 4}
-	if !mathx.EqualApprox(r, want, 1e-12) {
-		t.Fatalf("ranks = %v, want %v", r, want)
-	}
-}
-
 func TestDTWDistanceIdentity(t *testing.T) {
 	x := sine(32, 8, 0)
 	if got := DTWDistance(x, x, -1); got != 0 {

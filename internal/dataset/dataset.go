@@ -13,7 +13,6 @@ import (
 	"dbcatcher/internal/fleet"
 	"dbcatcher/internal/kpi"
 	"dbcatcher/internal/mathx"
-	"dbcatcher/internal/period"
 	"dbcatcher/internal/workload"
 )
 
@@ -275,23 +274,6 @@ func sliceUnit(u *UnitData, start, end int) (*UnitData, error) {
 		Delays: u.Unit.Delays,
 	}
 	return &UnitData{Unit: unit, Labels: labels, Profile: u.Profile}, nil
-}
-
-// SplitByPeriodicity classifies each unit with the period detector on its
-// "Requests Per Second" series (as the paper does with RobustPeriod,
-// §IV-A2) and returns the irregular (I) and periodic (II) sub-datasets.
-func (d *Dataset) SplitByPeriodicity() (irregular, periodic *Dataset) {
-	irregular = &Dataset{Name: d.Name + " I", Family: d.Family}
-	periodic = &Dataset{Name: d.Name + " II", Family: d.Family}
-	for _, u := range d.Units {
-		rps := u.Unit.Series.Data[kpi.RequestsPerSecond][1].Values
-		if period.IsPeriodic(rps) {
-			periodic.Units = append(periodic.Units, u)
-		} else {
-			irregular.Units = append(irregular.Units, u)
-		}
-	}
-	return irregular, periodic
 }
 
 // SplitByProfile returns the irregular/periodic sub-datasets using the

@@ -149,35 +149,6 @@ func TestSplitByProfile(t *testing.T) {
 	}
 }
 
-func TestSplitByPeriodicity(t *testing.T) {
-	// Longer series so the detector has signal; Tencent periodic units
-	// carry a strong diurnal component.
-	ds, err := Generate(Config{Family: Tencent, Units: 6, Ticks: 2000, Seed: 3, PeriodicFraction: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	irr, per := ds.SplitByPeriodicity()
-	if len(irr.Units)+len(per.Units) != 6 {
-		t.Fatal("split lost units")
-	}
-	// The detector should find at least some periodic units and not
-	// classify everything one way.
-	if len(per.Units) == 0 {
-		t.Fatal("no periodic units detected")
-	}
-	// Ground truth agreement: every detected-periodic unit should mostly
-	// come from the periodic profile.
-	agree := 0
-	for _, u := range per.Units {
-		if u.Profile.Periodic() {
-			agree++
-		}
-	}
-	if agree == 0 {
-		t.Fatal("periodicity detection disagrees completely with ground truth")
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	ds, err := Generate(smallConfig(TPCC))
 	if err != nil {

@@ -487,19 +487,6 @@ func buildVerdict(start, size int, states []window.State, cfg Config, expansions
 	return v
 }
 
-// AverageWindowSize returns the mean number of points consumed per
-// verdict, the paper's efficiency metric.
-func AverageWindowSize(verdicts []Verdict) float64 {
-	if len(verdicts) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range verdicts {
-		sum += float64(v.Size)
-	}
-	return sum / float64(len(verdicts))
-}
-
 // Evaluate scores verdicts against ground truth: a window counts as
 // actually abnormal when any tick inside it is labelled abnormal (§IV-A3
 // evaluates per time window).

@@ -170,13 +170,3 @@ func Figure5(cfg Config) (*Table, error) {
 		"the score recovers as the window grows — the motivation for flexible time window observation (§III-C)")
 	return t, nil
 }
-
-// unitKCDTrend supports Figure 3(a): the normalized RPS trends of the five
-// databases (exported for the examples).
-func unitKCDTrend(u *cluster.Unit, k kpi.KPI) [][]float64 {
-	out := make([][]float64, u.Series.Databases)
-	for d := range out {
-		out[d] = mathx.Normalize(u.Series.Data[k][d].Values)
-	}
-	return out
-}

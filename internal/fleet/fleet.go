@@ -16,9 +16,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"dbcatcher/internal/detect"
-	"dbcatcher/internal/timeseries"
 )
 
 // Resolve maps a Concurrency knob to a worker count: values <= 0 use
@@ -96,20 +93,4 @@ func Map[T any](n, concurrency int, fn func(i int) (T, error)) ([]T, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// DetectUnits runs the offline detector over many unit series concurrently
-// and returns each unit's verdict sequence in input order. When the fleet
-// itself fans out, each unit's correlation build is forced serial
-// (cfg.Workers = 1) unless the caller pinned a count — coarse per-unit
-// parallelism already saturates the cores, and nesting pools would only
-// add scheduling overhead.
-func DetectUnits(units []*timeseries.UnitSeries, cfg detect.Config, concurrency int) ([][]detect.Verdict, error) {
-	if Resolve(concurrency) > 1 && cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
-	return Map(len(units), concurrency, func(i int) ([]detect.Verdict, error) {
-		verdicts, _, err := detect.Run(units[i], cfg)
-		return verdicts, err
-	})
 }

@@ -20,12 +20,12 @@ type Pusher interface {
 
 // Monitor drives N independent per-unit online judges through lock-step
 // collection rounds behind one bounded scheduler. Each tick fans the
-// units out over an Each pool: per-unit work (ring ingestion, streaming
-// KCD updates, round judgment) runs inside the unit's task, results land
-// in unit order, and a unit failure surfaces as Each's lowest-indexed
-// recorded error. Units are fully independent — no cross-unit state — so
-// a fleet round is bit-identical to running every unit's judge alone,
-// regardless of concurrency or scheduling.
+// units out over an Each pool: per-unit work (ring ingestion, round
+// judgment) runs inside the unit's task, results land in unit order, and
+// a unit failure surfaces as Each's lowest-indexed recorded error. Units
+// are fully independent — no cross-unit state — so a fleet round is
+// bit-identical to running every unit's judge alone, regardless of
+// concurrency or scheduling.
 //
 // Push and ScrapeRound must be called from one scheduler goroutine at a
 // time (each unit's judge serializes internally, but the round itself is
@@ -67,9 +67,6 @@ func (m *Monitor) SetScrapers(scrapers []*scrape.Scraper) error {
 	m.scrapers = scrapers
 	return nil
 }
-
-// Units returns the fleet size.
-func (m *Monitor) Units() int { return len(m.units) }
 
 // Ticks returns how many rounds have been scheduled.
 func (m *Monitor) Ticks() int { return int(m.ticks.Load()) }

@@ -117,11 +117,3 @@ func All() []KPI {
 	}
 	return out
 }
-
-// WriteKPIs lists the indicators driven by write traffic; they receive the
-// unit's write demand in the simulator, the rest receive read demand or a
-// blend.
-func WriteKPIs() []KPI {
-	return []KPI{ComInsert, ComUpdate, InnodbDataWrites, InnodbDataWritten,
-		InnodbRowsDeleted, InnodbRowsInserted, InnodbRowsUpdated}
-}

@@ -69,14 +69,3 @@ func TestInvalidKPI(t *testing.T) {
 	}()
 	bad.Correlation()
 }
-
-func TestWriteKPIsAreValid(t *testing.T) {
-	for _, k := range WriteKPIs() {
-		if !k.Valid() {
-			t.Errorf("invalid write KPI %d", int(k))
-		}
-	}
-	if len(WriteKPIs()) != 7 {
-		t.Fatalf("WriteKPIs len = %d", len(WriteKPIs()))
-	}
-}

@@ -157,85 +157,3 @@ func RealIFFT(spec []complex128) []float64 {
 	}
 	return out
 }
-
-// CrossCorrelateFFT returns the linear cross-correlation r[k] =
-// sum_i a[i+k]*b[i] for k in [-(len(b)-1), len(a)-1], computed with FFTs in
-// O(n log n). The result slice has length len(a)+len(b)-1 and index
-// k + len(b) - 1 holds lag k.
-func CrossCorrelateFFT(a, b []float64) []float64 {
-	na, nb := len(a), len(b)
-	if na == 0 || nb == 0 {
-		return nil
-	}
-	total := na + nb - 1
-	m := NextPow2(total)
-	fa := make([]complex128, m)
-	fb := make([]complex128, m)
-	for i, v := range a {
-		fa[i] = complex(v, 0)
-	}
-	// Reverse b to turn convolution into correlation.
-	for i, v := range b {
-		fb[nb-1-i] = complex(v, 0)
-	}
-	FFT(fa)
-	FFT(fb)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	IFFT(fa)
-	out := make([]float64, total)
-	for i := range out {
-		out[i] = real(fa[i])
-	}
-	return out
-}
-
-// Periodogram returns the power spectrum |X_k|²/n of a real signal for
-// k in [0, n/2].
-func Periodogram(x []float64) []float64 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	spec := RealFFT(x)
-	half := n/2 + 1
-	out := make([]float64, half)
-	for k := 0; k < half; k++ {
-		re, im := real(spec[k]), imag(spec[k])
-		out[k] = (re*re + im*im) / float64(n)
-	}
-	return out
-}
-
-// Autocorrelation returns the normalized autocorrelation of x for lags
-// 0..maxLag. r[0] is always 1 unless the series is constant (then all
-// zeros).
-func Autocorrelation(x []float64, maxLag int) []float64 {
-	n := len(x)
-	if n == 0 || maxLag < 0 {
-		return nil
-	}
-	if maxLag >= n {
-		maxLag = n - 1
-	}
-	m := Mean(x)
-	centered := make([]float64, n)
-	for i, v := range x {
-		centered[i] = v - m
-	}
-	var denom float64
-	for _, v := range centered {
-		denom += v * v
-	}
-	out := make([]float64, maxLag+1)
-	if denom == 0 {
-		return out
-	}
-	full := CrossCorrelateFFT(centered, centered)
-	// Lag k lives at index k + n - 1.
-	for k := 0; k <= maxLag; k++ {
-		out[k] = full[k+n-1] / denom
-	}
-	return out
-}

@@ -103,79 +103,3 @@ func TestNextPow2(t *testing.T) {
 		}
 	}
 }
-
-func naiveCrossCorr(a, b []float64) []float64 {
-	na, nb := len(a), len(b)
-	out := make([]float64, na+nb-1)
-	for k := -(nb - 1); k <= na-1; k++ {
-		var s float64
-		for i := 0; i < nb; i++ {
-			j := i + k
-			if j >= 0 && j < na {
-				s += a[j] * b[i]
-			}
-		}
-		out[k+nb-1] = s
-	}
-	return out
-}
-
-func TestCrossCorrelateFFTMatchesNaive(t *testing.T) {
-	rng := NewRNG(5)
-	for _, sz := range [][2]int{{4, 4}, {8, 5}, {20, 20}, {33, 7}} {
-		a := make([]float64, sz[0])
-		b := make([]float64, sz[1])
-		for i := range a {
-			a[i] = rng.Norm()
-		}
-		for i := range b {
-			b[i] = rng.Norm()
-		}
-		want := naiveCrossCorr(a, b)
-		got := CrossCorrelateFFT(a, b)
-		if !EqualApprox(got, want, 1e-8) {
-			t.Fatalf("cross-correlation mismatch for sizes %v:\n got %v\nwant %v", sz, got, want)
-		}
-	}
-}
-
-func TestPeriodogramPeak(t *testing.T) {
-	// A pure sinusoid with 8 cycles over 128 samples must peak at bin 8.
-	n := 128
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * 8 * float64(i) / float64(n))
-	}
-	p := Periodogram(x)
-	if got := ArgMax(p[1:]) + 1; got != 8 {
-		t.Fatalf("periodogram peak at bin %d, want 8", got)
-	}
-}
-
-func TestAutocorrelationPeriodicSignal(t *testing.T) {
-	// Period-16 sine: autocorrelation at lag 16 should be close to 1.
-	n := 256
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * float64(i) / 16)
-	}
-	ac := Autocorrelation(x, 32)
-	if math.Abs(ac[0]-1) > 1e-9 {
-		t.Fatalf("ac[0] = %v, want 1", ac[0])
-	}
-	if ac[16] < 0.9 {
-		t.Fatalf("ac[16] = %v, want close to 1", ac[16])
-	}
-	if ac[8] > -0.9 {
-		t.Fatalf("ac[8] = %v, want close to -1 (anti-phase)", ac[8])
-	}
-}
-
-func TestAutocorrelationConstant(t *testing.T) {
-	ac := Autocorrelation([]float64{3, 3, 3, 3}, 2)
-	for _, v := range ac {
-		if v != 0 {
-			t.Fatalf("constant series autocorrelation = %v, want zeros", ac)
-		}
-	}
-}

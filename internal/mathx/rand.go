@@ -81,40 +81,6 @@ func (r *RNG) NormMeanStd(mean, std float64) float64 {
 	return mean + std*r.Norm()
 }
 
-// Exp returns an exponential variate with the given rate λ.
-func (r *RNG) Exp(lambda float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / lambda
-}
-
-// Poisson returns a Poisson variate with mean lambda (Knuth's method for
-// small lambda, normal approximation above 30 for speed).
-func (r *RNG) Poisson(lambda float64) int {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 30 {
-		v := r.NormMeanStd(lambda, math.Sqrt(lambda))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-lambda)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

@@ -1,82 +1,5 @@
 package mathx
 
-import "math"
-
-// Welford accumulates a running mean and variance in a single pass using
-// Welford's algorithm. The zero value is ready to use.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	delta := x - w.mean
-	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
-}
-
-// N returns the number of observations seen so far.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// SampleVariance returns the running sample variance (n-1 denominator).
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Std returns the running population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
-
-// Reset clears the accumulator.
-func (w *Welford) Reset() { *w = Welford{} }
-
-// EWMA is an exponentially weighted moving average. The zero value is not
-// usable; construct with NewEWMA.
-type EWMA struct {
-	alpha   float64
-	value   float64
-	started bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1]. Larger
-// alpha weights recent observations more.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("mathx: EWMA alpha must be in (0, 1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds x into the average and returns the updated value.
-func (e *EWMA) Add(x float64) float64 {
-	if !e.started {
-		e.value = x
-		e.started = true
-		return x
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
 // MovingAverage smooths x with a centered window of the given odd width,
 // shrinking the window at the boundaries. width <= 1 returns a copy.
 func MovingAverage(x []float64, width int) []float64 {
@@ -105,35 +28,36 @@ func MovingAverage(x []float64, width int) []float64 {
 	return out
 }
 
-// Diff returns the first difference x[i+1]-x[i] (length len(x)-1).
-func Diff(x []float64) []float64 {
-	if len(x) < 2 {
+// Autocorrelation returns the normalized autocorrelation of x for lags
+// 0..maxLag. r[0] is always 1 unless the series is constant (then all
+// zeros).
+func Autocorrelation(x []float64, maxLag int) []float64 {
+	n := len(x)
+	if n == 0 || maxLag < 0 {
 		return nil
 	}
-	out := make([]float64, len(x)-1)
-	for i := range out {
-		out[i] = x[i+1] - x[i]
+	if maxLag >= n {
+		maxLag = n - 1
+	}
+	m := Mean(x)
+	centered := make([]float64, n)
+	for i, v := range x {
+		centered[i] = v - m
+	}
+	var denom float64
+	for _, v := range centered {
+		denom += v * v
+	}
+	out := make([]float64, maxLag+1)
+	if denom == 0 {
+		return out
+	}
+	for k := range out {
+		var s float64
+		for i := k; i < n; i++ {
+			s += centered[i] * centered[i-k]
+		}
+		out[k] = s / denom
 	}
 	return out
-}
-
-// Histogram bins v into nbins equal-width buckets over [min, max] and
-// returns the counts. Values outside the range clamp to the end bins.
-func Histogram(v []float64, nbins int, min, max float64) []int {
-	if nbins <= 0 || max <= min {
-		return nil
-	}
-	counts := make([]int, nbins)
-	width := (max - min) / float64(nbins)
-	for _, x := range v {
-		idx := int((x - min) / width)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= nbins {
-			idx = nbins - 1
-		}
-		counts[idx]++
-	}
-	return counts
 }

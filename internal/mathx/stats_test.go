@@ -6,62 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestWelfordMatchesBatch(t *testing.T) {
-	rng := NewRNG(7)
-	v := make([]float64, 1000)
-	var w Welford
-	for i := range v {
-		v[i] = rng.NormMeanStd(3, 2)
-		w.Add(v[i])
-	}
-	if w.N() != 1000 {
-		t.Fatalf("N = %d", w.N())
-	}
-	if math.Abs(w.Mean()-Mean(v)) > 1e-9 {
-		t.Errorf("Welford mean %v != batch %v", w.Mean(), Mean(v))
-	}
-	if math.Abs(w.Variance()-Variance(v)) > 1e-9 {
-		t.Errorf("Welford var %v != batch %v", w.Variance(), Variance(v))
-	}
-	w.Reset()
-	if w.N() != 0 || w.Mean() != 0 {
-		t.Error("Reset did not clear state")
-	}
-}
-
-func TestWelfordSampleVariance(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{1, 2, 3, 4} {
-		w.Add(x)
-	}
-	// Sample variance of {1,2,3,4} is 5/3.
-	if math.Abs(w.SampleVariance()-5.0/3.0) > 1e-12 {
-		t.Fatalf("SampleVariance = %v", w.SampleVariance())
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if got := e.Add(10); got != 10 {
-		t.Fatalf("first Add = %v, want seed value", got)
-	}
-	if got := e.Add(0); got != 5 {
-		t.Fatalf("second Add = %v, want 5", got)
-	}
-	if e.Value() != 5 {
-		t.Fatalf("Value = %v", e.Value())
-	}
-}
-
-func TestEWMAPanicsOnBadAlpha(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewEWMA(0)
-}
-
 func TestMovingAverage(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	got := MovingAverage(x, 3)
@@ -100,23 +44,30 @@ func TestMovingAveragePreservesMeanProperty(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	got := Diff([]float64{1, 4, 9, 16})
-	if !EqualApprox(got, []float64{3, 5, 7}, 0) {
-		t.Fatalf("Diff = %v", got)
+func TestAutocorrelationPeriodicSignal(t *testing.T) {
+	// Period-16 sine: autocorrelation at lag 16 should be close to 1.
+	n := 256
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.Sin(2 * math.Pi * float64(i) / 16)
 	}
-	if Diff([]float64{1}) != nil {
-		t.Fatal("Diff of short slice should be nil")
+	ac := Autocorrelation(x, 32)
+	if math.Abs(ac[0]-1) > 1e-9 {
+		t.Fatalf("ac[0] = %v, want 1", ac[0])
+	}
+	if ac[16] < 0.9 {
+		t.Fatalf("ac[16] = %v, want close to 1", ac[16])
+	}
+	if ac[8] > -0.9 {
+		t.Fatalf("ac[8] = %v, want close to -1 (anti-phase)", ac[8])
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts := Histogram([]float64{0.1, 0.2, 0.6, 0.9, -1, 2}, 2, 0, 1)
-	// Bins [0,0.5) and [0.5,1]; out-of-range clamps.
-	if counts[0] != 3 || counts[1] != 3 {
-		t.Fatalf("Histogram = %v", counts)
-	}
-	if Histogram(nil, 0, 0, 1) != nil {
-		t.Fatal("bad args should return nil")
+func TestAutocorrelationConstant(t *testing.T) {
+	ac := Autocorrelation([]float64{3, 3, 3, 3}, 2)
+	for _, v := range ac {
+		if v != 0 {
+			t.Fatalf("constant series autocorrelation = %v, want zeros", ac)
+		}
 	}
 }

@@ -30,32 +30,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// DotChecked is Dot with an error instead of a panic.
-func DotChecked(a, b []float64) (float64, error) {
-	if len(a) != len(b) {
-		return 0, ErrLengthMismatch
-	}
-	return Dot(a, b), nil
-}
-
-// Norm2 returns the Euclidean (L2) norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// Norm1 returns the L1 norm of v.
-func Norm1(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += math.Abs(x)
-	}
-	return s
-}
-
 // Mean returns the arithmetic mean of v, or 0 for an empty slice.
 func Mean(v []float64) float64 {
 	if len(v) == 0 {
@@ -110,41 +84,6 @@ func Scale(v []float64, k float64) []float64 {
 		v[i] *= k
 	}
 	return v
-}
-
-// AddScaled computes dst[i] += k*src[i] in place and returns dst.
-func AddScaled(dst []float64, k float64, src []float64) []float64 {
-	if len(dst) != len(src) {
-		panic(ErrLengthMismatch)
-	}
-	for i := range dst {
-		dst[i] += k * src[i]
-	}
-	return dst
-}
-
-// Sub returns a-b as a new slice.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(ErrLengthMismatch)
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// Add returns a+b as a new slice.
-func Add(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(ErrLengthMismatch)
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
 }
 
 // Clamp limits x to the closed interval [lo, hi].
@@ -243,57 +182,6 @@ func NormalizeInto(dst, src []float64) []float64 {
 		dst[i] = (x - min) / span
 	}
 	return dst
-}
-
-// ZScore standardizes v to zero mean and unit variance, returning a new
-// slice. A constant series maps to all zeros.
-func ZScore(v []float64) []float64 {
-	out := make([]float64, len(v))
-	m, sd := Mean(v), Std(v)
-	if sd == 0 {
-		return out
-	}
-	for i, x := range v {
-		out[i] = (x - m) / sd
-	}
-	return out
-}
-
-// ArgMax returns the index of the largest element, or -1 for an empty slice.
-func ArgMax(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	idx := 0
-	for i, x := range v {
-		if x > v[idx] {
-			idx = i
-		}
-	}
-	return idx
-}
-
-// ArgMin returns the index of the smallest element, or -1 for an empty slice.
-func ArgMin(v []float64) int {
-	if len(v) == 0 {
-		return -1
-	}
-	idx := 0
-	for i, x := range v {
-		if x < v[idx] {
-			idx = i
-		}
-	}
-	return idx
-}
-
-// Sum returns the sum of v.
-func Sum(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
 }
 
 // EqualApprox reports whether a and b have the same length and differ by at

@@ -22,26 +22,6 @@ func TestDotPanicsOnMismatch(t *testing.T) {
 	Dot([]float64{1}, []float64{1, 2})
 }
 
-func TestDotChecked(t *testing.T) {
-	if _, err := DotChecked([]float64{1}, []float64{1, 2}); err != ErrLengthMismatch {
-		t.Fatalf("err = %v, want ErrLengthMismatch", err)
-	}
-	v, err := DotChecked([]float64{2}, []float64{3})
-	if err != nil || v != 6 {
-		t.Fatalf("DotChecked = %v, %v", v, err)
-	}
-}
-
-func TestNorms(t *testing.T) {
-	v := []float64{3, -4}
-	if got := Norm2(v); got != 5 {
-		t.Errorf("Norm2 = %v, want 5", got)
-	}
-	if got := Norm1(v); got != 7 {
-		t.Errorf("Norm1 = %v, want 7", got)
-	}
-}
-
 func TestMeanVarianceStd(t *testing.T) {
 	v := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Mean(v); got != 5 {
@@ -109,19 +89,6 @@ func TestNormalizePropertyBounds(t *testing.T) {
 	}
 }
 
-func TestZScore(t *testing.T) {
-	out := ZScore([]float64{1, 2, 3, 4, 5})
-	if math.Abs(Mean(out)) > 1e-12 {
-		t.Errorf("ZScore mean = %v, want 0", Mean(out))
-	}
-	if math.Abs(Std(out)-1) > 1e-12 {
-		t.Errorf("ZScore std = %v, want 1", Std(out))
-	}
-	if got := ZScore([]float64{2, 2}); !EqualApprox(got, []float64{0, 0}, 0) {
-		t.Errorf("constant ZScore = %v", got)
-	}
-}
-
 func TestMedianAndQuantile(t *testing.T) {
 	v := []float64{9, 1, 5, 3, 7}
 	if got := Median(v); got != 5 {
@@ -149,49 +116,18 @@ func TestMAD(t *testing.T) {
 	}
 }
 
-func TestArgMinMax(t *testing.T) {
-	v := []float64{3, 9, -2, 9}
-	if got := ArgMax(v); got != 1 {
-		t.Errorf("ArgMax = %d, want 1 (first max)", got)
-	}
-	if got := ArgMin(v); got != 2 {
-		t.Errorf("ArgMin = %d, want 2", got)
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Error("empty ArgMax/ArgMin should be -1")
-	}
-}
-
-func TestAddSubScale(t *testing.T) {
+func TestScale(t *testing.T) {
 	a := []float64{1, 2}
-	b := []float64{3, 5}
-	if got := Add(a, b); !EqualApprox(got, []float64{4, 7}, 0) {
-		t.Errorf("Add = %v", got)
-	}
-	if got := Sub(b, a); !EqualApprox(got, []float64{2, 3}, 0) {
-		t.Errorf("Sub = %v", got)
-	}
 	c := Clone(a)
 	Scale(c, 2)
 	if !EqualApprox(c, []float64{2, 4}, 0) {
 		t.Errorf("Scale = %v", c)
-	}
-	d := Clone(a)
-	AddScaled(d, 10, b)
-	if !EqualApprox(d, []float64{31, 52}, 0) {
-		t.Errorf("AddScaled = %v", d)
 	}
 }
 
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Fatal("Clamp misbehaves")
-	}
-}
-
-func TestSum(t *testing.T) {
-	if Sum([]float64{1, 2, 3.5}) != 6.5 {
-		t.Fatal("Sum wrong")
 	}
 }
 

@@ -306,7 +306,7 @@ func TestOnlineNeverRepeatsEvictionError(t *testing.T) {
 	}
 	// Outage: 500 ticks ingested behind the judge's back.
 	for i := 0; i < 500; i++ {
-		if err := o.Processor().Ingest(sample); err != nil {
+		if _, err := o.Processor().IngestDegraded(sample, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -84,32 +84,6 @@ func (p *Processor) GapStats() (gapCells, missedTicks int) {
 	return p.gapCells, p.missedTicks
 }
 
-// Ingest adds one collection tick: sample[k][d] is KPI k's value on
-// database d. The shape must match exactly; NaN cells are recorded as
-// collector gaps. Use IngestDegraded when rows may be missing entirely.
-func (p *Processor) Ingest(sample [][]float64) error {
-	if len(sample) != p.kpis {
-		return fmt.Errorf("monitor: sample has %d KPI rows, want %d", len(sample), p.kpis)
-	}
-	for k, row := range sample {
-		if len(row) != p.dbs {
-			return fmt.Errorf("monitor: KPI %d row has %d databases, want %d", k, len(row), p.dbs)
-		}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for k, row := range sample {
-		for d, v := range row {
-			p.rings[k][d].Push(v)
-			if math.IsNaN(v) {
-				p.gapCells++
-			}
-		}
-	}
-	p.total++
-	return nil
-}
-
 // IngestDegraded adds one collection tick tolerating delivery faults: a nil
 // sample is a wholly-missed tick, missing KPI rows and truncated rows mark
 // their absent cells as gaps, and NaN cells are gaps. Oversized samples
@@ -325,7 +299,7 @@ type Online struct {
 	roundStart int
 	expansions int
 
-	// Degraded-mode state: the user-facing activation mask (SetActive),
+	// Degraded-mode state: the configured activation mask (Config.Active),
 	// the automatic overlay derived from the gap budget, and the rolling
 	// per-database silent-tick accounting behind it.
 	userActive  []bool
@@ -416,22 +390,6 @@ func (o *Online) Thresholds() window.Thresholds {
 	return o.cfg.Thresholds.Clone()
 }
 
-// SetDegraded overrides the self-healing configuration. Zero fields take
-// their defaults. It resets the rolling gap accounting, so call it before
-// streaming starts.
-func (o *Online) SetDegraded(dcfg DegradedConfig) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	dcfg = dcfg.withDefaults(o.cfg.Flex)
-	if dcfg.GapBudget >= 1 {
-		return fmt.Errorf("monitor: gap budget %v must be below 1", dcfg.GapBudget)
-	}
-	o.dcfg = dcfg
-	_, dbs := o.proc.Shape()
-	o.initDegraded(dbs)
-	return nil
-}
-
 // Health snapshots the degraded-mode counters.
 func (o *Online) Health() HealthStats {
 	o.mu.Lock()
@@ -451,26 +409,6 @@ func (o *Online) healthLocked() HealthStats {
 		AutoDeactivated:  append([]bool(nil), o.autoDown...),
 		SilentRecent:     append([]int(nil), o.silentCount...),
 	}
-}
-
-// SetActive marks which databases currently participate (databases can be
-// "flexibly expanded" or reduced, §III-B/§III-C: an unused database does
-// not take part in the correlation level calculation and its scores read
-// as 0). nil re-activates all databases. The gap budget's automatic
-// deactivations overlay this mask.
-func (o *Online) SetActive(active []bool) error {
-	_, dbs := o.proc.Shape()
-	if active != nil && len(active) != dbs {
-		return fmt.Errorf("monitor: active mask has %d entries for %d databases", len(active), dbs)
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if active == nil {
-		o.userActive = nil
-		return nil
-	}
-	o.userActive = append(o.userActive[:0], active...)
-	return nil
 }
 
 // SetPrimary follows a failover: R-R-typed KPIs are judged among replicas

@@ -24,7 +24,7 @@ func TestProcessorIngestAndWindow(t *testing.T) {
 			{float64(i), float64(i + 10), float64(i + 20)},
 			{float64(i + 30), float64(i + 40), float64(i + 50)},
 		}
-		if err := p.Ingest(sample); err != nil {
+		if _, err := p.IngestDegraded(sample, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -40,20 +40,10 @@ func TestProcessorIngestAndWindow(t *testing.T) {
 	}
 }
 
-func TestProcessorIngestValidation(t *testing.T) {
-	p := NewProcessor(2, 2, 4)
-	if err := p.Ingest([][]float64{{1, 2}}); err == nil {
-		t.Fatal("short sample should fail")
-	}
-	if err := p.Ingest([][]float64{{1}, {2, 3}}); err == nil {
-		t.Fatal("ragged sample should fail")
-	}
-}
-
 func TestProcessorWindowErrors(t *testing.T) {
 	p := NewProcessor(1, 1, 4)
 	for i := 0; i < 8; i++ {
-		p.Ingest([][]float64{{float64(i)}})
+		p.IngestDegraded([][]float64{{float64(i)}}, nil)
 	}
 	// Only ticks 4..7 remain.
 	if _, err := p.Window(2, 3); err == nil {
@@ -229,7 +219,7 @@ func TestOnlineSetPrimaryFollowsFailover(t *testing.T) {
 	}
 }
 
-func TestOnlineSetActiveExcludesDatabase(t *testing.T) {
+func TestOnlineActiveMaskExcludesDatabase(t *testing.T) {
 	// A garbage database is ignored once deactivated, even while its data
 	// keeps flowing.
 	u, err := cluster.Simulate(cluster.Config{
@@ -246,11 +236,12 @@ func TestOnlineSetActiveExcludesDatabase(t *testing.T) {
 			vals[i] = float64((i*7 + k) % 13)
 		}
 	}
-	o, err := NewOnline(detect.Config{Thresholds: window.DefaultThresholds(kpi.Count)}, kpi.Count, 5)
-	if err != nil {
-		t.Fatal(err)
+	cfg := detect.Config{
+		Thresholds: window.DefaultThresholds(kpi.Count),
+		Active:     []bool{true, true, true, true, false},
 	}
-	if err := o.SetActive([]bool{true, true, true, true, false}); err != nil {
+	o, err := NewOnline(cfg, kpi.Count, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range feedOnline(t, o, u) {
@@ -259,11 +250,9 @@ func TestOnlineSetActiveExcludesDatabase(t *testing.T) {
 		}
 	}
 	// Validation.
-	if err := o.SetActive([]bool{true}); err == nil {
+	cfg.Active = []bool{true}
+	if _, err := NewOnline(cfg, kpi.Count, 5); err == nil {
 		t.Fatal("wrong-length mask should be rejected")
-	}
-	if err := o.SetActive(nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -276,7 +265,7 @@ func TestProcessorWindowBoundaries(t *testing.T) {
 		t.Fatal("window on empty processor should fail")
 	}
 	for i := 0; i < 9; i++ { // ticks 0..8, capacity 4: ticks 5..8 retained
-		if err := p.Ingest([][]float64{{float64(i)}}); err != nil {
+		if _, err := p.IngestDegraded([][]float64{{float64(i)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -446,7 +435,7 @@ func TestOnlineResyncAfterEviction(t *testing.T) {
 	// Bypass Push (a restarted judge, or ingestion behind its back) until
 	// tick 0 is long evicted.
 	for i := 0; i < 100; i++ {
-		if err := o.Processor().Ingest(sample); err != nil {
+		if _, err := o.Processor().IngestDegraded(sample, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -501,7 +490,7 @@ func TestOnlineMutatorsRaceWithPush(t *testing.T) {
 	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(3)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		th := o.Thresholds()
@@ -521,22 +510,6 @@ func TestOnlineMutatorsRaceWithPush(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		masks := [][]bool{nil, {true, true, true, true, false}, {true, true, true, true, true}}
-		for i := 0; ; i++ {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			if err := o.SetActive(masks[i%len(masks)]); err != nil {
-				t.Error(err)
-				return
-			}
-			_ = o.Health()
-		}
-	}()
-	go func() {
-		defer wg.Done()
 		for i := 0; ; i++ {
 			select {
 			case <-done:
@@ -547,6 +520,7 @@ func TestOnlineMutatorsRaceWithPush(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			_ = o.Health()
 		}
 	}()
 	feedOnline(t, o, u)

@@ -184,18 +184,16 @@ func TestRestoreStateValidation(t *testing.T) {
 	}
 }
 
-// A degraded-config change between export and restore keeps the cumulative
-// counters but reinitializes the rolling accounting instead of failing.
+// Rolling accounting written under a different budget window keeps the
+// cumulative counters but is reinitialized instead of failing the restore.
 func TestRestoreStateDegradedShapeMismatch(t *testing.T) {
 	u := persistTestUnit(t, false)
 	o := persistTestOnline(t)
 	pushRange(t, o, u, 0, 100)
 	st := o.ExportState()
+	st.SilentHist = st.SilentHist[:7]
 
 	o2 := persistTestOnline(t)
-	if err := o2.SetDegraded(DegradedConfig{BudgetWindow: 7}); err != nil {
-		t.Fatal(err)
-	}
 	if err := o2.RestoreState(st); err != nil {
 		t.Fatalf("restore across a degraded-config change failed: %v", err)
 	}

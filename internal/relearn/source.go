@@ -4,7 +4,6 @@ import (
 	"dbcatcher/internal/anomaly"
 	"dbcatcher/internal/detect"
 	"dbcatcher/internal/feedback"
-	"dbcatcher/internal/monitor"
 	"dbcatcher/internal/thresholds"
 	"dbcatcher/internal/timeseries"
 	"dbcatcher/internal/window"
@@ -46,36 +45,6 @@ func (s SeriesSource) Sample(rec feedback.Record) (thresholds.Sample, bool) {
 		return thresholds.Sample{}, false
 	}
 	return labelled(sliced, rec, end-rec.Start), true
-}
-
-// MonitorSource materializes samples from the live monitor's bounded
-// rings; records whose windows have been evicted are dropped (the ring
-// only covers the flex config's maximum span, so in live mode only the
-// freshest records remain materializable).
-type MonitorSource struct {
-	Proc *monitor.Processor
-	// Flex bounds the per-sample span; zero value means the default.
-	Flex window.FlexConfig
-}
-
-// Sample implements SampleSource.
-func (m MonitorSource) Sample(rec feedback.Record) (thresholds.Sample, bool) {
-	flex := m.Flex
-	if flex == (window.FlexConfig{}) {
-		flex = window.DefaultFlexConfig()
-	}
-	span := flex.MaxWindow()
-	if t := m.Proc.Ticks(); rec.Start+span > t {
-		span = t - rec.Start
-	}
-	if span < flex.Initial {
-		return thresholds.Sample{}, false
-	}
-	u, err := m.Proc.Window(rec.Start, span)
-	if err != nil {
-		return thresholds.Sample{}, false
-	}
-	return labelled(u, rec, span), true
 }
 
 // labelled pairs a rebased window with its ground truth: the ticks the DBA

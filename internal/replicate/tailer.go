@@ -168,9 +168,6 @@ func (t *Tailer) Status() Status {
 // StalenessBudget returns the configured budget (for probe wiring).
 func (t *Tailer) StalenessBudget() time.Duration { return t.cfg.StalenessBudget }
 
-// Dir returns the local mirror directory a promotion opens.
-func (t *Tailer) Dir() string { return t.cfg.Dir }
-
 // Step performs one catch-up pass: resume local state (first call only),
 // fetch the manifest, bootstrap from snapshot if the primary compacted
 // past us, then tail every segment to its committed size, delivering new

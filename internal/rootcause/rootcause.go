@@ -43,9 +43,6 @@ type Finding struct {
 // lower worst score.
 func (f Finding) severity() (int, int, float64) { return f.Level1, f.Level2, -f.WorstScore }
 
-// Duration returns the incident length in ticks.
-func (i *Incident) Duration() int { return i.End - i.Start }
-
 // String renders an operator-facing one-liner.
 func (i *Incident) String() string {
 	var b strings.Builder

@@ -40,9 +40,6 @@ func TestAnalyzerMergesAdjacentWindows(t *testing.T) {
 	if inc.DB != 2 || inc.Start != 20 || inc.End != 60 || inc.Windows != 2 {
 		t.Fatalf("incident = %+v", inc)
 	}
-	if inc.Duration() != 40 {
-		t.Fatalf("duration = %d", inc.Duration())
-	}
 }
 
 func TestAnalyzerSplitsOnGap(t *testing.T) {

@@ -134,16 +134,6 @@ func All() []Scenario {
 	}
 }
 
-// Find returns the named scenario.
-func Find(name string) (Scenario, error) {
-	for _, s := range All() {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Scenario{}, fmt.Errorf("scenario: unknown scenario %q", name)
-}
-
 // Build materializes the scenario deterministically from the seed.
 func (s Scenario) Build(cfg Config, seed uint64) (*Setup, error) {
 	cfg = cfg.withDefaults()

@@ -87,8 +87,8 @@ type Config struct {
 	StaleRounds int
 
 	// Client overrides the HTTP client (tests inject transports). The
-	// default client disables keep-alive pooling limits suitable for a
-	// handful of loopback targets.
+	// default client keeps Concurrency idle connections per host, so each
+	// round reuses the connections of the round before.
 	Client *http.Client
 }
 
@@ -275,7 +275,11 @@ func New(cfg Config) (*Scraper, error) {
 	cfg = cfg.withDefaults()
 	s := &Scraper{cfg: cfg, client: cfg.Client}
 	if s.client == nil {
-		s.client = &http.Client{}
+		// http.DefaultTransport keeps 2 idle connections per host, so a
+		// round over more targets than that would re-dial the rest.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = cfg.Concurrency
+		s.client = &http.Client{Transport: tr}
 	}
 	root := mathx.NewRNG(cfg.JitterSeed).Split(0x5c4a)
 	s.targets = make([]*targetState, len(cfg.Targets))

@@ -3,6 +3,7 @@ package scrape
 import (
 	"context"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -111,6 +112,45 @@ func TestScraperHealthyRoundBitExact(t *testing.T) {
 	h := p.s.Health()
 	if h.Rounds != 1 || h.CompleteRounds != 1 || h.Targets[0].Successes != 1 {
 		t.Fatalf("health = %+v", h)
+	}
+}
+
+// With no Client given, rounds reuse the connections of the rounds before.
+// The pool keeps Concurrency idle connections; a request queued just before
+// a connection returns to it may still race a dial of its own, so the bound
+// is 2*Concurrency over 200 rounds. http.DefaultTransport's 2-per-host pool
+// re-dials about 3 of the 5 targets every round instead.
+func TestScraperDefaultClientReusesConnections(t *testing.T) {
+	const kpis, dbs = 2, 5
+	feed := NewFeed(kpis, dbs)
+	ts := httptest.NewUnstartedServer(NewExporter(feed).Handler())
+	var dialed atomic.Int64
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	s, err := New(Config{Targets: SelfTargets(ts.URL, dbs), KPIs: kpis})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.client.CloseIdleConnections)
+	for tick := 0; tick < 200; tick++ {
+		if err := feed.Publish(tick, sampleFor(kpis, dbs, tick)); err != nil {
+			t.Fatal(err)
+		}
+		_, rep, err := s.Round(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Arrived != dbs {
+			t.Fatalf("round %d: %d of %d targets arrived", tick, rep.Arrived, dbs)
+		}
+	}
+	if n, most := dialed.Load(), int64(2*s.cfg.Concurrency); n > most {
+		t.Fatalf("%d connections over 200 rounds, want at most %d", n, most)
 	}
 }
 

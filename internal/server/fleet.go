@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dbcatcher/internal/incident"
 )
@@ -35,16 +34,15 @@ type Fleet struct {
 	scrape      func() interface{}
 	replication func() interface{}
 	incidents   *incident.Aggregator
-	reqTimeout  time.Duration
 	panics      atomic.Int64
-	// ha holds the role/readiness/promotion wiring (see ha.go).
+	// ha holds the role/readiness wiring (see ha.go).
 	ha haState
 }
 
 // NewFleet builds the aggregation surface. The slice is not copied; it
 // must not be mutated afterwards.
 func NewFleet(units []*Server) *Fleet {
-	return &Fleet{units: units, reqTimeout: DefaultRequestTimeout}
+	return &Fleet{units: units}
 }
 
 // SetPersistence attaches a provider embedded as the "persistence" block
@@ -83,14 +81,6 @@ func (f *Fleet) SetIncidents(a *incident.Aggregator) {
 	f.incidents = a
 }
 
-// SetRequestTimeout overrides the per-request bound applied by Handler
-// (call before Handler; 0 disables the bound).
-func (f *Fleet) SetRequestTimeout(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.reqTimeout = d
-}
-
 // Handler returns the fleet routes, hardened like the per-unit API:
 // per-request timeout, panic recovery into a JSON 500.
 func (f *Fleet) Handler() http.Handler {
@@ -99,14 +89,10 @@ func (f *Fleet) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	mux.HandleFunc("/readyz", f.ha.handleReadyz)
-	mux.HandleFunc("/api/promote", f.ha.handlePromote)
 	mux.HandleFunc("/api/fleet/status", f.handleStatus)
 	mux.HandleFunc("/api/fleet/verdicts", f.handleVerdicts)
 	mux.HandleFunc("/api/incidents", f.handleIncidents)
-	f.mu.Lock()
-	timeout := f.reqTimeout
-	f.mu.Unlock()
-	return Recover(Timeout(mux, timeout), f.recordPanic)
+	return Recover(Timeout(mux, DefaultRequestTimeout), f.recordPanic)
 }
 
 func (f *Fleet) recordPanic(v interface{}, stack []byte) {
@@ -229,7 +215,6 @@ func (f *Fleet) handleStatus(w http.ResponseWriter, r *http.Request) {
 	scrapeFn := f.scrape
 	replication := f.replication
 	incidents := f.incidents
-	timeout := f.reqTimeout
 	f.mu.Unlock()
 	body := map[string]interface{}{
 		"units":  len(f.units),
@@ -240,7 +225,7 @@ func (f *Fleet) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"page":   page,
 		"server": map[string]interface{}{
 			"panics":           f.panics.Load(),
-			"requestTimeoutMs": timeout.Milliseconds(),
+			"requestTimeoutMs": DefaultRequestTimeout.Milliseconds(),
 		},
 	}
 	if persistence != nil {

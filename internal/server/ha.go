@@ -1,9 +1,10 @@
-// High-availability surface: role reporting, readiness probing, and
-// manual promotion. The server does not decide any of this itself — the
-// daemon wires closures describing its current role (primary serving a
-// live feed, or follower tailing a primary), whether it is ready to serve
-// (store open, feed live, replication caught up within the staleness
-// budget), and how to promote. The probes are what a load balancer or
+// High-availability surface: role reporting and readiness probing. The
+// server does not decide any of this itself — the daemon wires closures
+// describing its current role (primary serving a live feed, or follower
+// tailing a primary) and whether it is ready to serve (store open, feed
+// live, replication caught up within the staleness budget). Promotion is
+// the follower's own route (cmd/dbcatcherd), never the primary's. The
+// probes are what a load balancer or
 // orchestrator points at: /healthz answers "is the process alive",
 // /readyz answers "should traffic go here right now", and the answer
 // flips across a promotion without restarting the listener.
@@ -14,13 +15,12 @@ import (
 	"sync"
 )
 
-// haState is the shared role/readiness/promotion wiring embedded in both
-// the per-unit Server and the Fleet surface.
+// haState is the shared role/readiness wiring embedded in both the
+// per-unit Server and the Fleet surface.
 type haState struct {
-	mu      sync.Mutex
-	role    func() interface{}
-	ready   func() error
-	promote func() (uint64, error)
+	mu    sync.Mutex
+	role  func() interface{}
+	ready func() error
 }
 
 // setRole attaches a provider whose value becomes the "role" block of the
@@ -37,14 +37,6 @@ func (h *haState) setReady(fn func() error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.ready = fn
-}
-
-// setPromote attaches the manual-promotion action behind POST
-// /api/promote. It returns the newly adopted fencing epoch.
-func (h *haState) setPromote(fn func() (uint64, error)) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.promote = fn
 }
 
 // roleBlock returns the role document, or nil when no provider is wired.
@@ -80,46 +72,14 @@ func (h *haState) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// handlePromote serves POST /api/promote: manual failover. 404 when the
-// node has no promotion wired (already the primary, or HA disabled), 409
-// when the attempt is refused (e.g. the follower is too stale), 200 with
-// the adopted epoch on success.
-func (h *haState) handlePromote(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	h.mu.Lock()
-	promote := h.promote
-	h.mu.Unlock()
-	if promote == nil {
-		http.Error(w, "promotion not available on this node", http.StatusNotFound)
-		return
-	}
-	epoch, err := promote()
-	if err != nil {
-		writeJSON(w, http.StatusConflict, map[string]string{"error": err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"status": "promoted", "epoch": epoch,
-	})
-}
-
 // SetRole attaches the "role" block provider for /api/status.
 func (s *Server) SetRole(fn func() interface{}) { s.ha.setRole(fn); s.Invalidate() }
 
 // SetReady attaches the /readyz readiness check (nil error = ready).
 func (s *Server) SetReady(fn func() error) { s.ha.setReady(fn) }
 
-// SetPromote attaches the POST /api/promote action.
-func (s *Server) SetPromote(fn func() (uint64, error)) { s.ha.setPromote(fn) }
-
 // SetRole attaches the "role" block provider for /api/fleet/status.
 func (f *Fleet) SetRole(fn func() interface{}) { f.ha.setRole(fn) }
 
 // SetReady attaches the /readyz readiness check (nil error = ready).
 func (f *Fleet) SetReady(fn func() error) { f.ha.setReady(fn) }
-
-// SetPromote attaches the POST /api/promote action.
-func (f *Fleet) SetPromote(fn func() (uint64, error)) { f.ha.setPromote(fn) }

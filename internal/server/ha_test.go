@@ -43,60 +43,20 @@ func TestReadyzDefaultAndWiredCheck(t *testing.T) {
 	}
 }
 
+// Promotion is the follower's own route (cmd/dbcatcherd); neither primary
+// surface serves it.
 func TestPromoteEndpoint(t *testing.T) {
-	s, ts := newTestServer(t)
-
-	// Not wired (already primary / HA off): 404.
-	resp, err := http.Post(ts.URL+"/api/promote", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unwired promote = %d", resp.StatusCode)
-	}
-
-	// Wired but refused (e.g. follower too stale): 409 with the error.
-	s.SetPromote(func() (uint64, error) { return 0, errors.New("mirror is stale") })
-	resp, err = http.Post(ts.URL+"/api/promote", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var failBody map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&failBody); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict || !strings.Contains(failBody["error"], "stale") {
-		t.Fatalf("refused promote = %d %v", resp.StatusCode, failBody)
-	}
-
-	// Accepted: 200 with the adopted epoch.
-	s.SetPromote(func() (uint64, error) { return 7, nil })
-	resp, err = http.Post(ts.URL+"/api/promote", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var okBody struct {
-		Status string `json:"status"`
-		Epoch  uint64 `json:"epoch"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&okBody); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 || okBody.Status != "promoted" || okBody.Epoch != 7 {
-		t.Fatalf("promote = %d %+v", resp.StatusCode, okBody)
-	}
-
-	// GET is not a promotion.
-	getResp, err := http.Get(ts.URL + "/api/promote")
-	if err != nil {
-		t.Fatal(err)
-	}
-	getResp.Body.Close()
-	if getResp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET promote = %d", getResp.StatusCode)
+	_, ts := newTestServer(t)
+	_, fts := newTestFleet(t)
+	for _, url := range []string{ts.URL, fts.URL} {
+		resp, err := http.Post(url+"/api/promote", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("primary promote = %d, want 404", resp.StatusCode)
+		}
 	}
 }
 
@@ -189,11 +149,11 @@ func TestETagMatch(t *testing.T) {
 	}{
 		{"", false},
 		{`"s17"`, true},
-		{`W/"s17"`, true},         // RFC 7232 §3.2: weak comparison
-		{`"s16", "s17"`, true},    // comma-separated list
+		{`W/"s17"`, true},      // RFC 7232 §3.2: weak comparison
+		{`"s16", "s17"`, true}, // comma-separated list
 		{` "s16" , W/"s17" `, true},
-		{"*", true},               // any current representation
-		{`"s1"`, false},           // must not substring-match "s17"
+		{"*", true},     // any current representation
+		{`"s1"`, false}, // must not substring-match "s17"
 		{`"s170"`, false},
 		{`"s16", "s18"`, false},
 	}

@@ -60,7 +60,7 @@ type Server struct {
 	reqTimeout time.Duration
 	// panics counts handler panics recovered by the middleware.
 	panics atomic.Int64
-	// ha holds the role/readiness/promotion wiring (see ha.go).
+	// ha holds the role/readiness wiring (see ha.go).
 	ha haState
 	// gen is the status generation: every state change bumps it, and the
 	// cached /api/status document (statusBody/statusETag, guarded by mu)
@@ -208,7 +208,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.ha.handleReadyz)
-	mux.HandleFunc("/api/promote", s.ha.handlePromote)
 	mux.HandleFunc("/api/status", s.handleStatus)
 	mux.HandleFunc("/api/verdicts", s.handleVerdicts)
 	mux.HandleFunc("/api/thresholds", s.handleThresholds)

@@ -275,14 +275,6 @@ func NewPersister(st *Store, rec *Recovered, fb *feedback.Store, snapshotEvery i
 	}
 }
 
-// DurableTick returns the current dedupe horizon: verdicts at or below it
-// are already durable (callers suppress re-publishing regenerated ones).
-func (p *Persister) DurableTick() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.durableTick
-}
-
 func (p *Persister) noteErr(err error) {
 	if err == nil {
 		return

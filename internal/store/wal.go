@@ -31,7 +31,7 @@ type segment struct {
 }
 
 func segmentPath(dir string, base uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s%020d%s", segPrefix, base, segSuffix))
+	return filepath.Join(dir, SegmentName(base))
 }
 
 // wal is the segmented append-only log. It is not safe for concurrent use;

@@ -50,14 +50,6 @@ func DefaultRanges() Ranges {
 	}
 }
 
-// PaperRanges returns the exact §III-D initialization ranges (α_i in
-// [0.6, 0.8]).
-func PaperRanges() Ranges {
-	r := DefaultRanges()
-	r.AlphaMin = 0.6
-	return r
-}
-
 // random draws a uniform genome within the ranges.
 func (r Ranges) random(q int, rng *mathx.RNG) window.Thresholds {
 	t := window.Thresholds{Alpha: make([]float64, q)}
@@ -183,19 +175,14 @@ func (e *evalCounter) eval(t window.Thresholds) float64 {
 	return e.fn(t)
 }
 
-// evalAll scores a batch of genomes, fanning out over a worker pool when
+// evalAllCtx scores a batch of genomes, fanning out over a worker pool when
 // workers > 1 (the fitness function must then be safe for concurrent use).
 // Results land in genome order, and with workers <= 1 the fitness is called
-// strictly in genome order, matching the historical serial searchers.
-func (e *evalCounter) evalAll(genomes []window.Thresholds, workers int) []float64 {
-	out, _ := e.evalAllCtx(context.Background(), genomes, workers)
-	return out
-}
-
-// evalAllCtx is evalAll honoring cancellation: ctx is checked before every
-// evaluation (a fitness call in flight is never interrupted). On a nil
-// error the scores are complete and identical to evalAll's at any worker
-// count; on a non-nil error they are partial and must be discarded.
+// strictly in genome order, matching the historical serial searchers. ctx
+// is checked before every evaluation (a fitness call in flight is never
+// interrupted). On a nil error the scores are complete and identical at
+// any worker count; on a non-nil error they are partial and must be
+// discarded.
 func (e *evalCounter) evalAllCtx(ctx context.Context, genomes []window.Thresholds, workers int) ([]float64, error) {
 	out := make([]float64, len(genomes))
 	if workers <= 1 {

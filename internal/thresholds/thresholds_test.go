@@ -30,13 +30,12 @@ func quadraticFitness(alphaOpt, thetaOpt float64, tolOpt int) Fitness {
 	}
 }
 
+// θ, tolerance and Δ are §III-D's; the α floor is lowered from the
+// paper's 0.6 (see DefaultRanges).
 func TestDefaultRangesMatchPaper(t *testing.T) {
-	r := PaperRanges()
-	if r.AlphaMin != 0.6 || r.AlphaMax != 0.8 {
-		t.Errorf("paper alpha range [%v, %v], want [0.6, 0.8]", r.AlphaMin, r.AlphaMax)
-	}
-	if d := DefaultRanges(); d.AlphaMin != 0.45 || d.AlphaMax != 0.8 {
-		t.Errorf("default alpha range [%v, %v], want [0.45, 0.8]", d.AlphaMin, d.AlphaMax)
+	r := DefaultRanges()
+	if r.AlphaMin != 0.45 || r.AlphaMax != 0.8 {
+		t.Errorf("default alpha range [%v, %v], want [0.45, 0.8]", r.AlphaMin, r.AlphaMax)
 	}
 	if r.ThetaMin != 0.1 || r.ThetaMax != 0.3 {
 		t.Errorf("theta range [%v, %v], want [0.1, 0.3]", r.ThetaMin, r.ThetaMax)

@@ -117,27 +117,3 @@ func (r *Ring) CopyRange(dst []float64, start int) (gaps int) {
 	}
 	return gaps
 }
-
-// Last returns the n most recent observations, oldest first. If fewer than
-// n observations are stored it returns what is available.
-func (r *Ring) Last(n int) []float64 {
-	if n > r.count {
-		n = r.count
-	}
-	out := make([]float64, n)
-	start := r.count - n
-	for i := 0; i < n; i++ {
-		out[i] = r.At(start + i)
-	}
-	return out
-}
-
-// Snapshot returns all stored observations, oldest first.
-func (r *Ring) Snapshot() []float64 { return r.Last(r.count) }
-
-// Reset discards all observations.
-func (r *Ring) Reset() {
-	r.head = 0
-	r.count = 0
-	r.gaps = 0
-}

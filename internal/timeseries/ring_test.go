@@ -8,6 +8,13 @@ import (
 	"dbcatcher/internal/mathx"
 )
 
+// ringValues copies every retained observation, oldest first.
+func ringValues(r *Ring) []float64 {
+	out := make([]float64, r.Len())
+	r.CopyRange(out, 0)
+	return out
+}
+
 func TestRingFillAndEvict(t *testing.T) {
 	r := NewRing(3)
 	if r.Cap() != 3 || r.Len() != 0 {
@@ -19,21 +26,8 @@ func TestRingFillAndEvict(t *testing.T) {
 	if !r.Push(4) {
 		t.Fatal("push into full ring must evict")
 	}
-	if got := r.Snapshot(); !mathx.EqualApprox(got, []float64{2, 3, 4}, 0) {
-		t.Fatalf("Snapshot = %v", got)
-	}
-}
-
-func TestRingLast(t *testing.T) {
-	r := NewRing(5)
-	for i := 1; i <= 4; i++ {
-		r.Push(float64(i))
-	}
-	if got := r.Last(2); !mathx.EqualApprox(got, []float64{3, 4}, 0) {
-		t.Fatalf("Last(2) = %v", got)
-	}
-	if got := r.Last(10); len(got) != 4 {
-		t.Fatalf("Last beyond len should clamp, got %v", got)
+	if got := ringValues(r); !mathx.EqualApprox(got, []float64{2, 3, 4}, 0) {
+		t.Fatalf("contents = %v", got)
 	}
 }
 
@@ -46,20 +40,6 @@ func TestRingAtPanics(t *testing.T) {
 		}
 	}()
 	r.At(1)
-}
-
-func TestRingReset(t *testing.T) {
-	r := NewRing(2)
-	r.Push(1)
-	r.Push(2)
-	r.Reset()
-	if r.Len() != 0 || len(r.Snapshot()) != 0 {
-		t.Fatal("Reset did not clear")
-	}
-	r.Push(9)
-	if r.At(0) != 9 {
-		t.Fatal("ring unusable after Reset")
-	}
 }
 
 func TestNewRingPanicsOnZero(t *testing.T) {
@@ -115,10 +95,6 @@ func TestRingGapEvictionAccounting(t *testing.T) {
 	if r.GapCount() != 1 || !r.IsGap(1) || r.IsGap(0) {
 		t.Fatal("gap flag misplaced after wraparound")
 	}
-	r.Reset()
-	if r.GapCount() != 0 {
-		t.Fatal("Reset must clear gap count")
-	}
 }
 
 // Eviction boundary: the first evicted tick is exactly Len ticks behind the
@@ -135,7 +111,7 @@ func TestRingEvictionBoundary(t *testing.T) {
 	if r.At(0) != 5 {
 		t.Fatalf("oldest retained = %v, want 5 (tick 4 first-evicted)", r.At(0))
 	}
-	if got := r.Last(4); !mathx.EqualApprox(got, []float64{5, 6, 7, 8}, 0) {
+	if got := ringValues(r); !mathx.EqualApprox(got, []float64{5, 6, 7, 8}, 0) {
 		t.Fatalf("exact-fit window = %v", got)
 	}
 	if got := r.CopyRange(make([]float64, r.Len()), 0); got != 0 {
@@ -147,9 +123,6 @@ func TestRingEmpty(t *testing.T) {
 	r := NewRing(3)
 	if r.Len() != 0 || r.GapCount() != 0 {
 		t.Fatal("empty ring not empty")
-	}
-	if got := r.Last(2); len(got) != 0 {
-		t.Fatalf("Last on empty = %v", got)
 	}
 	if got := r.CopyRange(nil, 0); got != 0 {
 		t.Fatalf("empty range gaps = %d", got)
@@ -175,7 +148,7 @@ func TestRingHoldsSuffixProperty(t *testing.T) {
 		if len(want) > capacity {
 			want = want[len(want)-capacity:]
 		}
-		return mathx.EqualApprox(r.Snapshot(), want, 0)
+		return mathx.EqualApprox(ringValues(r), want, 0)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

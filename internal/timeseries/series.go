@@ -11,8 +11,6 @@ package timeseries
 import (
 	"errors"
 	"fmt"
-
-	"dbcatcher/internal/mathx"
 )
 
 // DefaultIntervalSeconds is the paper's collection interval between data
@@ -68,19 +66,6 @@ func (s *Series) Window(start, n int) ([]float64, error) {
 	return s.Values[start : start+n], nil
 }
 
-// Normalized returns a min-max normalized copy of the values (paper Eq. 1).
-func (s *Series) Normalized() []float64 { return mathx.Normalize(s.Values) }
-
-// Clone deep-copies the series.
-func (s *Series) Clone() *Series {
-	return &Series{
-		Name:            s.Name,
-		StartUnix:       s.StartUnix,
-		IntervalSeconds: s.IntervalSeconds,
-		Values:          mathx.Clone(s.Values),
-	}
-}
-
 // Slice returns a new Series covering points [start, end), sharing storage.
 func (s *Series) Slice(start, end int) (*Series, error) {
 	if start < 0 || end < start || end > len(s.Values) {
@@ -92,24 +77,6 @@ func (s *Series) Slice(start, end int) (*Series, error) {
 		IntervalSeconds: s.IntervalSeconds,
 		Values:          s.Values[start:end],
 	}, nil
-}
-
-// Concat appends other's values to a copy of s (used by the baseline
-// evaluation protocol, which concatenates the same KPI across databases).
-func Concat(name string, parts ...*Series) *Series {
-	total := 0
-	for _, p := range parts {
-		total += p.Len()
-	}
-	out := &Series{Name: name, IntervalSeconds: DefaultIntervalSeconds, Values: make([]float64, 0, total)}
-	if len(parts) > 0 {
-		out.StartUnix = parts[0].StartUnix
-		out.IntervalSeconds = parts[0].IntervalSeconds
-	}
-	for _, p := range parts {
-		out.Values = append(out.Values, p.Values...)
-	}
-	return out
 }
 
 // UnitSeries holds the complete multivariate series of one unit:
@@ -184,33 +151,6 @@ func (u *UnitSeries) SliceRange(start, end int) (*UnitSeries, error) {
 			}
 			out.Data[k][d] = s
 		}
-	}
-	return out, nil
-}
-
-// Downsample returns a new series where each point is the mean of `factor`
-// consecutive points (a trailing partial bucket is dropped). Monitoring
-// pipelines use this to trade detection latency for noise reduction.
-func (s *Series) Downsample(factor int) (*Series, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("timeseries: non-positive downsample factor %d", factor)
-	}
-	if factor == 1 {
-		return s.Clone(), nil
-	}
-	n := len(s.Values) / factor
-	out := &Series{
-		Name:            s.Name,
-		StartUnix:       s.StartUnix,
-		IntervalSeconds: s.IntervalSeconds * factor,
-		Values:          make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		var sum float64
-		for j := 0; j < factor; j++ {
-			sum += s.Values[i*factor+j]
-		}
-		out.Values[i] = sum / float64(factor)
 	}
 	return out, nil
 }

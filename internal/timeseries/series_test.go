@@ -39,22 +39,6 @@ func TestWindow(t *testing.T) {
 	}
 }
 
-func TestNormalized(t *testing.T) {
-	s := FromValues("x", []float64{10, 30})
-	if got := s.Normalized(); !mathx.EqualApprox(got, []float64{0, 1}, 0) {
-		t.Fatalf("Normalized = %v", got)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	s := FromValues("x", []float64{1, 2})
-	c := s.Clone()
-	c.Values[0] = 99
-	if s.Values[0] != 1 {
-		t.Fatal("Clone shares storage")
-	}
-}
-
 func TestSlice(t *testing.T) {
 	s := FromValues("x", []float64{0, 1, 2, 3})
 	s.StartUnix = 1000
@@ -70,19 +54,6 @@ func TestSlice(t *testing.T) {
 	}
 	if _, err := s.Slice(2, 10); err == nil {
 		t.Fatal("out-of-range Slice should fail")
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := FromValues("a", []float64{1, 2})
-	b := FromValues("b", []float64{3})
-	c := Concat("ab", a, b)
-	if !mathx.EqualApprox(c.Values, []float64{1, 2, 3}, 0) {
-		t.Fatalf("Concat = %v", c.Values)
-	}
-	empty := Concat("empty")
-	if empty.Len() != 0 {
-		t.Fatal("empty Concat should have no points")
 	}
 }
 
@@ -131,31 +102,5 @@ func TestUnitSeriesSliceRange(t *testing.T) {
 	}
 	if _, err := u.SliceRange(3, 9); err == nil {
 		t.Fatal("out-of-range SliceRange should fail")
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	s := FromValues("x", []float64{1, 3, 5, 7, 9, 11, 100})
-	s.StartUnix = 50
-	d, err := s.Downsample(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mathx.EqualApprox(d.Values, []float64{2, 6, 10}, 1e-12) {
-		t.Fatalf("Downsample = %v", d.Values)
-	}
-	if d.IntervalSeconds != 10 || d.StartUnix != 50 {
-		t.Fatalf("metadata: interval %d start %d", d.IntervalSeconds, d.StartUnix)
-	}
-	if _, err := s.Downsample(0); err == nil {
-		t.Fatal("factor 0 should error")
-	}
-	same, err := s.Downsample(1)
-	if err != nil || same.Len() != s.Len() {
-		t.Fatal("factor 1 should copy")
-	}
-	same.Values[0] = 99
-	if s.Values[0] == 99 {
-		t.Fatal("factor-1 Downsample shares storage")
 	}
 }

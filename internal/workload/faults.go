@@ -120,10 +120,6 @@ func (p FaultPlan) NewInjector(kpis, dbs int) (*Injector, error) {
 	return in, nil
 }
 
-// Tick reports the injector's next tick index (the one the following Next
-// call realizes).
-func (in *Injector) Tick() int { return in.tick }
-
 // Next realizes the fault pattern for the next tick. The returned struct's
 // slices are reused; the caller must apply them before calling Next again.
 //

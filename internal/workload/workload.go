@@ -103,51 +103,3 @@ func New(p Profile, rng *mathx.RNG) Generator {
 		panic(fmt.Sprintf("workload: unknown profile %d", int(p)))
 	}
 }
-
-// DriftGenerator switches from one demand process to another at a fixed
-// tick, modelling the user-driven workload drifts of §IV-C3 ("cloud
-// database workloads are user-determined and can be changed at any time").
-type DriftGenerator struct {
-	// Before drives ticks [0, SwitchTick); After drives the rest.
-	Before, After Generator
-	// SwitchTick is the first tick served by After.
-	SwitchTick int
-	// BlendTicks linearly cross-fades the two demands around the switch
-	// (0 = hard switch).
-	BlendTicks int
-
-	tick int
-}
-
-// Name implements Generator.
-func (g *DriftGenerator) Name() string {
-	return g.Before.Name() + "->" + g.After.Name()
-}
-
-// Next implements Generator.
-func (g *DriftGenerator) Next() Demand {
-	t := g.tick
-	g.tick++
-	switch {
-	case t < g.SwitchTick-g.BlendTicks/2:
-		return g.Before.Next()
-	case t >= g.SwitchTick+g.BlendTicks/2 || g.BlendTicks == 0 && t >= g.SwitchTick:
-		return g.After.Next()
-	default:
-		// Cross-fade: both processes advance; demand interpolates.
-		a := g.Before.Next()
-		b := g.After.Next()
-		span := float64(g.BlendTicks)
-		w := (float64(t) - (float64(g.SwitchTick) - span/2)) / span
-		if w < 0 {
-			w = 0
-		}
-		if w > 1 {
-			w = 1
-		}
-		return Demand{
-			Read:  (1-w)*a.Read + w*b.Read,
-			Write: (1-w)*a.Write + w*b.Write,
-		}
-	}
-}
