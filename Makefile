@@ -45,14 +45,16 @@ bench-diff:
 	$(GO) run ./cmd/bench -diff BENCH_core.json -benchtime 100ms
 
 # Fuzz the untrusted-input decoders (the tracefile reader and the WAL
-# record decoder), the KCD kernel on gap-bearing windows, and the incident
-# transition-sequence replayer. Each target gets $(FUZZTIME).
+# record decoder), the KCD kernel on gap-bearing windows, the incident
+# transition-sequence replayer, and the verdict JSON appender against
+# encoding/json. Each target gets $(FUZZTIME).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/tracefile
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz FuzzKCD -fuzztime $(FUZZTIME) ./internal/correlate
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME) ./internal/incident
 	$(GO) test -run '^$$' -fuzz FuzzPromParse -fuzztime $(FUZZTIME) ./internal/scrape
+	$(GO) test -run '^$$' -fuzz FuzzVerdictJSON -fuzztime $(FUZZTIME) ./internal/server
 
 # The end-to-end benchmark harness is its own module (it replaces
 # dbcatcher with ../), so `./...` above never compiles it. Vet and test it

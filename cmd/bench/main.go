@@ -459,6 +459,53 @@ func main() {
 		}
 	}))
 
+	// server/fleet-verdicts: the fleet verdict route through Fleet.Handler(),
+	// on a unit holding 40 verdicts in a 128-verdict history (the
+	// e2ebench shape). The since variant is the e2ebench verdict reader's
+	// request (the newest verdict, by since=tick-1 and limit=128); the page
+	// variant is the dashboard's limit=16 page.
+	verdictOnline, err := monitor.NewOnline(detect.Config{
+		Thresholds: window.DefaultThresholds(kpi.Count),
+		Flex:       window.FlexConfig{Initial: fleetWin, Max: fleetWin, ExhaustState: window.Abnormal},
+		Workers:    1,
+	}, kpi.Count, dbs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		os.Exit(1)
+	}
+	verdictSrv := server.New(verdictOnline, "bench", 128)
+	lastTick := 0
+	for t := 0; t < 40*fleetWin; t++ {
+		v, err := verdictSrv.Push(fleetTicks[t%fleetWin])
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bench:", err)
+			os.Exit(1)
+		}
+		if v != nil {
+			lastTick = v.Tick
+		}
+	}
+	fleetHandler := server.NewFleet([]*server.Server{verdictSrv}).Handler()
+	verdictBench := func(name, url string) Entry {
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bench:", err)
+			os.Exit(1)
+		}
+		return measure(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink.code = 0
+				fleetHandler.ServeHTTP(sink, req)
+				if sink.code != http.StatusOK {
+					b.Fatalf("%s = %d", url, sink.code)
+				}
+			}
+		})
+	}
+	add(verdictBench("server/fleet-verdicts-since", fmt.Sprintf("/api/fleet/verdicts?unit=0&since=%d&limit=128", lastTick-1)))
+	add(verdictBench("server/fleet-verdicts-page", "/api/fleet/verdicts?unit=0&limit=16"))
+
 	// incident/ingest: the incident aggregator's steady-state dedup path —
 	// one 32-unit round where every unit reinforces its already-open
 	// incident. This is the per-round cost while a fleet-wide fault is

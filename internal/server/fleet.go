@@ -8,6 +8,7 @@ package server
 import (
 	"log"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -24,8 +25,9 @@ const defaultFleetPage = 32
 
 // Fleet serves the aggregated API over a fixed set of per-unit Servers.
 // The unit set is immutable after construction; per-unit state is read
-// through each Server's own lock, so handlers are safe against the
-// scheduler pushing rounds concurrently.
+// through each Server's own lock, or for verdict pages through its
+// published history view, so handlers are safe against the scheduler
+// pushing rounds concurrently.
 type Fleet struct {
 	units []*Server
 
@@ -82,7 +84,8 @@ func (f *Fleet) SetIncidents(a *incident.Aggregator) {
 }
 
 // Handler returns the fleet routes, hardened like the per-unit API:
-// per-request timeout, panic recovery into a JSON 500.
+// per-request timeout on every route but /api/fleet/verdicts (see harden),
+// panic recovery into a JSON 500.
 func (f *Fleet) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -90,9 +93,8 @@ func (f *Fleet) Handler() http.Handler {
 	})
 	mux.HandleFunc("/readyz", f.ha.handleReadyz)
 	mux.HandleFunc("/api/fleet/status", f.handleStatus)
-	mux.HandleFunc("/api/fleet/verdicts", f.handleVerdicts)
 	mux.HandleFunc("/api/incidents", f.handleIncidents)
-	return Recover(Timeout(mux, DefaultRequestTimeout), f.recordPanic)
+	return harden(mux, DefaultRequestTimeout, "/api/fleet/verdicts", f.handleVerdicts, f.recordPanic)
 }
 
 func (f *Fleet) recordPanic(v interface{}, stack []byte) {
@@ -121,16 +123,6 @@ type fleetUnitJSON struct {
 func (s *Server) fleetSummary(unit int) fleetUnitJSON {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	abnormal := 0
-	for _, v := range s.verdicts {
-		if v.Abnormal {
-			abnormal++
-		}
-	}
-	last := -1
-	if n := len(s.verdicts); n > 0 {
-		last = s.verdicts[n-1].Tick
-	}
 	h := s.online.Health()
 	deactivated := make([]int, 0)
 	for d, down := range h.AutoDeactivated {
@@ -142,25 +134,14 @@ func (s *Server) fleetSummary(unit int) fleetUnitJSON {
 		Unit:             unit,
 		Name:             s.unitName,
 		TicksIngested:    s.online.Processor().Ticks(),
-		Verdicts:         len(s.verdicts),
-		AbnormalVerdicts: abnormal,
+		Verdicts:         s.history.len(),
+		AbnormalVerdicts: s.history.abnormal,
 		DegradedVerdicts: h.DegradedVerdicts,
 		SkippedRounds:    h.SkippedRounds,
 		GapCells:         h.GapCells,
 		Deactivated:      deactivated,
-		LastVerdictTick:  last,
+		LastVerdictTick:  s.history.lastTick(),
 	}
-}
-
-// verdictPage copies out the newest limit verdicts with Tick > since
-// under the unit's lock (since < 0 means unfiltered).
-func (s *Server) verdictPage(limit, since int) (string, []verdictJSON) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if limit > s.maxHist {
-		limit = s.maxHist
-	}
-	return s.unitName, filterVerdicts(s.verdicts, limit, since)
 }
 
 // handleStatus serves GET /api/fleet/status?offset=&limit=: region-wide
@@ -172,12 +153,13 @@ func (f *Fleet) handleStatus(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	offset, ok := queryInt(r, "offset", 0)
+	q := r.URL.Query()
+	offset, ok := queryInt(q, "offset", 0)
 	if !ok {
 		http.Error(w, "bad offset", http.StatusBadRequest)
 		return
 	}
-	limit, ok := queryInt(r, "limit", defaultFleetPage)
+	limit, ok := queryInt(q, "limit", defaultFleetPage)
 	if !ok || limit < 1 {
 		http.Error(w, "bad limit", http.StatusBadRequest)
 		return
@@ -246,19 +228,22 @@ func (f *Fleet) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleVerdicts serves GET /api/fleet/verdicts?unit=&limit=: one unit's
-// recent verdict stream. The unit key is mandatory; an out-of-range unit
-// is a 404 and malformed parameters are 400s.
+// handleVerdicts serves GET /api/fleet/verdicts?unit=&limit=&since=: one
+// unit's recent verdict stream. The unit key is mandatory; an out-of-range
+// unit is a 404 and malformed parameters are 400s. Like the per-unit
+// /api/verdicts it reads the unit's published history view and takes no
+// lock.
 func (f *Fleet) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	if r.URL.Query().Get("unit") == "" {
+	q := r.URL.Query()
+	if q.Get("unit") == "" {
 		http.Error(w, "unit required", http.StatusBadRequest)
 		return
 	}
-	unit, ok := queryInt(r, "unit", 0)
+	unit, ok := queryInt(q, "unit", 0)
 	if !ok {
 		http.Error(w, "bad unit", http.StatusBadRequest)
 		return
@@ -267,23 +252,22 @@ func (f *Fleet) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such unit", http.StatusNotFound)
 		return
 	}
-	limit, ok := queryInt(r, "limit", 50)
-	if !ok || limit < 1 {
-		http.Error(w, "bad limit", http.StatusBadRequest)
-		return
-	}
-	since, ok := queryInt(r, "since", -1)
+	s := f.units[unit]
+	limit, since, ok := s.pageQuery(w, q)
 	if !ok {
-		http.Error(w, "bad since", http.StatusBadRequest)
 		return
 	}
-	name, verdicts := f.units[unit].verdictPage(limit, since)
-	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"unit":     unit,
-		"name":     name,
-		"count":    len(verdicts),
-		"verdicts": verdicts,
-	})
+	n, entries := s.history.view.Load().page(since, limit)
+	// The envelope's keys in encoding/json's map order.
+	head := make([]byte, 0, 80+len(s.nameJSON))
+	head = append(head, `{"count":`...)
+	head = strconv.AppendInt(head, int64(n), 10)
+	head = append(head, `,"name":`...)
+	head = append(head, s.nameJSON...)
+	head = append(head, `,"unit":`...)
+	head = strconv.AppendInt(head, int64(unit), 10)
+	head = append(head, `,"verdicts":[`...)
+	writeVerdicts(w, head, entries, envelopeClose)
 }
 
 // handleIncidents serves GET /api/incidents?offset=&limit=: one page of
@@ -302,12 +286,13 @@ func (f *Fleet) handleIncidents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "incident aggregation not enabled", http.StatusNotFound)
 		return
 	}
-	offset, ok := queryInt(r, "offset", 0)
+	q := r.URL.Query()
+	offset, ok := queryInt(q, "offset", 0)
 	if !ok {
 		http.Error(w, "bad offset", http.StatusBadRequest)
 		return
 	}
-	limit, ok := queryInt(r, "limit", defaultFleetPage)
+	limit, ok := queryInt(q, "limit", defaultFleetPage)
 	if !ok || limit < 1 {
 		http.Error(w, "bad limit", http.StatusBadRequest)
 		return

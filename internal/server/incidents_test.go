@@ -2,9 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dbcatcher/internal/cluster"
@@ -219,13 +223,19 @@ func itoa(v int) string {
 }
 
 // TestFleetConcurrentServing is the race-enabled coverage satellite:
-// readers hammer /api/fleet/status, /api/fleet/verdicts, and
+// readers hammer /api/fleet/status, /api/fleet/verdicts, /api/verdicts and
 // /api/incidents while fleet.Monitor.Push rounds (feeding the incident
 // aggregator) are in flight. Run under -race this proves the serving path
-// and the round scheduler share no unsynchronized state.
+// and the round scheduler share no unsynchronized state. Every verdict page
+// must also be whole: its count matches its entries, its ticks ascend past
+// since and stop at the last tick pushed, and each entry is the verdict
+// Push returned for that tick, so a read never sees a torn or half-written
+// history.
 func TestFleetConcurrentServing(t *testing.T) {
+	// Long enough that each unit's 16-verdict history evicts and compacts
+	// several times while the readers run.
 	u, err := cluster.Simulate(cluster.Config{
-		Name: "u", Ticks: 160, Seed: 5, Profile: workload.TencentIrregular,
+		Name: "u", Ticks: 1200, Seed: 5, Profile: workload.TencentIrregular,
 		FluctuationRate: 1e-9,
 	})
 	if err != nil {
@@ -254,10 +264,105 @@ func TestFleetConcurrentServing(t *testing.T) {
 	f.SetIncidents(agg)
 	ts := httptest.NewServer(f.Handler())
 	t.Cleanup(ts.Close)
+	unitTS := httptest.NewServer(units[1].Handler())
+	t.Cleanup(unitTS.Close)
 
+	// pushed is the tick of the newest sample handed to a round; no served
+	// verdict may be newer.
+	var pushed atomic.Int64
+	// page decodes one verdicts body, checks its shape and returns its
+	// entries.
+	page := func(body []byte, fleetRoute bool, unit int) ([]verdictJSON, error) {
+		if !fleetRoute {
+			var vs []verdictJSON
+			return vs, json.Unmarshal(body, &vs)
+		}
+		var p struct {
+			Unit     int           `json:"unit"`
+			Name     string        `json:"name"`
+			Count    int           `json:"count"`
+			Verdicts []verdictJSON `json:"verdicts"`
+		}
+		if err := json.Unmarshal(body, &p); err != nil {
+			return nil, err
+		}
+		if p.Unit != unit || p.Name != "unit" || p.Count != len(p.Verdicts) {
+			return nil, fmt.Errorf("envelope unit %d name %q count %d over %d entries", p.Unit, p.Name, p.Count, len(p.Verdicts))
+		}
+		return p.Verdicts, nil
+	}
+	type reader struct {
+		url             string
+		fleetRoute      bool
+		unit, since     int
+		seen            map[int]verdictJSON // first read of each tick
+		pages, nonEmpty int
+	}
+	readers := []*reader{
+		{url: ts.URL + "/api/fleet/verdicts?unit=0", fleetRoute: true, unit: 0, since: -1},
+		{url: ts.URL + "/api/fleet/verdicts?unit=2&since=40", fleetRoute: true, unit: 2, since: 40},
+		{url: unitTS.URL + "/api/verdicts?since=20&limit=5", unit: 1, since: 20},
+	}
 	done := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, path := range []string{"/api/fleet/status", "/api/fleet/verdicts?unit=0", "/api/fleet/verdicts?unit=2&since=40", "/api/incidents"} {
+	var wg, ready sync.WaitGroup // ready: every verdict reader has read a page
+	ready.Add(len(readers))
+	for _, rd := range readers {
+		rd.seen = map[int]verdictJSON{}
+		wg.Add(1)
+		go func(rd *reader) {
+			defer wg.Done()
+			var first sync.Once
+			defer first.Do(ready.Done)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				resp, err := http.Get(rd.url)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				newest := int(pushed.Load())
+				if err == nil && resp.StatusCode != 200 {
+					err = fmt.Errorf("status %d", resp.StatusCode)
+				}
+				var vs []verdictJSON
+				if err == nil {
+					vs, err = page(body, rd.fleetRoute, rd.unit)
+				}
+				prev := rd.since
+				for _, v := range vs {
+					if err != nil {
+						break
+					}
+					if v.Tick <= prev {
+						err = fmt.Errorf("tick %d after %d (since %d)", v.Tick, prev, rd.since)
+					} else if v.Tick > newest {
+						err = fmt.Errorf("tick %d served before tick %d was pushed", v.Tick, newest)
+					} else if first, ok := rd.seen[v.Tick]; ok && !reflect.DeepEqual(first, v) {
+						err = fmt.Errorf("tick %d read as %+v, earlier as %+v", v.Tick, v, first)
+					} else {
+						rd.seen[v.Tick] = v
+					}
+					prev = v.Tick
+				}
+				if err != nil {
+					t.Errorf("%s: %v\n%s", rd.url, err, body)
+					return
+				}
+				rd.pages++
+				first.Do(ready.Done)
+				if len(vs) > 0 {
+					rd.nonEmpty++
+				}
+			}
+		}(rd)
+	}
+	for _, path := range []string{"/api/fleet/status", "/api/incidents"} {
 		wg.Add(1)
 		go func(url string) {
 			defer wg.Done()
@@ -281,7 +386,12 @@ func TestFleetConcurrentServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ready.Wait()
 	samples := make([][][]float64, nUnits)
+	returned := make([]map[int]verdictJSON, nUnits)
+	for i := range returned {
+		returned[i] = map[int]verdictJSON{}
+	}
 	tick := 0
 	for {
 		sample, ok := c.Next()
@@ -291,16 +401,21 @@ func TestFleetConcurrentServing(t *testing.T) {
 		for i := range samples {
 			samples[i] = sample
 		}
+		tick++
+		pushed.Store(int64(tick))
 		verdicts, err := mon.Push(samples)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tick++
 		// Feed abnormal verdicts to the aggregator the way the daemon does
 		// (KPI attribution elided — unattributed events are legal).
 		var events []incident.Event
 		for unit, v := range verdicts {
-			if v != nil && v.Abnormal {
+			if v == nil {
+				continue
+			}
+			returned[unit][v.Tick] = toVerdictJSON(v)
+			if v.Abnormal {
 				events = append(events, incident.Event{
 					Unit: unit, DB: v.AbnormalDB, Start: v.Start, End: v.Start + v.Size,
 				})
@@ -310,4 +425,15 @@ func TestFleetConcurrentServing(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+
+	for _, rd := range readers {
+		if rd.nonEmpty == 0 {
+			t.Errorf("%s: no verdict read (%d pages)", rd.url, rd.pages)
+		}
+		for tick, got := range rd.seen {
+			if want, ok := returned[rd.unit][tick]; !ok || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: tick %d served as %+v, Push returned %+v", rd.url, tick, got, want)
+			}
+		}
+	}
 }

@@ -32,6 +32,28 @@ func Recover(next http.Handler, onPanic func(v interface{}, stack []byte)) http.
 	})
 }
 
+// harden mounts an API for unattended serving: requests for path go
+// straight to the verdict handler, every other request to timed inside
+// Timeout(d), and both run inside Recover. (A ServeMux in front would cost
+// the timed routes an allocating second match on every request.)
+//
+// The verdict handlers may skip Timeout because they cannot block: they
+// read a published verdictView and take no lock that a push, a persister
+// or I/O can hold, and they copy at most the history bound. A route leaves
+// Timeout only under that rule; a handler that takes such a lock would
+// otherwise hang on a stuck persister. Timeout never bounded a slow
+// client: the http.Server's WriteTimeout does, for every route.
+func harden(timed http.Handler, d time.Duration, path string, verdicts http.HandlerFunc, onPanic func(v interface{}, stack []byte)) http.Handler {
+	timed = Timeout(timed, d)
+	return Recover(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == path {
+			verdicts(w, r)
+			return
+		}
+		timed.ServeHTTP(w, r)
+	}), onPanic)
+}
+
 // Timeout bounds every request to d: a handler that has not finished in
 // time gets a JSON 503 and its work is abandoned. d <= 0 disables the
 // bound. Handler panics propagate through (http.TimeoutHandler re-panics

@@ -10,7 +10,7 @@ import (
 	"hash/fnv"
 	"log"
 	"net/http"
-	"sort"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,21 +25,25 @@ import (
 	"dbcatcher/internal/window"
 )
 
-// DefaultRequestTimeout bounds a single API request unless overridden with
-// SetRequestTimeout.
+// DefaultRequestTimeout bounds a single API request. A Server starts with
+// it and can change it with SetRequestTimeout; a Fleet always uses it. The
+// verdict routes run outside the bound (see harden).
 const DefaultRequestTimeout = 10 * time.Second
 
 // Server wraps an online detector with a JSON HTTP API. It is safe for
 // concurrent use; the feeder goroutine pushes samples while handlers read.
 type Server struct {
-	mu       sync.Mutex
-	online   *monitor.Online
-	verdicts []verdictJSON // bounded history, newest last
-	maxHist  int
+	mu     sync.Mutex
+	online *monitor.Online
+	// history is the bounded verdict history, newest last. Push and
+	// RestoreHistory write it under mu; the verdict routes read its
+	// published view without mu.
+	history  *verdictLog
 	unitName string
+	nameJSON []byte // unitName, encoded once
 	// restoredThrough is the newest verdict tick loaded via
 	// RestoreHistory; Push drops regenerated verdicts at or below it
-	// (they are already in the buffer).
+	// (they are already in the history).
 	restoredThrough int
 	// persistence, when set, contributes a block to /api/status.
 	persistence func() interface{}
@@ -78,7 +82,8 @@ func New(o *monitor.Online, unitName string, maxHistory int) *Server {
 		maxHistory = 256
 	}
 	return &Server{
-		online: o, maxHist: maxHistory, unitName: unitName,
+		online: o, history: newVerdictLog(maxHistory),
+		unitName: unitName, nameJSON: appendString(nil, unitName),
 		restoredThrough: -1, reqTimeout: DefaultRequestTimeout,
 	}
 }
@@ -146,39 +151,12 @@ func (s *Server) RestoreHistory(vs []monitor.Verdict) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range vs {
-		s.verdicts = append(s.verdicts, toVerdictJSON(&vs[i]))
+		s.history.append(&vs[i])
 		if vs[i].Tick > s.restoredThrough {
 			s.restoredThrough = vs[i].Tick
 		}
 	}
-	if len(s.verdicts) > s.maxHist {
-		s.verdicts = s.verdicts[len(s.verdicts)-s.maxHist:]
-	}
-}
-
-func toVerdictJSON(v *monitor.Verdict) verdictJSON {
-	states := make([]string, len(v.States))
-	for i, st := range v.States {
-		states[i] = st.String()
-	}
-	return verdictJSON{
-		Tick: v.Tick, Start: v.Start, Size: v.Size,
-		Abnormal: v.Abnormal, AbnormalDB: v.AbnormalDB,
-		States: states, Expansions: v.Expansions,
-		Health: v.Health.String(), GapCells: v.GapCells,
-	}
-}
-
-type verdictJSON struct {
-	Tick       int      `json:"tick"`
-	Start      int      `json:"start"`
-	Size       int      `json:"size"`
-	Abnormal   bool     `json:"abnormal"`
-	AbnormalDB int      `json:"abnormalDb"`
-	States     []string `json:"states"`
-	Expansions int      `json:"expansions"`
-	Health     string   `json:"health"`
-	GapCells   int      `json:"gapCells"`
+	s.history.publish()
 }
 
 // Push feeds one sample through the detector and records any verdict. A nil
@@ -191,25 +169,28 @@ func (s *Server) Push(sample [][]float64) (*monitor.Verdict, error) {
 		return nil, err
 	}
 	s.gen.Add(1) // every tick moves ticksIngested/health in /api/status
-	if v != nil && v.Tick > s.restoredThrough {
-		s.verdicts = append(s.verdicts, toVerdictJSON(v))
-		if len(s.verdicts) > s.maxHist {
-			s.verdicts = s.verdicts[len(s.verdicts)-s.maxHist:]
-		}
-	}
+	s.record(v)
 	return v, nil
 }
 
+// record appends a verdict Push returned to the history, unless it is a
+// regenerated one RestoreHistory already holds. The caller holds mu.
+func (s *Server) record(v *monitor.Verdict) {
+	if v != nil && v.Tick > s.restoredThrough {
+		s.history.append(v)
+		s.history.publish()
+	}
+}
+
 // Handler returns the HTTP routing for the API, hardened for unattended
-// serving: every request is bounded by the configured timeout, and a
-// handler panic is recovered into a JSON 500 (counted in /api/status)
-// instead of tearing down the connection.
+// serving: every request but /api/verdicts is bounded by the configured
+// timeout (see harden), and a handler panic is recovered into a JSON 500
+// (counted in /api/status) instead of tearing down the connection.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.ha.handleReadyz)
 	mux.HandleFunc("/api/status", s.handleStatus)
-	mux.HandleFunc("/api/verdicts", s.handleVerdicts)
 	mux.HandleFunc("/api/thresholds", s.handleThresholds)
 	mux.HandleFunc("/api/kpis", s.handleKPIs)
 	mux.HandleFunc("/api/explain", s.handleExplain)
@@ -218,7 +199,7 @@ func (s *Server) Handler() http.Handler {
 	s.mu.Lock()
 	timeout := s.reqTimeout
 	s.mu.Unlock()
-	return Recover(Timeout(mux, timeout), s.recordPanic)
+	return harden(mux, timeout, "/api/verdicts", s.handleVerdicts, s.recordPanic)
 }
 
 // recordPanic counts a recovered handler panic. The first stack is logged
@@ -308,12 +289,6 @@ func (s *Server) statusDocument() ([]byte, string) {
 		return s.statusBody, s.statusETag
 	}
 	kpis, dbs := s.online.Processor().Shape()
-	abnormal := 0
-	for _, v := range s.verdicts {
-		if v.Abnormal {
-			abnormal++
-		}
-	}
 	h := s.online.Health()
 	deactivated := make([]int, 0, dbs)
 	for d, down := range h.AutoDeactivated {
@@ -326,8 +301,8 @@ func (s *Server) statusDocument() ([]byte, string) {
 		"kpis":             kpis,
 		"databases":        dbs,
 		"ticksIngested":    s.online.Processor().Ticks(),
-		"verdicts":         len(s.verdicts),
-		"abnormalVerdicts": abnormal,
+		"verdicts":         s.history.len(),
+		"abnormalVerdicts": s.history.abnormal,
 		"health": map[string]interface{}{
 			"gapCells":         h.GapCells,
 			"missedTicks":      h.MissedTicks,
@@ -461,8 +436,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 // input rejected hard, not best-effort parsed. An absent or empty
 // parameter returns def; the second return is false on malformed or
 // overflow-sized input.
-func queryInt(r *http.Request, name string, def int) (int, bool) {
-	q := r.URL.Query().Get(name)
+func queryInt(query url.Values, name string, def int) (int, bool) {
+	q := query.Get(name)
 	if q == "" {
 		return def, true
 	}
@@ -481,46 +456,42 @@ func queryInt(r *http.Request, name string, def int) (int, bool) {
 	return v, true
 }
 
+// handleVerdicts serves GET /api/verdicts?limit=&since=: the unit's
+// newest retained verdicts as a bare array. It reads the history's
+// published view and takes no lock, so it never waits on Push.
 func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	limit, ok := queryInt(r, "limit", 50)
-	if !ok || limit < 1 {
-		http.Error(w, "bad limit", http.StatusBadRequest)
-		return
-	}
-	// since=<tick> narrows to verdicts strictly newer than the given tick,
-	// so a dashboard can poll incrementally with the last tick it has seen
-	// instead of re-downloading full history. Absent means no filter.
-	since, ok := queryInt(r, "since", -1)
+	limit, since, ok := s.pageQuery(w, r.URL.Query())
 	if !ok {
-		http.Error(w, "bad since", http.StatusBadRequest)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if limit > s.maxHist {
-		limit = s.maxHist // the buffer never holds more anyway
-	}
-	out := filterVerdicts(s.verdicts, limit, since)
-	writeJSON(w, http.StatusOK, out)
+	_, entries := s.history.view.Load().page(since, limit)
+	writeVerdicts(w, arrayOpen, entries, arrayClose)
 }
 
-// filterVerdicts copies out the newest limit verdicts with Tick > since.
-// vs is tick-ascending, so the filter is a suffix cut.
-func filterVerdicts(vs []verdictJSON, limit, since int) []verdictJSON {
-	if since >= 0 {
-		lo := sort.Search(len(vs), func(i int) bool { return vs[i].Tick > since })
-		vs = vs[lo:]
+// pageQuery parses the verdict routes' limit (default 50, clamped to the
+// history bound) and since (-1 when absent) parameters. since=<tick>
+// narrows to verdicts strictly newer than the given tick, so a dashboard
+// can poll incrementally with the last tick it has seen instead of
+// re-downloading full history. Malformed input is answered 400 here.
+func (s *Server) pageQuery(w http.ResponseWriter, q url.Values) (limit, since int, ok bool) {
+	limit, ok = queryInt(q, "limit", 50)
+	if !ok || limit < 1 {
+		http.Error(w, "bad limit", http.StatusBadRequest)
+		return 0, 0, false
 	}
-	if len(vs) > limit {
-		vs = vs[len(vs)-limit:]
+	since, ok = queryInt(q, "since", -1)
+	if !ok {
+		http.Error(w, "bad since", http.StatusBadRequest)
+		return 0, 0, false
 	}
-	out := make([]verdictJSON, len(vs))
-	copy(out, vs)
-	return out
+	if limit > s.history.max {
+		limit = s.history.max // the history never holds more anyway
+	}
+	return limit, since, true
 }
 
 type thresholdsJSON struct {
@@ -577,19 +548,19 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.verdicts) == 0 {
+	if s.history.len() == 0 {
 		http.Error(w, "no completed judgment windows yet", http.StatusNotFound)
 		return
 	}
-	last := s.verdicts[len(s.verdicts)-1]
-	u, err := s.online.Processor().Window(last.Start, last.Size)
+	start, size := s.history.lastStart, s.history.lastSize
+	u, err := s.online.Processor().Window(start, size)
 	if err != nil {
 		http.Error(w, "window evicted: "+err.Error(), http.StatusGone)
 		return
 	}
 	exps, err := detect.Explain(detect.NewProvider(u, nil, nil), detect.Config{
 		Thresholds: s.online.Thresholds(),
-	}, 0, last.Size)
+	}, 0, size)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -608,7 +579,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Start int       `json:"start"`
 		Size  int       `json:"size"`
 		DBs   []expJSON `json:"databases"`
-	}{Start: last.Start, Size: last.Size}
+	}{Start: start, Size: size}
 	for _, e := range exps {
 		ej := expJSON{DB: e.DB, State: e.State.String()}
 		for _, f := range e.KPIs {

@@ -406,28 +406,26 @@ func TestRestoreHistoryDedupesRegeneratedVerdicts(t *testing.T) {
 	s.RestoreHistory([]monitor.Verdict{mk(20), mk(40), mk(60)})
 
 	s.mu.Lock()
-	if len(s.verdicts) != 3 || s.restoredThrough != 60 {
-		t.Fatalf("restored %d verdicts, through %d", len(s.verdicts), s.restoredThrough)
+	if s.history.len() != 3 || s.restoredThrough != 60 {
+		t.Fatalf("restored %d verdicts, through %d", s.history.len(), s.restoredThrough)
 	}
 	s.mu.Unlock()
 
 	// Regenerated verdicts (tick <= restoredThrough) are dropped; fresh
-	// ones append. Drive the dedupe path directly.
+	// ones append. Drive Push's recording path directly.
 	for _, tick := range []int{40, 60, 80} {
 		v := mk(tick)
 		s.mu.Lock()
-		if v.Tick > s.restoredThrough {
-			s.verdicts = append(s.verdicts, toVerdictJSON(&v))
-		}
+		s.record(&v)
 		s.mu.Unlock()
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.verdicts) != 4 {
-		t.Fatalf("verdict buffer holds %d entries, want 4 (3 restored + 1 fresh)", len(s.verdicts))
+	if s.history.len() != 4 {
+		t.Fatalf("verdict buffer holds %d entries, want 4 (3 restored + 1 fresh)", s.history.len())
 	}
-	if s.verdicts[3].Tick != 80 {
-		t.Fatalf("fresh verdict lost: %+v", s.verdicts)
+	if s.history.lastTick() != 80 {
+		t.Fatalf("fresh verdict lost: last tick %d", s.history.lastTick())
 	}
 }
 
@@ -446,9 +444,10 @@ func TestRestoreHistoryBoundsBuffer(t *testing.T) {
 	s.RestoreHistory(vs)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.verdicts) != 4 || s.verdicts[0].Tick != 70 || s.restoredThrough != 100 {
+	first := s.history.view.Load().entries[0].tick
+	if s.history.len() != 4 || first != 70 || s.restoredThrough != 100 {
 		t.Fatalf("bounded restore: %d entries, first tick %d, through %d",
-			len(s.verdicts), s.verdicts[0].Tick, s.restoredThrough)
+			s.history.len(), first, s.restoredThrough)
 	}
 }
 
