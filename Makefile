@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-baseline bench-diff check e2ebench-check fuzz
+.PHONY: build fmt test race vet bench bench-baseline bench-diff check e2ebench-check fuzz
 
 # Per-target budget for `make fuzz` (the CI smoke job uses the default).
 FUZZTIME ?= 30s
@@ -17,6 +17,10 @@ RACETIMEOUT ?= 300s
 
 build:
 	$(GO) build ./...
+
+# Fail when any Go file, the e2ebench module's included, is not gofmt'd.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test -timeout $(TESTTIMEOUT) ./...
@@ -62,4 +66,4 @@ fuzz:
 e2ebench-check:
 	cd e2ebench && $(GO) vet ./... && $(GO) test -timeout $(TESTTIMEOUT) ./...
 
-check: build vet test e2ebench-check
+check: fmt build vet test e2ebench-check

@@ -461,22 +461,13 @@ func runFleet(cfg fleetConfig) {
 }
 
 // deviatingKPIs attributes an abnormal verdict to the indicators that broke
-// correlation, by re-judging the verdict's window with per-KPI explanation
-// on the abnormal database. A zero set is legal — the window may already be
-// evicted from the unit's ring by the time the verdict lands — and opens
-// the incident unattributed rather than dropping it.
+// correlation: the flagged database's level-1 and level-2 KPIs in the
+// evidence of the judgment that decided it. Only the unit's newest judged
+// verdict carries evidence; any other verdict opens its incident
+// unattributed rather than borrowing a later round's.
 func deviatingKPIs(o *monitor.Online, v *monitor.Verdict) incident.KPISet {
-	if v.AbnormalDB < 0 {
-		return 0
-	}
-	u, err := o.Processor().Window(v.Start, v.Size)
-	if err != nil {
-		return 0
-	}
-	exps, err := detect.Explain(detect.NewProvider(u, nil, nil), detect.Config{
-		Thresholds: o.Thresholds(),
-	}, 0, v.Size)
-	if err != nil || v.AbnormalDB >= len(exps) {
+	last, exps := o.Explain()
+	if last != v || v.AbnormalDB < 0 {
 		return 0
 	}
 	var set incident.KPISet

@@ -136,6 +136,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkRunFlags(*dbs, *trace != "", *speedup); err != nil {
+		log.Fatalf("dbcatcherd: %v", err)
+	}
 	p, err := parseProfile(*profile)
 	if err != nil {
 		log.Fatalf("dbcatcherd: %v", err)
@@ -901,6 +904,21 @@ func parseCount(f string) (int, error) {
 		return 0, fmt.Errorf("field %q out of range", f)
 	}
 	return v, nil
+}
+
+// checkRunFlags rejects the shape and pace flags no mode can run with,
+// before any mode starts. A unit needs two databases to correlate (zero
+// would panic the judge), unless a trace fixes -dbs itself; a speedup
+// that is not positive (or NaN) makes the feed interval negative, so the
+// replay would run unthrottled.
+func checkRunFlags(dbs int, fromTrace bool, speedup float64) error {
+	if !fromTrace && dbs < 2 {
+		return fmt.Errorf("-dbs %d: a unit needs at least 2 databases", dbs)
+	}
+	if !(speedup > 0) {
+		return fmt.Errorf("-speedup %v: must be positive", speedup)
+	}
+	return nil
 }
 
 func parseProfile(s string) (workload.Profile, error) {

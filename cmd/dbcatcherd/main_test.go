@@ -32,6 +32,31 @@ func TestParseProfile(t *testing.T) {
 	}
 }
 
+func TestCheckRunFlags(t *testing.T) {
+	for _, c := range []struct {
+		dbs       int
+		fromTrace bool
+		speedup   float64
+		ok        bool
+	}{
+		{5, false, 100, true},
+		{2, false, 1, true},
+		{0, true, 100, true}, // the trace sets -dbs
+		{0, false, 100, false},
+		{1, false, 100, false},
+		{-3, false, 100, false},
+		{5, false, 0, false},
+		{5, false, -1, false},
+		{5, false, math.NaN(), false},
+		{5, true, 0, false},
+	} {
+		err := checkRunFlags(c.dbs, c.fromTrace, c.speedup)
+		if (err == nil) != c.ok {
+			t.Errorf("checkRunFlags(%d, %v, %v) = %v, want ok=%v", c.dbs, c.fromTrace, c.speedup, err, c.ok)
+		}
+	}
+}
+
 func TestSplitTargets(t *testing.T) {
 	cases := map[string][]string{
 		"":        nil,

@@ -280,8 +280,8 @@ func RunProvider(p MatrixProvider, cfg Config) ([]Verdict, *Timing, error) {
 	}
 	// One judgment scratch and flex tracker per pass: the GA's fitness
 	// evaluations run thousands of passes, so per-round buffers must not
-	// be reallocated.
-	js := NewJudgeScratch()
+	// be reallocated, and nothing reads this pass's evidence.
+	js := &JudgeScratch{}
 	verdicts := make([]Verdict, 0, ticks/cfg.Flex.Initial+1)
 	timing := &Timing{}
 	cursor := 0
@@ -316,7 +316,7 @@ func judgeRound(p MatrixProvider, cfg Config, cursor, ticks, kpis, dbs int, timi
 		timing.Correlation += time.Since(t0)
 
 		t1 := time.Now()
-		states := js.judge(mats, cfg, kpis, dbs)
+		states := js.Judge(mats, cfg, kpis, dbs)
 		round := roundState(states)
 		final, done := flex.Resolve(round)
 		timing.Window += time.Since(t1)
@@ -324,7 +324,7 @@ func judgeRound(p MatrixProvider, cfg Config, cursor, ticks, kpis, dbs int, timi
 			// Exhaustion is the only path where the flex policy converts
 			// a still-observable round into a terminal verdict.
 			exhausted := round == window.Observable && final == cfg.Flex.ExhaustState && !cfg.Flex.Disabled
-			return buildVerdict(cursor, size, states, cfg, expansions, exhausted), nil
+			return BuildVerdict(cursor, size, states, cfg, expansions, exhausted), nil
 		}
 		expansions++
 	}
@@ -349,33 +349,50 @@ func finalizeAtSize(p MatrixProvider, cfg Config, cursor, size, expansions int, 
 	}
 	timing.Correlation += time.Since(t0)
 	t1 := time.Now()
-	states := js.judge(mats, cfg, kpis, dbs)
+	states := js.Judge(mats, cfg, kpis, dbs)
 	timing.Window += time.Since(t1)
-	return buildVerdict(cursor, size, states, cfg, expansions, true), nil
+	return BuildVerdict(cursor, size, states, cfg, expansions, true), nil
 }
 
 // JudgeScratch holds the reusable buffers of a judgment step (per-database
 // states, per-KPI levels, peer-score staging), so steady-state judging
-// allocates nothing. Not safe for concurrent use; hold one per goroutine.
+// allocates nothing. A scratch from NewEvidenceScratch also keeps the
+// evidence of its latest judgment (see Explain). Not safe for concurrent
+// use; hold one per goroutine.
 type JudgeScratch struct {
 	states []window.State
 	levels []window.Level
 	peers  []float64
+	// record turns on evidence: cells[d*kpis+k] is database d's finding on
+	// KPI k. A cell the judgment skipped (an inactive database, an R-R KPI
+	// on the primary) has a zero Level.
+	record bool
+	kpis   int
+	cells  []KPIFinding
 }
 
-// NewJudgeScratch returns an empty scratch; buffers grow on first use.
-func NewJudgeScratch() *JudgeScratch { return &JudgeScratch{} }
+// NewEvidenceScratch returns a scratch that records each judgment's
+// evidence. Passes nobody explains (RunProvider, the threshold search's
+// thousands of fitness passes) use a plain JudgeScratch and pay nothing
+// for it.
+func NewEvidenceScratch() *JudgeScratch { return &JudgeScratch{record: true} }
 
-// judge maps a window's correlation matrices to tentative per-database
+// Judge maps a window's correlation matrices to tentative per-database
 // states (Algorithm 1 + Fig. 7), honouring each KPI's Table II correlation
 // type: an R-R KPI is only judged among replicas. The returned slice is
-// the scratch's internal buffer, valid until the next call; results are
-// identical to JudgeMatrices.
-func (js *JudgeScratch) judge(mats []*correlate.Matrix, cfg Config, kpis, dbs int) []window.State {
+// the scratch's internal buffer, valid until the next call.
+func (js *JudgeScratch) Judge(mats []*correlate.Matrix, cfg Config, kpis, dbs int) []window.State {
 	if cap(js.states) < dbs {
 		js.states = make([]window.State, dbs)
 	}
 	states := js.states[:dbs]
+	if js.record {
+		if cap(js.cells) < kpis*dbs {
+			js.cells = make([]KPIFinding, kpis*dbs)
+		}
+		js.kpis, js.cells = kpis, js.cells[:kpis*dbs]
+		clear(js.cells)
+	}
 	levels := js.levels[:0]
 	for d := 0; d < dbs; d++ {
 		if cfg.Active != nil && !cfg.Active[d] {
@@ -391,7 +408,11 @@ func (js *JudgeScratch) judge(mats []*correlate.Matrix, cfg Config, kpis, dbs in
 				continue
 			}
 			js.peers = peerScoresInto(js.peers[:0], mats[k], d, cfg, rrOnly)
-			levels = append(levels, window.KPILevel(js.peers, cfg.Thresholds.Alpha[k], cfg.Thresholds.Theta))
+			level := window.KPILevel(js.peers, cfg.Thresholds.Alpha[k], cfg.Thresholds.Theta)
+			levels = append(levels, level)
+			if js.record {
+				js.cells[d*kpis+k] = KPIFinding{KPI: kpi.KPI(k), Level: level, BestScore: bestScore(js.peers)}
+			}
 		}
 		states[d] = window.DetermineState(levels, cfg.Thresholds.MaxTolerance)
 	}
@@ -399,10 +420,16 @@ func (js *JudgeScratch) judge(mats []*correlate.Matrix, cfg Config, kpis, dbs in
 	return states
 }
 
-// judgeStates is the allocating form of JudgeScratch.judge: a fresh
-// scratch's buffers become the returned slice, so the caller owns it.
-func judgeStates(mats []*correlate.Matrix, cfg Config, kpis, dbs int) []window.State {
-	return NewJudgeScratch().judge(mats, cfg, kpis, dbs)
+// bestScore is the highest peer score, or -2 (below any score) when the
+// database has no peer.
+func bestScore(scores []float64) float64 {
+	best := -2.0
+	for _, s := range scores {
+		if s > best {
+			best = s
+		}
+	}
+	return best
 }
 
 // isRROnly reports whether KPI index k correlates replica-replica only.
@@ -470,10 +497,10 @@ func finalizeStates(states []window.State, cfg window.FlexConfig, exhausted bool
 	return out
 }
 
-// buildVerdict resolves lingering Observable database states via the flex
+// BuildVerdict resolves lingering Observable database states via the flex
 // policy (exhaustion or disabled-expansion semantics) and assembles the
 // round's verdict.
-func buildVerdict(start, size int, states []window.State, cfg Config, expansions int, exhausted bool) Verdict {
+func BuildVerdict(start, size int, states []window.State, cfg Config, expansions int, exhausted bool) Verdict {
 	finals := finalizeStates(states, cfg.Flex, exhausted)
 	v := Verdict{Start: start, Size: size, States: finals, AbnormalDB: -1, Expansions: expansions}
 	for d, s := range finals {
@@ -535,14 +562,6 @@ func DiagnosisAccuracy(verdicts []Verdict, labels *anomaly.Labels) float64 {
 		return 0
 	}
 	return float64(correct) / float64(total)
-}
-
-// JudgeMatrices exposes one judgment step for streaming callers (the
-// online monitor): it maps a window's correlation matrices to tentative
-// per-database states.
-func JudgeMatrices(mats []*correlate.Matrix, cfg Config, kpis, dbs int) []window.State {
-	cfg = cfg.withDefaults()
-	return judgeStates(mats, cfg, kpis, dbs)
 }
 
 // RoundState exposes the per-round reduction of database states.

@@ -51,8 +51,8 @@ func (e *Explanation) String() string {
 }
 
 // Explain judges the window [start, start+size) of the provider and
-// returns the per-database indicator attribution. The standard 14-KPI
-// layout is required (the Table II correlation typing applies).
+// returns the per-database indicator attribution: each database's
+// tentative state and the findings that decided it.
 func Explain(p MatrixProvider, cfg Config, start, size int) ([]*Explanation, error) {
 	cfg = cfg.withDefaults()
 	_, kpis, dbs := p.Shape()
@@ -63,32 +63,24 @@ func Explain(p MatrixProvider, cfg Config, start, size int) ([]*Explanation, err
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*Explanation, dbs)
-	for d := 0; d < dbs; d++ {
-		e := &Explanation{DB: d}
-		if cfg.Active != nil && !cfg.Active[d] {
-			e.State = window.Healthy
-			out[d] = e
-			continue
-		}
-		levels := make([]window.Level, 0, kpis)
-		for k := 0; k < kpis; k++ {
-			rr := isRROnly(k, kpis)
-			if rr && d == cfg.Primary {
-				continue
+	js := NewEvidenceScratch()
+	return js.Explain(js.Judge(mats, cfg, kpis, dbs)), nil
+}
+
+// Explain attributes the scratch's latest judgment to indicators: one
+// explanation per database, carrying states[d] and the database's judged
+// findings, worst level first (ties: lowest best score first). The scratch
+// must come from NewEvidenceScratch, and states must have one entry per
+// judged database — the judgment's own states, or the verdict's final ones.
+func (js *JudgeScratch) Explain(states []window.State) []*Explanation {
+	out := make([]*Explanation, len(states))
+	for d, st := range states {
+		e := &Explanation{DB: d, State: st}
+		for _, f := range js.cells[d*js.kpis : (d+1)*js.kpis] {
+			if f.Level != 0 {
+				e.KPIs = append(e.KPIs, f)
 			}
-			scores := peerScoresInto(nil, mats[k], d, cfg, rr)
-			best := -2.0
-			for _, s := range scores {
-				if s > best {
-					best = s
-				}
-			}
-			level := window.KPILevel(scores, cfg.Thresholds.Alpha[k], cfg.Thresholds.Theta)
-			levels = append(levels, level)
-			e.KPIs = append(e.KPIs, KPIFinding{KPI: kpi.KPI(k), Level: level, BestScore: best})
 		}
-		e.State = window.DetermineState(levels, cfg.Thresholds.MaxTolerance)
 		sort.SliceStable(e.KPIs, func(i, j int) bool {
 			if e.KPIs[i].Level != e.KPIs[j].Level {
 				return e.KPIs[i].Level < e.KPIs[j].Level
@@ -97,5 +89,5 @@ func Explain(p MatrixProvider, cfg Config, start, size int) ([]*Explanation, err
 		})
 		out[d] = e
 	}
-	return out, nil
+	return out
 }

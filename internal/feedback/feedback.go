@@ -244,11 +244,6 @@ type Learner struct {
 	Searcher thresholds.Searcher
 	// Flex is the window configuration used during fitness evaluation.
 	Flex window.FlexConfig
-	// Workers fans each fitness evaluation out across the labelled
-	// samples (every per-unit detection pass is independent): <= 0 uses
-	// GOMAXPROCS, 1 keeps the serial walk. Leave it at 1 when the
-	// Searcher evaluates genomes in parallel itself — one axis suffices.
-	Workers int
 }
 
 // Relearn runs the search over the samples and returns the new thresholds
@@ -265,7 +260,10 @@ func (l Learner) Relearn(q int, samples []thresholds.Sample) (window.Thresholds,
 	if flex == (window.FlexConfig{}) {
 		flex = window.DefaultFlexConfig()
 	}
-	fitness := thresholds.ParallelDetectorFitness(samples, flex, l.Workers)
+	// Each fitness evaluation fans out across the labelled samples over
+	// GOMAXPROCS: every per-unit detection pass is independent, and the
+	// score is identical to the serial walk.
+	fitness := thresholds.ParallelDetectorFitness(samples, flex, 0)
 	res := searcher.Search(q, fitness)
 	if err := res.Best.Validate(q); err != nil {
 		return window.Thresholds{}, 0, err

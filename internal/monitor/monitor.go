@@ -327,6 +327,13 @@ type Online struct {
 	// win is the judged window, copied from the rings on every judgment
 	// and sized for the largest one; allocated on the first judgment.
 	win *timeseries.UnitSeries
+
+	// judge is the scratch every judgment runs on; evidence holds the
+	// judgment that decided last, the newest verdict judged since start.
+	// The two swap when a round resolves, so keeping a round's evidence
+	// costs no allocation and a shadow pass on judge cannot touch it.
+	judge, evidence *detect.JudgeScratch
+	last            *Verdict
 }
 
 // NewOnline builds a streaming judge for the given shape. The processor's
@@ -352,9 +359,11 @@ func NewOnline(cfg detect.Config, kpis, dbs int) (*Online, error) {
 		dcfg: dcfg,
 		// One engine for the judge's lifetime: its scratch free list makes the
 		// steady-state per-tick correlation pass allocation-lean.
-		engine: cfg.Engine(),
-		proc:   NewProcessor(kpis, dbs, cfg.Flex.MaxWindow()),
-		flex:   flex,
+		engine:   cfg.Engine(),
+		proc:     NewProcessor(kpis, dbs, cfg.Flex.MaxWindow()),
+		flex:     flex,
+		judge:    detect.NewEvidenceScratch(),
+		evidence: detect.NewEvidenceScratch(),
 	}
 	if cfg.Active != nil {
 		if len(cfg.Active) != dbs {
@@ -409,6 +418,22 @@ func (o *Online) healthLocked() HealthStats {
 		AutoDeactivated:  append([]bool(nil), o.autoDown...),
 		SilentRecent:     append([]int(nil), o.silentCount...),
 	}
+}
+
+// Explain returns the newest verdict judged since the judge was built or
+// restored, with one explanation per database read from the evidence that
+// decided it: each state is the verdict's final state, and the findings
+// are the levels and best peer scores the judgment computed, under the
+// round's own primary, active mask and thresholds. Both are nil before the
+// first judged round (evidence is not persisted); a skipped round leaves
+// the previous judged verdict in place.
+func (o *Online) Explain() (*Verdict, []*detect.Explanation) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.last == nil {
+		return nil, nil
+	}
+	return o.last, o.evidence.Explain(o.last.States)
 }
 
 // SetPrimary follows a failover: R-R-typed KPIs are judged among replicas
@@ -592,7 +617,7 @@ func (o *Online) pushLocked(sample [][]float64) (*Verdict, error) {
 	}
 	cfg := o.cfg
 	cfg.Active = active
-	states := detect.JudgeMatrices(mats, cfg, kpis, dbs)
+	states := o.judge.Judge(mats, cfg, kpis, dbs)
 	round := detect.RoundState(states)
 	final, done := o.flex.Resolve(round)
 	if !done {
@@ -600,22 +625,14 @@ func (o *Online) pushLocked(sample [][]float64) (*Verdict, error) {
 		return nil, nil // window expanded; wait for Δ more points
 	}
 	exhausted := round == window.Observable && final == o.cfg.Flex.ExhaustState && !o.cfg.Flex.Disabled
-	finals := detect.FinalizeStates(states, o.cfg.Flex, exhausted)
-	o.observeShadow(mats, finals, cfg, kpis, dbs)
-	v := &Verdict{Tick: o.proc.Ticks(), GapCells: gaps, MeanCorr: meanPairScore(mats, active)}
-	v.Start = o.roundStart
-	v.Size = size
-	v.Expansions = o.expansions
-	v.States = finals
-	v.AbnormalDB = -1
-	for d, s := range finals {
-		if s == window.Abnormal {
-			v.Abnormal = true
-			if v.AbnormalDB == -1 {
-				v.AbnormalDB = d
-			}
-		}
+	v := &Verdict{
+		Verdict:  detect.BuildVerdict(o.roundStart, size, states, cfg, o.expansions, exhausted),
+		Tick:     o.proc.Ticks(),
+		GapCells: gaps,
+		MeanCorr: meanPairScore(mats, active),
 	}
+	o.judge, o.evidence, o.last = o.evidence, o.judge, v
+	o.observeShadow(mats, v.States, cfg, kpis, dbs)
 	if gaps > 0 || anyTrue(o.autoDown) {
 		v.Health = detect.HealthDegraded
 		o.degradedVerdicts++

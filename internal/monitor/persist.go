@@ -234,6 +234,7 @@ func (o *Online) RestoreState(st *PersistentState) error {
 
 	o.roundStart = st.RoundStart
 	o.expansions = st.Expansions
+	o.last = nil // evidence is not persisted
 	o.cfg.Primary = st.Primary
 	o.cfg.Thresholds = st.Thresholds.Clone()
 	o.userActive = nil

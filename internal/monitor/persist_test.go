@@ -127,6 +127,40 @@ func TestExportRestoreContinuesIdentically(t *testing.T) {
 	}
 }
 
+// TestRestoreStateStartsWithoutEvidence: evidence is not persisted, so a
+// restored judge — even one that had explained verdicts before — explains
+// nothing until it judges a round of its own.
+func TestRestoreStateStartsWithoutEvidence(t *testing.T) {
+	u := persistTestUnit(t, true)
+	o := persistTestOnline(t)
+	if v, exps := o.Explain(); v != nil || exps != nil {
+		t.Fatalf("fresh judge explains %+v", v)
+	}
+	if len(pushRange(t, o, u, 0, 157)) == 0 {
+		t.Fatal("no verdict before the export")
+	}
+	if v, _ := o.Explain(); v == nil {
+		t.Fatal("judge with verdicts explains nothing")
+	}
+	if err := o.RestoreState(o.ExportState()); err != nil {
+		t.Fatal(err)
+	}
+	if v, exps := o.Explain(); v != nil || exps != nil {
+		t.Fatalf("restored judge explains %+v", v)
+	}
+	for tick := 157; tick < 300; tick++ {
+		vs := pushRange(t, o, u, tick, tick+1)
+		if len(vs) == 0 || vs[0].Health == detect.HealthSkipped {
+			continue
+		}
+		if v, exps := o.Explain(); v != vs[0] || len(exps) != u.Series.Databases {
+			t.Fatalf("tick %d: restored judge explains %+v, want its new verdict %+v", tick, v, vs[0])
+		}
+		return
+	}
+	t.Fatal("restored judge judged no round")
+}
+
 func verdictPtrsToValues(vs []*Verdict) []Verdict {
 	out := make([]Verdict, len(vs))
 	for i, v := range vs {

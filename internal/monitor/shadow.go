@@ -15,8 +15,8 @@ import (
 // rounds whose per-database final states differ ("flips"). The correlation
 // measurement — the expensive, allocation-sensitive part — runs once; only
 // the cheap level-mapping is repeated, so shadowing costs one extra
-// JudgeMatrices pass per resolved round and nothing at all on
-// non-resolving ticks. The relearning supervisor promotes the candidate
+// judgment pass per resolved round and nothing at all on non-resolving
+// ticks. The relearning supervisor promotes the candidate
 // only if the flip rate stays within budget, and discards it otherwise —
 // the live thresholds are never touched until promotion, so rollback is
 // simply forgetting the candidate.
@@ -136,13 +136,14 @@ func (o *Online) PromoteShadow() error {
 // observeShadow judges the resolved round's matrices under the shadow
 // thresholds and records whether any database's final state flipped.
 // Called from pushLocked with the mutex held, after the live finals are
-// known; cfg already carries this round's effective active mask.
+// known and the live evidence is set aside; cfg already carries this
+// round's effective active mask.
 func (o *Online) observeShadow(mats []*correlate.Matrix, liveFinals []window.State, cfg detect.Config, kpis, dbs int) {
 	if o.shadow == nil {
 		return
 	}
 	cfg.Thresholds = o.shadow.thresholds
-	states := detect.JudgeMatrices(mats, cfg, kpis, dbs)
+	states := o.judge.Judge(mats, cfg, kpis, dbs)
 	round := detect.RoundState(states)
 	// The shadow cannot expand the window, so an Observable shadow round
 	// resolves under the exhaust policy (see the package comment above).

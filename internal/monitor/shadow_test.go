@@ -150,3 +150,50 @@ func TestVerdictMeanCorrPopulated(t *testing.T) {
 		}
 	}
 }
+
+// TestShadowLeavesLiveEvidence: the shadow judges on the live judge's free
+// scratch, so explaining a verdict reads the live judgment even while a
+// hostile candidate is shadowed.
+func TestShadowLeavesLiveEvidence(t *testing.T) {
+	u := shadowUnit(t)
+	live, shadowed := newShadowOnline(t), newShadowOnline(t)
+	hostile := window.Thresholds{Alpha: make([]float64, kpi.Count), Theta: 0, MaxTolerance: 0}
+	for i := range hostile.Alpha {
+		hostile.Alpha[i] = 1
+	}
+	if err := shadowed.StartShadow(hostile, 50); err != nil {
+		t.Fatal(err)
+	}
+	sample := make([][]float64, u.Series.KPIs)
+	for k := range sample {
+		sample[k] = make([]float64, u.Series.Databases)
+	}
+	explained := 0
+	for tick := 0; tick < u.Series.Len(); tick++ {
+		for k := range sample {
+			for d := range sample[k] {
+				sample[k][d] = u.Series.Data[k][d].At(tick)
+			}
+		}
+		want, err := live.Push(sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := shadowed.Push(sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			continue
+		}
+		wv, wexps := live.Explain()
+		gv, gexps := shadowed.Explain()
+		if wv != want || gv != got || !reflect.DeepEqual(got.States, want.States) || !reflect.DeepEqual(gexps, wexps) {
+			t.Fatalf("tick %d: shadowed judge explains %+v %v, live judge %+v %v", tick, gv, gexps, wv, wexps)
+		}
+		explained++
+	}
+	if st := shadowed.ShadowStatus(); explained == 0 || st.Flips == 0 {
+		t.Fatalf("explained %d verdicts, shadow flipped %d rounds: nothing exercised", explained, st.Flips)
+	}
+}

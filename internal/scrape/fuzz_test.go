@@ -12,8 +12,8 @@ import (
 func FuzzPromParse(f *testing.F) {
 	healthy := appendProm(nil, &Payload{Tick: 3, DB: 1, Values: []float64{1.5, math.NaN(), -7e3}})
 	f.Add(healthy)
-	f.Add(healthy[:len(healthy)/2])                                    // mid-metric truncation
-	f.Add(append(append([]byte{}, healthy...), healthy...))            // duplicate series
+	f.Add(healthy[:len(healthy)/2])                         // mid-metric truncation
+	f.Add(append(append([]byte{}, healthy...), healthy...)) // duplicate series
 	f.Add([]byte("dbcatcher_tick{db=\"0\"} 1\ndbcatcher_kpi{db=\"0\",kpi=\"0\"} +Inf\n"))
 	f.Add([]byte("dbcatcher_tick{db=\"0\"} 1\ndbcatcher_kpi{db=\"0\",kpi=\"0\"} NaN\n"))
 	f.Add([]byte("# comment only\n"))

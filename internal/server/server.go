@@ -17,7 +17,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dbcatcher/internal/detect"
 	"dbcatcher/internal/feedback"
 	"dbcatcher/internal/kpi"
 	"dbcatcher/internal/monitor"
@@ -539,30 +538,18 @@ func (s *Server) handleThresholds(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleExplain attributes the most recent completed judgment window to
-// indicators (root-cause hints for operators).
+// handleExplain attributes the newest verdict judged since the process
+// started to indicators (root-cause hints for operators): its window, each
+// database's final state, and the non-level-3 findings of the judgment
+// that decided it. It answers 404 until a round has been judged.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.history.len() == 0 {
-		http.Error(w, "no completed judgment windows yet", http.StatusNotFound)
-		return
-	}
-	start, size := s.history.lastStart, s.history.lastSize
-	u, err := s.online.Processor().Window(start, size)
-	if err != nil {
-		http.Error(w, "window evicted: "+err.Error(), http.StatusGone)
-		return
-	}
-	exps, err := detect.Explain(detect.NewProvider(u, nil, nil), detect.Config{
-		Thresholds: s.online.Thresholds(),
-	}, 0, size)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	v, exps := s.online.Explain()
+	if v == nil {
+		http.Error(w, "no judged verdict since start", http.StatusNotFound)
 		return
 	}
 	type findingJSON struct {
@@ -579,7 +566,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Start int       `json:"start"`
 		Size  int       `json:"size"`
 		DBs   []expJSON `json:"databases"`
-	}{Start: start, Size: size}
+	}{Start: v.Start, Size: v.Size}
 	for _, e := range exps {
 		ej := expJSON{DB: e.DB, State: e.State.String()}
 		for _, f := range e.KPIs {

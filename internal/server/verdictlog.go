@@ -26,11 +26,9 @@ type verdictLog struct {
 	buf     []byte     // encoded entries back to back, each followed by ','
 	entries []logEntry // one per encoded entry, oldest first
 	head    int        // entries[head:] are retained, older ones evicted
-	// abnormal counts the retained verdicts that flagged a database;
-	// lastStart and lastSize are the newest verdict's window.
-	abnormal            int
-	lastStart, lastSize int
-	view                atomic.Pointer[verdictView]
+	// abnormal counts the retained verdicts that flagged a database.
+	abnormal int
+	view     atomic.Pointer[verdictView]
 }
 
 type logEntry struct {
@@ -75,7 +73,6 @@ func (l *verdictLog) append(v *monitor.Verdict) {
 	if v.Abnormal {
 		l.abnormal++
 	}
-	l.lastStart, l.lastSize = v.Start, v.Size
 	if l.len() > l.max {
 		if l.entries[l.head].abnormal {
 			l.abnormal--

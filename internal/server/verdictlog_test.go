@@ -134,7 +134,7 @@ func serve(h http.Handler, url string) *httptest.ResponseRecorder {
 // checkAgainstRef compares every verdict body both routes serve for s
 // (unit index unit of fleet) with the reference encoder, over limits and
 // since values around every boundary of the retained ticks, plus the
-// history counters the status documents and /api/explain read.
+// history counters the status documents read.
 func checkAgainstRef(t *testing.T, step string, s *Server, unitH, fleetH http.Handler, unit int, ref *refHistory) {
 	t.Helper()
 	limits := []int{-1, 1, 16, ref.max, ref.max + 1}
@@ -195,12 +195,6 @@ func checkAgainstRef(t *testing.T, step string, s *Server, unitH, fleetH http.Ha
 	if status.Verdicts != len(ref.verdicts) || status.AbnormalVerdicts != abnormal {
 		t.Fatalf("%s: /api/status verdicts/abnormal = %d/%d, want %d/%d", step,
 			status.Verdicts, status.AbnormalVerdicts, len(ref.verdicts), abnormal)
-	}
-	s.mu.Lock()
-	start, size := s.history.lastStart, s.history.lastSize
-	s.mu.Unlock()
-	if len(ref.verdicts) > 0 && (start != last.Start || size != last.Size) {
-		t.Fatalf("%s: explain window %d+%d, want %d+%d", step, start, size, last.Start, last.Size)
 	}
 }
 

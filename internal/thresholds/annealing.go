@@ -134,12 +134,6 @@ type Random struct {
 	Ranges Ranges
 	// Seed drives the search's randomness.
 	Seed uint64
-	// Workers bounds the fitness-evaluation pool: 0 and 1 evaluate
-	// serially (the historical behaviour), AutoWorkers uses GOMAXPROCS,
-	// > 1 is taken literally. Parallel evaluation requires a
-	// concurrency-safe fitness; trial genomes are drawn serially from the
-	// seeded RNG, so the Result is identical at any worker count.
-	Workers int
 }
 
 func (r Random) withDefaults() Random {
@@ -172,7 +166,7 @@ func (r Random) SearchContext(ctx context.Context, q int, fitness Fitness) (Resu
 	for i := range trials {
 		trials[i] = r.Ranges.random(q, rng)
 	}
-	fs, err := ec.evalAllCtx(ctx, trials, resolveSearchWorkers(r.Workers))
+	fs, err := ec.evalAllCtx(ctx, trials)
 	if err != nil {
 		return Result{Evaluations: ec.calls}, err
 	}

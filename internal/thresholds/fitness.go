@@ -29,9 +29,7 @@ func DetectorFitness(samples []Sample, flex window.FlexConfig) Fitness {
 // the per-unit confusions merge in unit order, so the score is identical to
 // the serial walk at any concurrency (<= 0 means GOMAXPROCS). The returned
 // Fitness is safe for concurrent use when the sample providers are (a
-// CachedProvider over a series provider is). Pick one parallel axis: a
-// searcher with Workers > 1 should use concurrency 1 here, and vice versa —
-// nesting multiplies goroutines without adding throughput.
+// CachedProvider over a series provider is).
 func ParallelDetectorFitness(samples []Sample, flex window.FlexConfig, concurrency int) Fitness {
 	return func(t window.Thresholds) float64 {
 		parts := make([]metrics.Confusion, len(samples))

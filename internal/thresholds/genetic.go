@@ -23,13 +23,6 @@ type GA struct {
 	Ranges Ranges
 	// Seed drives the search's randomness.
 	Seed uint64
-	// Workers bounds the fitness-evaluation pool: 0 and 1 evaluate
-	// serially (the historical behaviour — fitness may then be stateful),
-	// AutoWorkers uses GOMAXPROCS, > 1 is taken literally. Parallel
-	// evaluation requires a concurrency-safe fitness and returns the same
-	// Result as serial: genomes are bred serially from the seeded RNG and
-	// only their independent evaluations overlap.
-	Workers int
 }
 
 func (g GA) withDefaults() GA {
@@ -70,16 +63,12 @@ func (g GA) SearchContext(ctx context.Context, q int, fitness Fitness) (Result, 
 	g = g.withDefaults()
 	rng := mathx.NewRNG(g.Seed)
 	ec := &evalCounter{fn: fitness}
-	workers := resolveSearchWorkers(g.Workers)
 
-	// Genome generation always runs serially against the seeded RNG; only
-	// the independent fitness evaluations fan out. The RNG call sequence —
-	// and therefore every genome — is identical at any worker count.
 	genomes := make([]window.Thresholds, g.Population)
 	for i := range genomes {
 		genomes[i] = g.Ranges.random(q, rng)
 	}
-	pop, err := scoreAllCtx(ctx, genomes, ec, workers)
+	pop, err := scoreAllCtx(ctx, genomes, ec)
 	if err != nil {
 		return Result{Evaluations: ec.calls}, err
 	}
@@ -126,7 +115,7 @@ func (g GA) SearchContext(ctx context.Context, q int, fitness Fitness) (Result, 
 				brood = append(brood, cb)
 			}
 		}
-		broodScored, err := scoreAllCtx(ctx, brood, ec, workers)
+		broodScored, err := scoreAllCtx(ctx, brood, ec)
 		if err != nil {
 			return Result{Best: best.t.Clone(), Fitness: best.f, Evaluations: ec.calls}, err
 		}
@@ -138,11 +127,11 @@ func (g GA) SearchContext(ctx context.Context, q int, fitness Fitness) (Result, 
 	return Result{Best: best.t.Clone(), Fitness: best.f, Evaluations: ec.calls}, nil
 }
 
-// scoreAllCtx evaluates a batch of genomes over the worker pool and pairs
-// each with its fitness, in genome order. On cancellation the partial
-// scores are dropped.
-func scoreAllCtx(ctx context.Context, genomes []window.Thresholds, ec *evalCounter, workers int) ([]scored, error) {
-	fs, err := ec.evalAllCtx(ctx, genomes, workers)
+// scoreAllCtx evaluates a batch of genomes and pairs each with its
+// fitness, in genome order. On cancellation the partial scores are
+// dropped.
+func scoreAllCtx(ctx context.Context, genomes []window.Thresholds, ec *evalCounter) ([]scored, error) {
+	fs, err := ec.evalAllCtx(ctx, genomes)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package thresholds
 
 import (
-	"math"
 	"testing"
 
 	"dbcatcher/internal/anomaly"
@@ -11,62 +10,8 @@ import (
 	"dbcatcher/internal/window"
 )
 
-// smoothFitness is a pure, concurrency-safe fitness with enough structure
-// for the searchers to climb.
-func smoothFitness(t window.Thresholds) float64 {
-	f := 0.0
-	for _, a := range t.Alpha {
-		f += 1 - math.Abs(a-0.6)
-	}
-	f /= float64(len(t.Alpha))
-	f += 0.5 * (1 - math.Abs(t.Theta-0.2))
-	f -= 0.05 * float64(t.MaxTolerance)
-	return f
-}
-
-func resultsEqual(a, b Result) bool {
-	if a.Fitness != b.Fitness || a.Evaluations != b.Evaluations {
-		return false
-	}
-	if a.Best.Theta != b.Best.Theta || a.Best.MaxTolerance != b.Best.MaxTolerance {
-		return false
-	}
-	if len(a.Best.Alpha) != len(b.Best.Alpha) {
-		return false
-	}
-	for i := range a.Best.Alpha {
-		if a.Best.Alpha[i] != b.Best.Alpha[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestGAParallelMatchesSerial is the searcher-side determinism guarantee:
-// genomes are bred serially from the seeded RNG, so parallel fitness
-// evaluation must return a bit-identical Result.
-func TestGAParallelMatchesSerial(t *testing.T) {
-	serial := GA{Seed: 42}.Search(14, smoothFitness)
-	for _, workers := range []int{1, 2, 8, AutoWorkers} {
-		got := GA{Seed: 42, Workers: workers}.Search(14, smoothFitness)
-		if !resultsEqual(serial, got) {
-			t.Fatalf("GA workers=%d diverged: %+v vs %+v", workers, got, serial)
-		}
-	}
-}
-
-func TestRandomParallelMatchesSerial(t *testing.T) {
-	serial := Random{Seed: 7, Trials: 100}.Search(14, smoothFitness)
-	for _, workers := range []int{2, 8, AutoWorkers} {
-		got := Random{Seed: 7, Trials: 100, Workers: workers}.Search(14, smoothFitness)
-		if !resultsEqual(serial, got) {
-			t.Fatalf("Random workers=%d diverged: %+v vs %+v", workers, got, serial)
-		}
-	}
-}
-
 // TestSerialEvalOrderPreserved pins the backstop for order-dependent
-// fitness closures: Workers 0 and 1 call the fitness strictly in genome
+// fitness closures: the searchers call the fitness strictly in genome
 // order, exactly like the historical incremental searchers.
 func TestSerialEvalOrderPreserved(t *testing.T) {
 	calls := 0

@@ -14,10 +14,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync/atomic"
 
-	"dbcatcher/internal/fleet"
 	"dbcatcher/internal/mathx"
 	"dbcatcher/internal/window"
 )
@@ -149,21 +146,6 @@ type scored struct {
 	f float64
 }
 
-// AutoWorkers, assigned to a searcher's Workers knob, sizes its evaluation
-// pool to GOMAXPROCS.
-const AutoWorkers = -1
-
-// resolveSearchWorkers maps a searcher's Workers knob to a pool size.
-// Unlike the detection-side knobs, 0 stays serial here: a fitness function
-// is allowed to be order-dependent or stateful unless the caller opts into
-// parallel evaluation (negative = GOMAXPROCS, > 1 = that many workers).
-func resolveSearchWorkers(w int) int {
-	if w < 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
 // evalCounter wraps a fitness function to count calls.
 type evalCounter struct {
 	fn    Fitness
@@ -175,37 +157,21 @@ func (e *evalCounter) eval(t window.Thresholds) float64 {
 	return e.fn(t)
 }
 
-// evalAllCtx scores a batch of genomes, fanning out over a worker pool when
-// workers > 1 (the fitness function must then be safe for concurrent use).
-// Results land in genome order, and with workers <= 1 the fitness is called
-// strictly in genome order, matching the historical serial searchers. ctx
-// is checked before every evaluation (a fitness call in flight is never
-// interrupted). On a nil error the scores are complete and identical at
-// any worker count; on a non-nil error they are partial and must be
-// discarded.
-func (e *evalCounter) evalAllCtx(ctx context.Context, genomes []window.Thresholds, workers int) ([]float64, error) {
+// evalAllCtx scores a batch of genomes, calling the fitness strictly in
+// genome order (a fitness may be order-dependent or stateful). ctx is
+// checked before every evaluation (a fitness call in flight is never
+// interrupted). On a nil error the scores are complete; on a non-nil
+// error they are partial and must be discarded.
+func (e *evalCounter) evalAllCtx(ctx context.Context, genomes []window.Thresholds) ([]float64, error) {
 	out := make([]float64, len(genomes))
-	if workers <= 1 {
-		for i, t := range genomes {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-			out[i] = e.fn(t)
-			e.calls++
-		}
-		return out, nil
-	}
-	var evaluated atomic.Int64
-	err := fleet.Each(len(genomes), workers, func(i int) error {
+	for i, t := range genomes {
 		if err := ctx.Err(); err != nil {
-			return err
+			return out, err
 		}
-		out[i] = e.fn(genomes[i])
-		evaluated.Add(1)
-		return nil
-	})
-	e.calls += int(evaluated.Load())
-	return out, err
+		out[i] = e.fn(t)
+		e.calls++
+	}
+	return out, nil
 }
 
 // betterOf returns the higher-fitness candidate, preferring a over ties.

@@ -262,11 +262,11 @@ func TestFlexConfigMaxWindow(t *testing.T) {
 		cfg  FlexConfig
 		want int
 	}{
-		{DefaultFlexConfig(), 60},                          // 20 + 2*20
-		{FlexConfig{Initial: 15, Max: 75}, 75},             // delta defaults to 15
-		{FlexConfig{Initial: 20, Delta: 15, Max: 60}, 50},  // 20,35,50; 65 > 60
-		{FlexConfig{Initial: 25, Delta: 25, Max: 45}, 25},  // first expansion overshoots
-		{FlexConfig{Initial: 20, Max: 20}, 20},             // no headroom
+		{DefaultFlexConfig(), 60},                         // 20 + 2*20
+		{FlexConfig{Initial: 15, Max: 75}, 75},            // delta defaults to 15
+		{FlexConfig{Initial: 20, Delta: 15, Max: 60}, 50}, // 20,35,50; 65 > 60
+		{FlexConfig{Initial: 25, Delta: 25, Max: 45}, 25}, // first expansion overshoots
+		{FlexConfig{Initial: 20, Max: 20}, 20},            // no headroom
 		{FlexConfig{Initial: 20, Max: 60, Disabled: true}, 20},
 	}
 	for _, tc := range cases {
