@@ -15,14 +15,19 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -308,6 +313,47 @@ func main() {
 		}
 	})
 	add(parseProm)
+
+	// scrape/round-*: one Scraper.Round over the unit's targets in prom,
+	// through an in-memory transport serving canned bodies, so the
+	// measurement is the scraper's own per-round cost (workers, request,
+	// read, parse, breaker and staleness bookkeeping, assembly) without
+	// the network or an exporter. The served tick alternates between
+	// rounds, so no target goes stale. round-c1 is one fetch at a time
+	// (the per-unit setting of a 32-unit fleet on a small host); round-all
+	// is the daemon's default of every target at once.
+	canned := &cannedTransport{bodies: make([][2][]byte, dbs)}
+	for d := range canned.bodies {
+		for tick := range canned.bodies[d] {
+			canned.bodies[d][tick] = scrape.AppendBody(nil,
+				&scrape.Payload{Tick: tick, DB: d, Values: wire}, scrape.FormatProm)
+		}
+	}
+	roundBench := func(name string, conc int) Entry {
+		sc, err := scrape.New(scrape.Config{
+			Targets:     scrape.SelfTargets("http://bench", dbs),
+			KPIs:        kpi.Count,
+			Format:      scrape.FormatProm,
+			Concurrency: conc,
+			Client:      &http.Client{Transport: canned},
+		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "bench:", err)
+			os.Exit(1)
+		}
+		return measure(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				canned.tick = i % 2
+				_, r, err := sc.Round(context.Background())
+				if err != nil || r.Arrived != dbs {
+					b.Fatalf("round %d: %+v, %v", i, r, err)
+				}
+			}
+		})
+	}
+	add(roundBench("scrape/round-c1", 1))
+	add(roundBench("scrape/round-all", 0))
 
 	// One genome evaluation of the relearn supervisor's holdout fitness:
 	// replay the detector over materialized judgment-record samples whose
@@ -634,6 +680,28 @@ func (w *discardResponseWriter) Write(p []byte) (int, error) {
 		w.code = http.StatusOK
 	}
 	return len(p), nil
+}
+
+// cannedTransport answers a scrape of http://host/db/N/kpis with target
+// N's canned body for the current tick, in memory. tick is set between
+// rounds, before Round starts the workers that read it.
+type cannedTransport struct {
+	bodies [][2][]byte // [db][tick parity]
+	tick   int
+}
+
+func (c *cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rest, _ := strings.CutPrefix(req.URL.Path, "/db/")
+	num, _ := strings.CutSuffix(rest, "/kpis")
+	db, err := strconv.Atoi(num)
+	if err != nil || db < 0 || db >= len(c.bodies) {
+		return nil, fmt.Errorf("canned transport: no target at %s", req.URL.Path)
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Body:       io.NopCloser(bytes.NewReader(c.bodies[db][c.tick])),
+		Request:    req,
+	}, nil
 }
 
 // randomPair mirrors the repository benchmark's correlated pair generator.

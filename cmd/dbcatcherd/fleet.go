@@ -313,7 +313,8 @@ func runFleet(cfg fleetConfig) {
 		interval := time.Duration(float64(5*time.Second) / cfg.speedup)
 		samples := make([][][]float64, cfg.units)
 		verdictCount, abnormalCount, degradedRounds := 0, 0, 0
-		for tick := 0; tick < cfg.horizon; tick++ {
+		end := feedEnd(cfg.horizon, "", scrapeMode)
+		for tick := 0; tick < end; tick++ {
 			select {
 			case <-stop:
 				return

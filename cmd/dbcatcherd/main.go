@@ -45,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -81,7 +82,7 @@ func main() {
 		seed      = flag.Uint64("seed", 1, "random seed")
 		speedup   = flag.Float64("speedup", 100, "simulation speed multiplier (1 = real-time 5 s ticks)")
 		anomalies = flag.Float64("anomaly-ratio", 0.03, "fraction of abnormal ticks injected into the stream")
-		horizon   = flag.Int("horizon", 17280, "ticks to pre-simulate (default 24 h)")
+		horizon   = flag.Int("horizon", 17280, "ticks to pre-simulate (default 24 h); bounds simulated and trace input only: external scrape targets (-fleet-scrape-targets, or -scrape-targets without -scrape-addr) are scraped until the daemon stops")
 		foTick    = flag.Int("failover-tick", 0, "tick at which a failover promotes a replica (0 = none)")
 		foTarget  = flag.Int("failover-target", 1, "replica promoted at -failover-tick")
 		conc      = flag.Int("concurrency", 0, "correlation worker pool per window (0 = GOMAXPROCS, 1 = serial; it runs only above 50,000 KPI x pair x point cells, never at the default 5 databases; verdicts identical)")
@@ -112,7 +113,7 @@ func main() {
 		scrapeBrkFails = flag.Int("scrape-breaker-failures", 3, "consecutive failed rounds before a target's circuit breaker opens")
 		scrapeBrkOpen  = flag.Int("scrape-breaker-open", 5, "rounds an open breaker skips before its half-open probe")
 		scrapeStale    = flag.Int("scrape-stale-rounds", 3, "rounds a target may re-serve the same tick before it is marked down")
-		scrapeConc     = flag.Int("scrape-concurrency", 0, "scrape fan-out bound (0 = all targets, capped at 16)")
+		scrapeConc     = flag.Int("scrape-concurrency", 0, "fetches in flight per scrape round, on the feeding goroutine plus up to N-1 it starts (0 = all targets, capped at 16)")
 		scrapeFaults   = flag.String("scrape-fault", "", "exporter fault script: db:mode[:count],... (modes: hang, 5xx, truncate, garbage, drop, flap, stale, format-flip)")
 		scrapeFormat   = flag.String("scrape-format", "json", "scrape wire format negotiated with every target: json (bespoke payload) or prom (Prometheus text exposition)")
 
@@ -574,7 +575,8 @@ func main() {
 			*relearnDL, cooldownTicks, *relearnShadow)
 	}
 
-	if resume >= *horizon {
+	end := feedEnd(*horizon, *scrapeAddr, targets != nil)
+	if resume >= end {
 		log.Printf("recovered state already covers the %d-tick horizon; serving history only", *horizon)
 	}
 
@@ -601,7 +603,7 @@ func main() {
 		defer close(done)
 		interval := time.Duration(float64(5*time.Second) / *speedup)
 		degradedRounds := 0
-		for tick := resume; tick < *horizon; tick++ {
+		for tick := resume; tick < end; tick++ {
 			select {
 			case <-stop:
 				return
@@ -904,6 +906,18 @@ func parseCount(f string) (int, error) {
 		return 0, fmt.Errorf("field %q out of range", f)
 	}
 	return v, nil
+}
+
+// feedEnd is the tick before which a feeder stops. -horizon bounds the
+// input the daemon simulates or replays itself, also when its own exporter
+// (-scrape-addr) serves it. External scrape targets publish for as long as
+// they run, so a feeder that only scrapes them (targets without an
+// exporter address) runs until the daemon stops.
+func feedEnd(horizon int, exportAddr string, targets bool) int {
+	if targets && exportAddr == "" {
+		return math.MaxInt
+	}
+	return horizon
 }
 
 // checkRunFlags rejects the shape and pace flags no mode can run with,

@@ -57,6 +57,27 @@ func TestCheckRunFlags(t *testing.T) {
 	}
 }
 
+// -horizon bounds the input the daemon simulates or replays itself; a
+// feeder that scrapes only external targets runs until the daemon stops.
+func TestFeedEndPerInputMode(t *testing.T) {
+	const horizon = 60
+	for _, c := range []struct {
+		mode       string
+		exportAddr string
+		targets    bool
+		want       int
+	}{
+		{"simulated or trace", "", false, horizon},
+		{"own exporter (-scrape-addr, -export-only)", ":9101", false, horizon},
+		{"own exporter, scraping -scrape-targets", ":9101", true, horizon},
+		{"external targets (-scrape-targets, -fleet-scrape-targets)", "", true, math.MaxInt},
+	} {
+		if got := feedEnd(horizon, c.exportAddr, c.targets); got != c.want {
+			t.Errorf("%s: feedEnd = %d, want %d", c.mode, got, c.want)
+		}
+	}
+}
+
 func TestSplitTargets(t *testing.T) {
 	cases := map[string][]string{
 		"":        nil,

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dbcatcher/internal/mathx"
@@ -71,8 +72,9 @@ type Config struct {
 	BackoffMax  time.Duration
 	// JitterSeed makes the backoff jitter deterministic for tests.
 	JitterSeed uint64
-	// Concurrency bounds the fan-out (default: all targets at once, capped
-	// at 16).
+	// Concurrency bounds the fetches in flight (default: all targets at
+	// once, capped at 16). A round runs them on the goroutine that calls
+	// Round plus at most Concurrency-1 goroutines it starts and joins.
 	Concurrency int
 
 	// BreakerFailures is the consecutive failed rounds after which a
@@ -150,8 +152,8 @@ const (
 
 // targetState is one scrape target's breaker position, staleness tracking,
 // cumulative stats, and per-round scratch. Long-lived fields are guarded by
-// the scraper mutex; scratch fields are owned by the target's round
-// goroutine.
+// the scraper mutex; scratch fields are owned by the round worker that
+// claimed the target.
 type targetState struct {
 	url    string
 	db     int
@@ -169,16 +171,19 @@ type targetState struct {
 	staleDrops                   int
 	lastErr                      string
 
-	// Round scratch (goroutine-owned while a round is in flight).
+	// Round scratch (worker-owned while a round is in flight). req is the
+	// target's GET, built on its first fetch and never mutated: each
+	// attempt sends a copy carrying the attempt's context.
 	rng     *mathx.RNG
+	req     *http.Request
 	payload Payload
 	body    []byte
 	vec     []float64
 	res     fetchResult
 }
 
-// fetchResult carries one round's outcome from a target goroutine back to
-// the apply phase.
+// fetchResult carries one round's outcome from the worker that fetched the
+// target back to the apply phase.
 type fetchResult struct {
 	ok       bool
 	tick     int
@@ -234,7 +239,9 @@ type Health struct {
 
 // Scraper is the per-round, deadline-driven KPI collection fan-out. One
 // goroutine calls Round per tick; Health may be called concurrently from
-// serving handlers.
+// serving handlers. A round fetches on min(Concurrency, contacted targets)
+// workers: the calling goroutine is the first and starts and joins the
+// rest, and each worker claims the next target in index order.
 type Scraper struct {
 	cfg    Config
 	client *http.Client
@@ -249,7 +256,6 @@ type Scraper struct {
 	asm  *Assembler
 	vecs [][]float64
 	acts []action
-	sem  chan struct{}
 }
 
 // New validates the config and builds a scraper.
@@ -300,7 +306,6 @@ func New(cfg Config) (*Scraper, error) {
 	s.asm = NewAssembler(cfg.KPIs, len(cfg.Targets))
 	s.vecs = make([][]float64, len(cfg.Targets))
 	s.acts = make([]action, len(cfg.Targets))
-	s.sem = make(chan struct{}, cfg.Concurrency)
 	return s, nil
 }
 
@@ -321,6 +326,7 @@ func (s *Scraper) Round(ctx context.Context) ([][]float64, RoundReport, error) {
 	}
 	s.mu.Lock()
 	round := s.rounds
+	contacted := 0
 	for i, t := range s.targets {
 		switch t.state {
 		case BreakerOpen:
@@ -335,29 +341,24 @@ func (s *Scraper) Round(ctx context.Context) ([][]float64, RoundReport, error) {
 		default:
 			s.acts[i] = actScrape
 		}
+		if s.acts[i] != actSkip {
+			contacted++
+		}
 	}
 	s.mu.Unlock()
 
 	rctx, cancel := context.WithTimeout(ctx, s.cfg.RoundTimeout)
 	defer cancel()
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i, t := range s.targets {
-		if s.acts[i] == actSkip {
-			t.res = fetchResult{}
-			continue
-		}
+	for w := 1; w < min(s.cfg.Concurrency, contacted); w++ {
 		wg.Add(1)
-		go func(t *targetState, probe bool) {
+		go func() {
 			defer wg.Done()
-			s.sem <- struct{}{}
-			defer func() { <-s.sem }()
-			attempts := s.cfg.MaxAttempts
-			if probe {
-				attempts = 1
-			}
-			t.res = s.scrapeTarget(rctx, t, attempts)
-		}(t, s.acts[i] == actProbe)
+			s.work(rctx, &next)
+		}()
 	}
+	s.work(rctx, &next)
 	wg.Wait()
 	late := rctx.Err() != nil
 
@@ -439,8 +440,31 @@ func (s *Scraper) applyResult(t *targetState, round int, probe bool) []float64 {
 	return t.vec
 }
 
+// work is one round worker: it claims target indexes from next in order
+// until none is left and runs each contacted target's attempts into its
+// result, a half-open probe getting a single attempt. A target that no
+// worker claims before the round deadline still gets its first attempt,
+// which fails at once on the expired context and counts a timeout.
+func (s *Scraper) work(ctx context.Context, next *atomic.Int64) {
+	for {
+		i := int(next.Add(1) - 1)
+		if i >= len(s.targets) {
+			return
+		}
+		attempts := s.cfg.MaxAttempts
+		switch s.acts[i] {
+		case actSkip:
+			continue
+		case actProbe:
+			attempts = 1
+		}
+		t := s.targets[i]
+		t.res = s.scrapeTarget(ctx, t, attempts)
+	}
+}
+
 // scrapeTarget runs one target's attempt loop for a round. It touches only
-// the target's goroutine-owned scratch.
+// the target's round scratch.
 func (s *Scraper) scrapeTarget(ctx context.Context, t *targetState, attempts int) fetchResult {
 	var res fetchResult
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -490,14 +514,17 @@ func (s *Scraper) backoff(ctx context.Context, t *targetState, attempt int) bool
 // fetch performs one HTTP attempt and decodes the payload into t.payload /
 // t.vec.
 func (s *Scraper) fetch(ctx context.Context, t *targetState) error {
+	if t.req == nil {
+		req, err := http.NewRequest(http.MethodGet, t.url, nil)
+		if err != nil {
+			return err
+		}
+		req.Header.Set("Accept", t.format.accept())
+		t.req = req
+	}
 	tctx, cancel := context.WithTimeout(ctx, s.cfg.TryTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(tctx, http.MethodGet, t.url, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Accept", t.format.accept())
-	resp, err := s.client.Do(req)
+	resp, err := s.client.Do(t.req.WithContext(tctx))
 	if err != nil {
 		return err
 	}

@@ -2,11 +2,14 @@ package scrape
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -236,27 +239,178 @@ func TestScraperBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// A hung target costs its attempts' timeouts, never the round: with both
+// targets fetched at once and with one fetch at a time, where the healthy
+// target waits behind the hung one.
 func TestScraperHangHitsDeadlineNotForever(t *testing.T) {
-	p := newTestPipe(t, 2, 2, func(c *Config) {
-		c.RoundTimeout = 300 * time.Millisecond
-		c.TryTimeout = 50 * time.Millisecond
-		c.MaxAttempts = 2
-	})
-	p.publish(t, 0, sampleFor(2, 2, 0))
-	p.exp.SetFault(0, Fault{Mode: FaultHang})
-	start := time.Now()
-	got, rep := p.round(t)
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("hung target stalled the round for %v", d)
+	for name, conc := range map[string]int{"default": 0, "concurrency-1": 1} {
+		t.Run(name, func(t *testing.T) {
+			p := newTestPipe(t, 2, 2, func(c *Config) {
+				c.RoundTimeout = 300 * time.Millisecond
+				c.TryTimeout = 50 * time.Millisecond
+				c.MaxAttempts = 2
+				c.Concurrency = conc
+			})
+			p.publish(t, 0, sampleFor(2, 2, 0))
+			p.exp.SetFault(0, Fault{Mode: FaultHang})
+			start := time.Now()
+			got, rep := p.round(t)
+			if d := time.Since(start); d > time.Second {
+				t.Fatalf("hung target stalled the round for %v", d)
+			}
+			if rep.Arrived != 1 || rep.Missing != 1 {
+				t.Fatalf("report = %+v", rep)
+			}
+			if !math.IsNaN(got[0][0]) || math.IsNaN(got[0][1]) {
+				t.Fatal("hang column shape wrong")
+			}
+			if h := p.s.Health().Targets[0]; h.Timeouts < 1 {
+				t.Fatalf("timeouts not counted: %+v", h)
+			}
+		})
 	}
-	if rep.Arrived != 1 || rep.Missing != 1 {
-		t.Fatalf("report = %+v", rep)
+}
+
+// gateTransport serves scrapes from an exporter in memory. It holds each
+// request until want requests are in flight at once, or until gateWait
+// passes, and records the peak in flight and the requests per target, so
+// a test can see how many fetches a round runs at once.
+type gateTransport struct {
+	h http.Handler
+
+	mu       sync.Mutex
+	want     int
+	open     chan struct{} // closed once want requests are in flight
+	inFlight int
+	peak     int
+	reqs     []int // per database
+}
+
+const gateWait = 2 * time.Second
+
+// arm resets the counters and the gate for the next round.
+func (g *gateTransport) arm(want int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.want, g.open, g.inFlight, g.peak = want, make(chan struct{}), 0, 0
+	clear(g.reqs)
+}
+
+func (g *gateTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rest, _ := strings.CutPrefix(req.URL.Path, "/db/")
+	db, err := strconv.Atoi(strings.TrimSuffix(rest, "/kpis"))
+	if err != nil || db < 0 || db >= len(g.reqs) {
+		return nil, errors.New("gate: no target at " + req.URL.Path)
 	}
-	if !math.IsNaN(got[0][0]) || math.IsNaN(got[0][1]) {
-		t.Fatal("hang column shape wrong")
+	g.mu.Lock()
+	g.reqs[db]++
+	g.inFlight++
+	if g.inFlight > g.peak {
+		g.peak = g.inFlight
+		if g.peak == g.want {
+			close(g.open)
+		}
 	}
-	if h := p.s.Health().Targets[0]; h.Timeouts < 1 {
-		t.Fatalf("timeouts not counted: %+v", h)
+	open := g.open
+	g.mu.Unlock()
+	defer func() {
+		g.mu.Lock()
+		g.inFlight--
+		g.mu.Unlock()
+	}()
+	timer := time.NewTimer(gateWait)
+	defer timer.Stop()
+	select {
+	case <-open:
+	case <-timer.C:
+	case <-req.Context().Done():
+		return nil, req.Context().Err()
+	}
+	rec := httptest.NewRecorder()
+	g.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
+}
+
+// The round's concurrency contract over 5 targets: a round has exactly
+// min(Concurrency, contacted targets) fetches in flight at its peak, asks
+// each contacted target once when all are healthy, and never asks a target
+// whose breaker is open.
+func TestScraperRoundConcurrencyContract(t *testing.T) {
+	const kpis, dbs = 2, 5
+	for _, tc := range []struct {
+		name string
+		conc int
+	}{
+		{"concurrency-1", 1},
+		{"concurrency-2", 2},
+		{"concurrency-5", 5},
+		{"default", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			feed := NewFeed(kpis, dbs)
+			exp := NewExporter(feed)
+			g := &gateTransport{h: exp.Handler(), reqs: make([]int, dbs)}
+			s, err := New(Config{
+				Targets:           SelfTargets("http://gate", dbs),
+				KPIs:              kpis,
+				Concurrency:       tc.conc,
+				RoundTimeout:      4 * gateWait,
+				TryTimeout:        2 * gateWait,
+				MaxAttempts:       1,
+				BreakerFailures:   1,
+				BreakerOpenRounds: 5,
+				Client:            &http.Client{Transport: g},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			conc := tc.conc
+			if conc == 0 {
+				conc = dbs
+			}
+			round := func(tick, contacted int) RoundReport {
+				t.Helper()
+				if err := feed.Publish(tick, sampleFor(kpis, dbs, tick)); err != nil {
+					t.Fatal(err)
+				}
+				g.arm(min(conc, contacted))
+				_, rep, err := s.Round(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := min(conc, contacted); g.peak != want {
+					t.Fatalf("round %d: %d fetches in flight at the peak, want %d", tick, g.peak, want)
+				}
+				return rep
+			}
+
+			if rep := round(0, dbs); rep.Arrived != dbs {
+				t.Fatalf("healthy round: %+v", rep)
+			}
+			for db, n := range g.reqs {
+				if n != 1 {
+					t.Fatalf("healthy round: db %d requested %d times, want 1 (all: %v)", db, n, g.reqs)
+				}
+			}
+			// One failed round opens db 4's breaker; the next round skips it.
+			if err := exp.SetFault(4, Fault{Mode: Fault5xx}); err != nil {
+				t.Fatal(err)
+			}
+			if rep := round(1, dbs); rep.Arrived != dbs-1 {
+				t.Fatalf("failing round: %+v", rep)
+			}
+			if rep := round(2, dbs-1); rep.Skipped != 1 || rep.Arrived != dbs-1 {
+				t.Fatalf("breaker-open round: %+v", rep)
+			}
+			if g.reqs[4] != 0 {
+				t.Fatalf("breaker-open target requested %d times", g.reqs[4])
+			}
+			for db, n := range g.reqs[:4] {
+				if n != 1 {
+					t.Fatalf("breaker-open round: db %d requested %d times, want 1", db, n)
+				}
+			}
+		})
 	}
 }
 
