@@ -14,27 +14,14 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
-	"os/signal"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"dbcatcher/internal/replicate"
 	"dbcatcher/internal/store"
 )
-
-// followerConfig carries the follower role's wiring. The zero durations
-// fall back to the tailer's defaults.
-type followerConfig struct {
-	primary      string        // primary base URL to tail
-	dir          string        // local mirror directory (= -data-dir)
-	addr         string        // probe/API listen address ("" = none)
-	poll         time.Duration // tail poll interval
-	budget       time.Duration // staleness budget behind /readyz
-	promoteAfter time.Duration // auto-promote threshold (0 = manual only)
-	seed         uint64
-}
 
 // errNeverContacted blocks auto-promotion of a follower that has never
 // reached its primary: its mirror may be empty or arbitrarily old, and
@@ -96,65 +83,59 @@ func followerMux(tl *replicate.Tailer, primary string, manual chan<- struct{}) *
 	return mux
 }
 
-// runFollower tails the primary until promotion or shutdown. It returns
-// true when the node was promoted (the mirror now durably owns the next
-// epoch; the caller proceeds into normal primary startup) and false on a
-// clean SIGTERM/SIGINT exit as a standby.
-func runFollower(cfg followerConfig, opts store.Options) bool {
+// runFollower tails the -follow primary into -data-dir, serving the probe
+// surface on -addr, until promotion or until ctx is done. It returns true
+// when the node was promoted (the mirror now durably owns the next epoch;
+// the caller proceeds into normal primary startup) and false on a clean
+// SIGTERM/SIGINT exit as a standby.
+func runFollower(ctx context.Context, cfg *fleetConfig) (bool, error) {
 	tl, err := replicate.NewTailer(replicate.Config{
-		Primary:         cfg.primary,
-		Dir:             cfg.dir,
-		Poll:            cfg.poll,
-		StalenessBudget: cfg.budget,
+		Primary:         cfg.follow,
+		Dir:             cfg.dataDir,
+		Poll:            cfg.followPoll,
+		StalenessBudget: cfg.staleBudget,
 		Seed:            cfg.seed,
 	})
 	if err != nil {
-		log.Fatalf("dbcatcherd: follower: %v", err)
+		return false, fmt.Errorf("follower: %v", err)
 	}
-
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		return false, fmt.Errorf("follower: %v", err)
+	}
 	manual := make(chan struct{}, 1)
-	mux := followerMux(tl, cfg.primary, manual)
-
-	var httpSrv *http.Server
-	if cfg.addr != "" {
-		httpSrv = &http.Server{
-			Addr:              cfg.addr,
-			Handler:           mux,
-			ReadHeaderTimeout: 5 * time.Second,
-			ReadTimeout:       15 * time.Second,
-			WriteTimeout:      30 * time.Second,
-			IdleTimeout:       2 * time.Minute,
-		}
-		go func() {
-			log.Printf("follower probes listening on %s (tailing %s)", cfg.addr, cfg.primary)
-			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Fatalf("dbcatcherd: follower: %v", err)
-			}
-		}()
+	httpSrv := &http.Server{
+		Handler:           followerMux(tl, cfg.follow, manual),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       15 * time.Second,
+		WriteTimeout:      30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
 	}
+	go func() {
+		if err := httpSrv.Serve(ln); err != http.ErrServerClosed {
+			log.Printf("follower probes: %v", err)
+		}
+	}()
+	log.Printf("follower probes listening on %s (tailing %s)", ln.Addr(), cfg.follow)
 
-	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	promoted := followUntilPromotion(ctx, tl, manual, cfg.promoteAfter)
-	cancel()
 
-	if httpSrv != nil {
-		drainCtx, cancelDrain := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := httpSrv.Shutdown(drainCtx); err != nil {
-			log.Printf("follower shutdown: %v", err)
-		}
-		cancelDrain()
+	drainCtx, cancelDrain := context.WithTimeout(context.Background(), 10*time.Second)
+	if err := httpSrv.Shutdown(drainCtx); err != nil {
+		log.Printf("follower shutdown: %v", err)
 	}
+	cancelDrain()
 	if !promoted {
 		log.Printf("follower draining: applied %d records, exiting as standby", tl.Status().Applied)
-		return false
+		return false, nil
 	}
 
-	epoch, err := promoteMirror(cfg.dir, opts, cfg.primary, tl.Status().Epoch)
+	epoch, err := promoteMirror(cfg.dataDir, store.Options{Fsync: cfg.fsync}, cfg.follow, tl.Status().Epoch)
 	if err != nil {
-		log.Fatalf("dbcatcherd: promotion failed: %v", err)
+		return false, fmt.Errorf("promotion failed: %v", err)
 	}
-	log.Printf("promoted: mirror %s now owns epoch %d", cfg.dir, epoch)
-	return true
+	log.Printf("promoted: mirror %s now owns epoch %d", cfg.dataDir, epoch)
+	return true, nil
 }
 
 // followUntilPromotion runs the tail loop until a promotion trigger fires

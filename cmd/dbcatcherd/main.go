@@ -1,7 +1,9 @@
-// Command dbcatcherd is the online monitoring daemon: it simulates a
-// cloud-database unit (with optional injected anomalies), streams its KPI
-// samples through the DBCatcher detector, and serves status, verdicts,
-// thresholds, and DBA feedback over HTTP.
+// Command dbcatcherd is the online monitoring daemon: it simulates cloud
+// database units (with optional injected anomalies), or scrapes real
+// exporters, streams their KPI samples through one DBCatcher judge per
+// unit, and serves status, verdicts, thresholds, and DBA feedback over
+// HTTP. One unit is the smallest region: it runs through the same loop as
+// a fleet of -units N (see runFleet).
 //
 // With -data-dir the detector's state is durable: verdicts, feedback
 // records, and threshold swaps are written to a CRC-checked WAL and the
@@ -45,718 +47,303 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math"
 	"net"
-	"net/http"
-	"os"
 	"os/signal"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"dbcatcher/internal/anomaly"
-	"dbcatcher/internal/cluster"
-	"dbcatcher/internal/detect"
-	"dbcatcher/internal/feedback"
 	"dbcatcher/internal/kpi"
-	"dbcatcher/internal/mathx"
-	"dbcatcher/internal/monitor"
-	"dbcatcher/internal/relearn"
-	"dbcatcher/internal/replicate"
 	"dbcatcher/internal/scrape"
-	"dbcatcher/internal/server"
 	"dbcatcher/internal/store"
 	"dbcatcher/internal/timeseries"
 	"dbcatcher/internal/tracefile"
-	"dbcatcher/internal/window"
 	"dbcatcher/internal/workload"
 )
 
+// maxFleetUnits bounds -units: each unit carries rings, a judge, and a
+// verdict buffer, and the simulator pre-generates its whole series.
+const maxFleetUnits = 4096
+
+// fleetConfig is the daemon's command line. bindFlags fills the fields
+// named after flags; checkRunFlags checks them and resolves the rest.
+type fleetConfig struct {
+	addr      string
+	units     int
+	dbs       int
+	seed      uint64
+	speedup   float64
+	anomalies float64
+	horizon   int
+	foTick    int
+	foTarget  int
+	fleetConc int // scheduler pool; 0 = GOMAXPROCS
+	history   int // verdict buffer per unit
+
+	profileName string
+	profile     workload.Profile
+
+	plan     workload.FaultPlan // rates from flags, Silences resolved; seeded per unit
+	silences string
+
+	dataDir     string
+	fsyncPolicy string
+	fsync       store.Policy
+	snapEvery   int
+
+	follow       string
+	followPoll   time.Duration
+	promoteAfter time.Duration
+	staleBudget  time.Duration
+	peer         string // HA counterpart base URL ("" = no epoch guard)
+
+	scrapeAddr   string
+	targetSpec   string
+	targets      [][]string    // one target list per unit; nil = no external targets
+	scrape       scrape.Config // tuning template; Targets and JitterSeed are per unit
+	formatName   string
+	scrapeFaults string
+	exportOnly   bool
+
+	trace    string
+	traceRec string
+	series   *timeseries.UnitSeries // the loaded -trace
+
+	incidents     bool
+	incidentProx  int
+	incidentClose int
+	incidentHist  int
+
+	relearn       bool
+	relearnDL     time.Duration
+	relearnCool   time.Duration
+	relearnShadow int
+}
+
+// external reports whether the units only scrape targets this daemon does
+// not export: their data lives elsewhere, so they have no input here.
+func (c *fleetConfig) external() bool { return c.targets != nil && c.scrapeAddr == "" }
+
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "HTTP listen address")
-		profile   = flag.String("profile", "tencent-irregular", "workload profile: tencent-irregular, tencent-periodic, sysbench-i, sysbench-ii, tpcc-i, tpcc-ii")
-		dbs       = flag.Int("dbs", 5, "databases in the unit")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		speedup   = flag.Float64("speedup", 100, "simulation speed multiplier (1 = real-time 5 s ticks)")
-		anomalies = flag.Float64("anomaly-ratio", 0.03, "fraction of abnormal ticks injected into the stream")
-		horizon   = flag.Int("horizon", 17280, "ticks to pre-simulate (default 24 h); bounds simulated and trace input only: external scrape targets (-fleet-scrape-targets, or -scrape-targets without -scrape-addr) are scraped until the daemon stops")
-		foTick    = flag.Int("failover-tick", 0, "tick at which a failover promotes a replica (0 = none)")
-		foTarget  = flag.Int("failover-target", 1, "replica promoted at -failover-tick")
-		conc      = flag.Int("concurrency", 0, "correlation worker pool per window (0 = GOMAXPROCS, 1 = serial; it runs only above 50,000 KPI x pair x point cells, never at the default 5 databases; verdicts identical)")
-
-		faultDropTick = flag.Float64("fault-drop-tick", 0, "probability a whole collection tick is lost")
-		faultDropCell = flag.Float64("fault-drop-cell", 0, "per-cell probability a (KPI, database) point is lost")
-		faultPartial  = flag.Float64("fault-partial-row", 0, "per-KPI probability a row arrives truncated")
-		faultStale    = flag.Float64("fault-stale", 0, "probability a tick is re-delivered stale")
-		faultSilences = flag.String("fault-silence", "", "scheduled database outages as db:start:length[,db:start:length...]")
-
-		dataDir     = flag.String("data-dir", "", "durable state directory (empty = in-memory only)")
-		fsyncPolicy = flag.String("fsync-policy", "interval", "WAL durability: always, interval, never")
-		snapEvery   = flag.Int("snapshot-every", 1, "verdicts between state snapshots (threshold swaps always snapshot)")
-
-		follow       = flag.String("follow", "", "warm-standby mode: tail this primary's base URL into -data-dir and serve probes only; detection starts after promotion")
-		followPoll   = flag.Duration("follow-poll", 500*time.Millisecond, "follower tail poll interval")
-		promoteAfter = flag.Duration("promote-after", 0, "auto-promote after this long without primary contact (0 = manual POST /api/promote only)")
-		staleBudget  = flag.Duration("staleness-budget", 5*time.Second, "replication lag budget before a follower's /readyz reports unready")
-		peer         = flag.String("peer", "", "HA counterpart base URL: a booting primary refuses to serve if the peer already holds an equal-or-newer fencing epoch, and while serving it runs the epoch guard (re-fences a stale peer, self-fences on seeing a newer one); a promoted standby defaults this to the old primary's URL")
-
-		scrapeAddr    = flag.String("scrape-addr", "", "serve the unit's per-DB KPI exporter on this address and ingest over HTTP scrape instead of the in-process collector")
-		scrapeTargets = flag.String("scrape-targets", "", "comma-separated external scrape target URLs, one per database in order (overrides self-scrape; pair with a -scrape-addr -export-only process)")
-		exportOnly    = flag.Bool("export-only", false, "with -scrape-addr: only publish and export KPIs, skip detection (a second dbcatcherd scrapes this one via -scrape-targets)")
-
-		scrapeRoundTO  = flag.Duration("scrape-round-timeout", 2*time.Second, "collection deadline per tick; late targets become NaN gaps")
-		scrapeTryTO    = flag.Duration("scrape-try-timeout", 0, "per-attempt HTTP timeout (0 = round timeout / 4)")
-		scrapeAttempts = flag.Int("scrape-attempts", 3, "attempts per target per round (first try plus retries)")
-		scrapeBrkFails = flag.Int("scrape-breaker-failures", 3, "consecutive failed rounds before a target's circuit breaker opens")
-		scrapeBrkOpen  = flag.Int("scrape-breaker-open", 5, "rounds an open breaker skips before its half-open probe")
-		scrapeStale    = flag.Int("scrape-stale-rounds", 3, "rounds a target may re-serve the same tick before it is marked down")
-		scrapeConc     = flag.Int("scrape-concurrency", 0, "fetches in flight per scrape round, on the feeding goroutine plus up to N-1 it starts (0 = all targets, capped at 16)")
-		scrapeFaults   = flag.String("scrape-fault", "", "exporter fault script: db:mode[:count],... (modes: hang, 5xx, truncate, garbage, drop, flap, stale, format-flip)")
-		scrapeFormat   = flag.String("scrape-format", "json", "scrape wire format negotiated with every target: json (bespoke payload) or prom (Prometheus text exposition)")
-
-		trace    = flag.String("trace", "", "replay a recorded KPI trace (CSV, see internal/tracefile) through the full pipeline instead of simulating; the trace fixes -dbs and -horizon")
-		traceRec = flag.String("trace-record", "", "write the simulated (and anomaly-injected) KPI stream to this CSV trace on startup; replay it later with -trace")
-
-		units           = flag.Int("units", 1, "database units to monitor; >1 runs the sharded fleet scheduler with the aggregated /api/fleet endpoints")
-		fleetScrapeSpec = flag.String("fleet-scrape-targets", "", "fleet scrape ingestion: unit target groups separated by ';', each group one exporter base URL (expanded to /db/N/kpis) or a comma-separated list of exactly -dbs URLs; replaces the simulated feed (requires -units > 1)")
-		fleetConc       = flag.Int("fleet-concurrency", 0, "fleet round scheduler worker pool (0 = GOMAXPROCS); per-unit verdicts are identical at any setting")
-		fleetHist       = flag.Int("fleet-history", 128, "verdict history buffer per fleet unit")
-
-		incidentsOn   = flag.Bool("incidents", false, "fleet incident aggregation: dedup repeated verdicts into incidents, cluster co-occurring anomalies across units, serve /api/incidents (requires -units > 1)")
-		incidentProx  = flag.Int("incident-proximity", 32, "ticks within which anomalies on different units join one fleet incident cluster")
-		incidentClose = flag.Int("incident-close-after", 64, "quiet ticks after an incident's last sighting before it closes")
-		incidentHist  = flag.Int("incident-history", 256, "closed incident clusters retained for /api/incidents paging")
-
-		relearnOn     = flag.Bool("relearn", false, "enable the drift-triggered adaptive threshold relearning supervisor")
-		relearnDL     = flag.Duration("relearn-deadline", 30*time.Second, "wall-clock budget for one background threshold search")
-		relearnCool   = flag.Duration("relearn-cooldown", 2*time.Minute, "minimum gap between retrain attempts (converted to ticks at the replay rate)")
-		relearnShadow = flag.Int("relearn-shadow-ticks", 100, "live ticks a validated candidate is shadow-judged before promotion")
-	)
+	cfg := bindFlags(flag.CommandLine)
 	flag.Parse()
-
-	if err := checkRunFlags(*dbs, *trace != "", *speedup); err != nil {
+	if err := checkRunFlags(cfg); err != nil {
 		log.Fatalf("dbcatcherd: %v", err)
 	}
-	p, err := parseProfile(*profile)
-	if err != nil {
-		log.Fatalf("dbcatcherd: %v", err)
-	}
-	format, err := scrape.ParseFormat(*scrapeFormat)
-	if err != nil {
-		log.Fatalf("dbcatcherd: %v", err)
-	}
-
-	// peerURL is the HA counterpart this node compares fencing epochs
-	// against: the -peer flag, or — after a takeover — the primary we just
-	// tailed, so the freshly promoted node guards against its old primary
-	// coming back without any extra configuration.
-	peerURL := strings.TrimRight(*peer, "/")
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
+	defer stop()
 
 	// Warm-standby phase: tail the primary until promotion (manual or
 	// missed-heartbeat), then fall through into the normal startup below —
 	// the promoted mirror recovers exactly like a restarted primary and
 	// the feed resumes from the last durable tick.
-	if *follow != "" {
-		if *dataDir == "" {
-			log.Fatalf("dbcatcherd: -follow requires -data-dir (the WAL mirror lives there)")
-		}
-		if *exportOnly || *scrapeTargets != "" {
-			log.Fatalf("dbcatcherd: -follow cannot be combined with -export-only or -scrape-targets")
-		}
-		policy, err := store.ParsePolicy(*fsyncPolicy)
+	if cfg.follow != "" {
+		promoted, err := runFollower(ctx, cfg)
 		if err != nil {
 			log.Fatalf("dbcatcherd: %v", err)
 		}
-		promoted := runFollower(followerConfig{
-			primary:      strings.TrimRight(*follow, "/"),
-			dir:          *dataDir,
-			addr:         *addr,
-			poll:         *followPoll,
-			budget:       *staleBudget,
-			promoteAfter: *promoteAfter,
-			seed:         *seed,
-		}, store.Options{Fsync: policy})
 		if !promoted {
 			return // clean standby shutdown
 		}
-		if peerURL == "" {
-			peerURL = strings.TrimRight(*follow, "/")
+		// The freshly promoted node guards against its old primary coming
+		// back without any extra configuration.
+		if cfg.peer == "" {
+			cfg.peer = cfg.follow
 		}
 		log.Printf("takeover: restarting the monitoring stack from the promoted mirror")
 	}
 
-	// Fleet mode: N simulated units behind one bounded round scheduler and
-	// the aggregated /api/fleet surface. The single-unit integrations that
-	// assume exactly one judge (network scrape wiring, relearning,
-	// failover scheduling) are rejected rather than silently applied to
-	// unit 0 only; collector faults and persistence compose with the
-	// fleet.
-	if *units > 1 {
-		if *units > maxFleetUnits {
-			log.Fatalf("dbcatcherd: -units %d exceeds the %d-unit bound", *units, maxFleetUnits)
-		}
-		for flagName, set := range map[string]bool{
-			"-scrape-addr":    *scrapeAddr != "",
-			"-scrape-targets": *scrapeTargets != "",
-			"-scrape-fault":   *scrapeFaults != "",
-			"-export-only":    *exportOnly,
-			"-relearn":        *relearnOn,
-			"-failover-tick":  *foTick > 0,
-			"-trace":          *trace != "",
-			"-trace-record":   *traceRec != "",
+	ln, err := net.Listen("tcp", cfg.addr)
+	if err != nil {
+		log.Fatalf("dbcatcherd: %v", err)
+	}
+	if err := runFleet(ctx, ln, cfg); err != nil {
+		log.Fatalf("dbcatcherd: %v", err)
+	}
+}
+
+// bindFlags defines every daemon flag on fs and returns the config the
+// parsed values land in.
+func bindFlags(fs *flag.FlagSet) *fleetConfig {
+	c := &fleetConfig{scrape: scrape.Config{KPIs: kpi.Count}}
+	fs.StringVar(&c.addr, "addr", ":8080", "HTTP listen address")
+	fs.StringVar(&c.profileName, "profile", "tencent-irregular", "workload profile: tencent-irregular, tencent-periodic, sysbench-i, sysbench-ii, tpcc-i, tpcc-ii")
+	fs.IntVar(&c.dbs, "dbs", 5, "databases per unit")
+	fs.Uint64Var(&c.seed, "seed", 1, "random seed (unit i draws from seed + 1009*i)")
+	fs.Float64Var(&c.speedup, "speedup", 100, "simulation speed multiplier (1 = real-time 5 s ticks)")
+	fs.Float64Var(&c.anomalies, "anomaly-ratio", 0.03, "fraction of abnormal ticks injected into the stream")
+	fs.IntVar(&c.horizon, "horizon", 17280, "ticks to pre-simulate (default 24 h); bounds simulated and trace input only: external scrape targets (-scrape-targets without -scrape-addr) are scraped until the daemon stops")
+	fs.IntVar(&c.foTick, "failover-tick", 0, "tick at which a failover promotes a replica (0 = none)")
+	fs.IntVar(&c.foTarget, "failover-target", 1, "replica promoted at -failover-tick")
+
+	fs.Float64Var(&c.plan.DropTickRate, "fault-drop-tick", 0, "probability a whole collection tick is lost")
+	fs.Float64Var(&c.plan.DropCellRate, "fault-drop-cell", 0, "per-cell probability a (KPI, database) point is lost")
+	fs.Float64Var(&c.plan.PartialRowRate, "fault-partial-row", 0, "per-KPI probability a row arrives truncated")
+	fs.Float64Var(&c.plan.StaleRate, "fault-stale", 0, "probability a tick is re-delivered stale")
+	fs.StringVar(&c.silences, "fault-silence", "", "scheduled database outages as db:start:length[,db:start:length...]")
+
+	fs.StringVar(&c.dataDir, "data-dir", "", "durable state directory (empty = in-memory only)")
+	fs.StringVar(&c.fsyncPolicy, "fsync-policy", "interval", "WAL durability: always, interval, never")
+	fs.IntVar(&c.snapEvery, "snapshot-every", 1, "verdicts between state snapshots (threshold swaps always snapshot)")
+
+	fs.StringVar(&c.follow, "follow", "", "warm-standby mode: tail this primary's base URL into -data-dir and serve probes only; detection starts after promotion")
+	fs.DurationVar(&c.followPoll, "follow-poll", 500*time.Millisecond, "follower tail poll interval")
+	fs.DurationVar(&c.promoteAfter, "promote-after", 0, "auto-promote after this long without primary contact (0 = manual POST /api/promote only)")
+	fs.DurationVar(&c.staleBudget, "staleness-budget", 5*time.Second, "replication lag budget before a follower's /readyz reports unready")
+	fs.StringVar(&c.peer, "peer", "", "HA counterpart base URL: a booting primary refuses to serve if the peer already holds an equal-or-newer fencing epoch, and while serving it runs the epoch guard (re-fences a stale peer, self-fences on seeing a newer one); a promoted standby defaults this to the old primary's URL")
+
+	fs.StringVar(&c.scrapeAddr, "scrape-addr", "", "serve the unit's per-DB KPI exporter on this address and ingest over HTTP scrape instead of the in-process collector")
+	fs.StringVar(&c.targetSpec, "scrape-targets", "", "external scrape targets: unit groups separated by ';', each one exporter base URL (expanded to /db/N/kpis) or a comma-separated list of exactly -dbs URLs in database order; replaces the simulated feed (with -scrape-addr, the self targets)")
+	fs.BoolVar(&c.exportOnly, "export-only", false, "with -scrape-addr: only publish and export KPIs, skip detection (a second dbcatcherd scrapes this one via -scrape-targets)")
+
+	fs.DurationVar(&c.scrape.RoundTimeout, "scrape-round-timeout", 2*time.Second, "collection deadline per tick; late targets become NaN gaps")
+	fs.DurationVar(&c.scrape.TryTimeout, "scrape-try-timeout", 0, "per-attempt HTTP timeout (0 = round timeout / 4)")
+	fs.IntVar(&c.scrape.MaxAttempts, "scrape-attempts", 3, "attempts per target per round (first try plus retries)")
+	fs.IntVar(&c.scrape.BreakerFailures, "scrape-breaker-failures", 3, "consecutive failed rounds before a target's circuit breaker opens")
+	fs.IntVar(&c.scrape.BreakerOpenRounds, "scrape-breaker-open", 5, "rounds an open breaker skips before its half-open probe")
+	fs.IntVar(&c.scrape.StaleRounds, "scrape-stale-rounds", 3, "rounds a target may re-serve the same tick before it is marked down")
+	fs.IntVar(&c.scrape.Concurrency, "scrape-concurrency", 0, "fetches in flight per scrape round, on the feeding goroutine plus up to N-1 it starts (0 = all targets, capped at 16)")
+	fs.StringVar(&c.scrapeFaults, "scrape-fault", "", "exporter fault script: db:mode[:count],... (modes: hang, 5xx, truncate, garbage, drop, flap, stale, format-flip)")
+	fs.StringVar(&c.formatName, "scrape-format", "json", "scrape wire format negotiated with every target: json (bespoke payload) or prom (Prometheus text exposition)")
+
+	fs.StringVar(&c.trace, "trace", "", "replay a recorded KPI trace (CSV, see internal/tracefile) through the full pipeline instead of simulating; the trace fixes -dbs and -horizon")
+	fs.StringVar(&c.traceRec, "trace-record", "", "write the simulated (and anomaly-injected) KPI stream to this CSV trace on startup; replay it later with -trace")
+
+	fs.IntVar(&c.units, "units", 1, "database units to monitor: one unit serves the per-unit /api routes, more the aggregated /api/fleet routes")
+	fs.IntVar(&c.fleetConc, "fleet-concurrency", 0, "round scheduler worker pool (0 = GOMAXPROCS); per-unit verdicts are identical at any setting")
+	fs.IntVar(&c.history, "fleet-history", 128, "verdict history buffer per unit")
+
+	fs.BoolVar(&c.incidents, "incidents", false, "fleet incident aggregation: dedup repeated verdicts into incidents, cluster co-occurring anomalies across units, serve /api/incidents (requires -units > 1)")
+	fs.IntVar(&c.incidentProx, "incident-proximity", 32, "ticks within which anomalies on different units join one fleet incident cluster")
+	fs.IntVar(&c.incidentClose, "incident-close-after", 64, "quiet ticks after an incident's last sighting before it closes")
+	fs.IntVar(&c.incidentHist, "incident-history", 256, "closed incident clusters retained for /api/incidents paging")
+
+	fs.BoolVar(&c.relearn, "relearn", false, "enable the drift-triggered adaptive threshold relearning supervisor")
+	fs.DurationVar(&c.relearnDL, "relearn-deadline", 30*time.Second, "wall-clock budget for one background threshold search")
+	fs.DurationVar(&c.relearnCool, "relearn-cooldown", 2*time.Minute, "minimum gap between retrain attempts (converted to ticks at the replay rate)")
+	fs.IntVar(&c.relearnShadow, "relearn-shadow-ticks", 100, "live ticks a validated candidate is shadow-judged before promotion")
+	return c
+}
+
+// flagUse names a flag (or a family of them) and whether it was set.
+type flagUse struct {
+	name string
+	set  bool
+}
+
+// checkRunFlags is the one place the daemon's flag rules live: it returns
+// the first violation, before any mode starts, and resolves the values
+// the flags only name (profile, wire format, fsync policy, silences,
+// target groups, and the -trace file, which fixes -dbs and -horizon).
+func checkRunFlags(c *fleetConfig) error {
+	if c.units < 1 {
+		return fmt.Errorf("-units must be at least 1")
+	}
+	if c.units > maxFleetUnits {
+		return fmt.Errorf("-units %d exceeds the %d-unit bound", c.units, maxFleetUnits)
+	}
+	// The integrations that assume exactly one judge are rejected rather
+	// than silently applied to unit 0 only.
+	if c.units > 1 {
+		for _, f := range []flagUse{
+			{"-scrape-addr", c.scrapeAddr != ""},
+			{"-scrape-fault", c.scrapeFaults != ""},
+			{"-export-only", c.exportOnly},
+			{"-relearn", c.relearn},
+			{"-failover-tick", c.foTick > 0},
+			{"-trace", c.trace != ""},
+			{"-trace-record", c.traceRec != ""},
 		} {
-			if set {
-				log.Fatalf("dbcatcherd: %s is single-unit only; it cannot be combined with -units > 1", flagName)
+			if f.set {
+				return fmt.Errorf("%s is single-unit only; it cannot be combined with -units > 1", f.name)
 			}
 		}
-		plan := workload.FaultPlan{
-			DropTickRate:   *faultDropTick,
-			DropCellRate:   *faultDropCell,
-			PartialRowRate: *faultPartial,
-			StaleRate:      *faultStale,
-		}
-		plan.Silences, err = parseSilences(*faultSilences)
-		if err != nil {
-			log.Fatalf("dbcatcherd: %v", err)
-		}
-		var fleetTargets [][]string
-		if *fleetScrapeSpec != "" {
-			// Collector faults shape the simulated feed; in fleet scrape mode
-			// the data arrives over the wire, so a fault plan would silently
-			// do nothing. Script exporter faults on the exporting daemons.
-			if !plan.IsZero() {
-				log.Fatalf("dbcatcherd: collector fault flags cannot be combined with -fleet-scrape-targets (inject faults on the exporters instead)")
-			}
-			fleetTargets, err = parseFleetTargets(*fleetScrapeSpec, *units, *dbs)
-			if err != nil {
-				log.Fatalf("dbcatcherd: %v", err)
-			}
-		}
-		runFleet(fleetConfig{
-			addr:          *addr,
-			units:         *units,
-			dbs:           *dbs,
-			profile:       p,
-			seed:          *seed,
-			speedup:       *speedup,
-			anomalies:     *anomalies,
-			horizon:       *horizon,
-			workers:       *conc,
-			fleetConc:     *fleetConc,
-			history:       *fleetHist,
-			plan:          plan,
-			dataDir:       *dataDir,
-			fsyncPolicy:   *fsyncPolicy,
-			peer:          peerURL,
-			incidents:     *incidentsOn,
-			incidentProx:  *incidentProx,
-			incidentClose: *incidentClose,
-			incidentHist:  *incidentHist,
-			scrapeTargets: fleetTargets,
-			scrape: scrape.Config{
-				KPIs:              kpi.Count,
-				Format:            format,
-				RoundTimeout:      *scrapeRoundTO,
-				TryTimeout:        *scrapeTryTO,
-				MaxAttempts:       *scrapeAttempts,
-				BreakerFailures:   *scrapeBrkFails,
-				BreakerOpenRounds: *scrapeBrkOpen,
-				StaleRounds:       *scrapeStale,
-				Concurrency:       *scrapeConc,
-			},
-		})
-		return
+	} else if c.incidents {
+		// Incident aggregation clusters anomalies across units; one unit has
+		// nothing to cluster.
+		return fmt.Errorf("-incidents requires -units > 1 (fleet mode)")
 	}
-	if *units < 1 {
-		log.Fatalf("dbcatcherd: -units must be at least 1")
+	if c.exportOnly && c.scrapeAddr == "" {
+		return fmt.Errorf("-export-only requires -scrape-addr")
 	}
-	if *fleetScrapeSpec != "" {
-		log.Fatalf("dbcatcherd: -fleet-scrape-targets requires -units > 1 (use -scrape-targets for one unit)")
+	if c.scrapeFaults != "" && c.scrapeAddr == "" {
+		return fmt.Errorf("-scrape-fault scripts this daemon's exporter; it requires -scrape-addr")
 	}
-	// Incident aggregation clusters anomalies *across* units; with one unit
-	// there is nothing to cluster, so reject it like fleet mode rejects
-	// single-unit-only flags instead of silently ignoring it.
-	if *incidentsOn {
-		log.Fatalf("dbcatcherd: -incidents requires -units > 1 (fleet mode)")
-	}
-
-	// Data source: a recorded trace replayed through the full pipeline, or
-	// the live simulation (optionally recorded for later replay). Either way
-	// the collector, fault plan, scrape layer, and judge downstream are
-	// identical — a trace is just a unit whose history happened elsewhere.
-	var series *timeseries.UnitSeries
-	var labels *anomaly.Labels
-	if *trace != "" {
-		if *traceRec != "" {
-			log.Fatalf("dbcatcherd: -trace-record cannot be combined with -trace (recording a replay is a file copy)")
+	if c.follow != "" {
+		if c.dataDir == "" {
+			return fmt.Errorf("-follow requires -data-dir (the WAL mirror lives there)")
 		}
-		if *foTick > 0 {
-			log.Fatalf("dbcatcherd: -failover-tick rewrites the simulation; it cannot be combined with -trace")
-		}
-		series, err = loadTrace(*trace)
-		if err != nil {
-			log.Fatalf("dbcatcherd: %v", err)
-		}
-		*dbs = series.Databases
-		*horizon = series.Len()
-		log.Printf("replaying trace %s: %d databases, %d ticks (anomaly injection off: the trace is the ground truth)",
-			*trace, *dbs, *horizon)
-	} else {
-		log.Printf("simulating unit: %d databases, profile %v, %d ticks", *dbs, p, *horizon)
-		simCfg := cluster.Config{
-			Name: "live", Databases: *dbs, Ticks: *horizon, Profile: p, Seed: *seed,
-		}
-		if *foTick > 0 {
-			simCfg.Failover = &cluster.Failover{Tick: *foTick, NewPrimary: *foTarget}
-			log.Printf("failover scheduled: db%d promoted at tick %d", *foTarget, *foTick)
-		}
-		u, err := cluster.Simulate(simCfg)
-		if err != nil {
-			log.Fatalf("dbcatcherd: %v", err)
-		}
-		if *anomalies > 0 {
-			events := anomaly.GenerateSchedule(anomaly.ScheduleConfig{
-				Ticks: *horizon, Databases: *dbs, TargetRatio: *anomalies,
-			}, mathx.NewRNG(*seed+1))
-			labels, err = anomaly.Inject(u, events, mathx.NewRNG(*seed+2))
-			if err != nil {
-				log.Fatalf("dbcatcherd: %v", err)
-			}
-			log.Printf("injected %d anomaly episodes (%.1f%% of ticks)",
-				len(labels.Events), 100*labels.Ratio())
-		}
-		series = u.Series
-		if *traceRec != "" {
-			if err := tracefile.WriteFile(*traceRec, series); err != nil {
-				log.Fatalf("dbcatcherd: recording trace: %v", err)
-			}
-			log.Printf("recorded the injected stream to %s (replay with -trace)", *traceRec)
+		// A fleet's standby may scrape external targets once promoted.
+		if c.exportOnly || (c.units == 1 && c.targetSpec != "") {
+			return fmt.Errorf("-follow cannot be combined with -export-only or, for one unit, -scrape-targets")
 		}
 	}
-
-	plan := workload.FaultPlan{
-		Seed:           *seed + 3,
-		DropTickRate:   *faultDropTick,
-		DropCellRate:   *faultDropCell,
-		PartialRowRate: *faultPartial,
-		StaleRate:      *faultStale,
-	}
-	plan.Silences, err = parseSilences(*faultSilences)
-	if err != nil {
-		log.Fatalf("dbcatcherd: %v", err)
-	}
-	collector, err := cluster.NewCollector(series, plan)
-	if err != nil {
-		log.Fatalf("dbcatcherd: %v", err)
-	}
-	if !plan.IsZero() {
-		log.Printf("collector faults enabled: drop-tick=%.3f drop-cell=%.3f partial-row=%.3f stale=%.3f silences=%d",
-			plan.DropTickRate, plan.DropCellRate, plan.PartialRowRate, plan.StaleRate, len(plan.Silences))
-	}
-
-	online, err := monitor.NewOnline(detect.Config{
-		Thresholds: window.DefaultThresholds(kpi.Count),
-		Workers:    *conc,
-	}, kpi.Count, *dbs)
-	if err != nil {
-		log.Fatalf("dbcatcherd: %v", err)
-	}
-	srv := server.New(online, "live", 512)
-
-	// Network scrape layer (optional): with -scrape-addr every database in
-	// the unit becomes a real HTTP scrape target served by this process,
-	// and ingestion runs the full network path (exporter → scraper →
-	// degraded monitor) instead of the in-process function call. With
-	// -scrape-targets the scraper collects from external exporters instead
-	// (e.g. a second dbcatcherd running -export-only).
-	if *exportOnly && *scrapeAddr == "" {
-		log.Fatalf("dbcatcherd: -export-only requires -scrape-addr")
-	}
-	var (
-		feed    *scrape.Feed
-		scraper *scrape.Scraper
-		expSrv  *http.Server
-	)
-	targets := splitTargets(*scrapeTargets)
-	if targets != nil && len(targets) != *dbs {
-		log.Fatalf("dbcatcherd: -scrape-targets lists %d targets for %d databases", len(targets), *dbs)
-	}
-	if *scrapeAddr != "" {
-		feed = scrape.NewFeed(kpi.Count, *dbs)
-		exp := scrape.NewExporter(feed)
-		if err := applyScrapeFaults(exp, *scrapeFaults, *dbs); err != nil {
-			log.Fatalf("dbcatcherd: %v", err)
+	if c.trace != "" {
+		if c.traceRec != "" {
+			return fmt.Errorf("-trace-record cannot be combined with -trace (recording a replay is a file copy)")
 		}
-		ln, err := net.Listen("tcp", *scrapeAddr)
-		if err != nil {
-			log.Fatalf("dbcatcherd: scrape listener: %v", err)
+		if c.foTick > 0 {
+			return fmt.Errorf("-failover-tick rewrites the simulation; it cannot be combined with -trace")
 		}
-		expSrv = &http.Server{
-			Handler: exp.Handler(),
-			// No WriteTimeout: hang faults park responses on purpose; the
-			// scraper's per-try deadline is the recovery mechanism.
-			ReadHeaderTimeout: 5 * time.Second,
-			ReadTimeout:       15 * time.Second,
-			IdleTimeout:       2 * time.Minute,
-		}
-		go func() {
-			if err := expSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-				log.Fatalf("dbcatcherd: exporter: %v", err)
-			}
-		}()
-		port := ln.Addr().(*net.TCPAddr).Port
-		if targets == nil {
-			targets = scrape.SelfTargets(fmt.Sprintf("http://127.0.0.1:%d", port), *dbs)
-		}
-		log.Printf("exporting %d scrape targets on %v (/db/N/kpis)", *dbs, ln.Addr())
 	}
-	if !*exportOnly && targets != nil {
-		scraper, err = scrape.New(scrape.Config{
-			Targets:           targets,
-			KPIs:              kpi.Count,
-			Format:            format,
-			RoundTimeout:      *scrapeRoundTO,
-			TryTimeout:        *scrapeTryTO,
-			MaxAttempts:       *scrapeAttempts,
-			BreakerFailures:   *scrapeBrkFails,
-			BreakerOpenRounds: *scrapeBrkOpen,
-			StaleRounds:       *scrapeStale,
-			Concurrency:       *scrapeConc,
-			JitterSeed:        *seed + 4,
-		})
-		if err != nil {
-			log.Fatalf("dbcatcherd: %v", err)
-		}
-		srv.SetScrape(func() interface{} { return scraper.Health() })
-		log.Printf("scrape ingestion: %d targets, round deadline %v, breaker %d fails / %d open rounds",
-			len(targets), *scrapeRoundTO, *scrapeBrkFails, *scrapeBrkOpen)
+	// A unit needs two databases to correlate (zero would panic the
+	// judge), unless a trace fixes -dbs itself; a speedup that is not
+	// positive (or NaN) makes the feed interval negative, so the replay
+	// would run unthrottled.
+	if c.trace == "" && c.dbs < 2 {
+		return fmt.Errorf("-dbs %d: a unit needs at least 2 databases", c.dbs)
 	}
-
-	// Durable state: recover whatever a previous run persisted, attach
-	// the WAL/snapshot bridge, and resume detection one past the last
-	// persisted tick. Without -data-dir everything stays in memory and
-	// the detection path is unchanged.
-	resume := 0
-	fbCap := 512
-	var fb *feedback.Store
-	var pers *store.Persister
-	var st *store.Store
-	var repl *replicate.Server
-	if *dataDir != "" {
-		policy, err := store.ParsePolicy(*fsyncPolicy)
-		if err != nil {
-			log.Fatalf("dbcatcherd: %v", err)
-		}
-		var rec *store.Recovered
-		st, rec, err = store.Open(*dataDir, store.Options{Fsync: policy})
-		if err != nil {
-			log.Fatalf("dbcatcherd: %v", err)
-		}
-		if ms := rec.MonitorState(); ms != nil {
-			if err := online.RestoreState(ms); err != nil {
-				log.Printf("recovery: cannot resume detector state (%v); starting fresh", err)
-			} else {
-				resume = rec.ResumeTick()
-			}
-		} else if th := rec.LatestThresholds(); th != nil {
-			if err := online.SetThresholds(*th); err != nil {
-				log.Printf("recovery: persisted thresholds rejected: %v", err)
+	if !(c.speedup > 0) {
+		return fmt.Errorf("-speedup %v: must be positive", c.speedup)
+	}
+	var err error
+	if c.profile, err = parseProfile(c.profileName); err != nil {
+		return err
+	}
+	if c.scrape.Format, err = scrape.ParseFormat(c.formatName); err != nil {
+		return err
+	}
+	if c.fsync, err = store.ParsePolicy(c.fsyncPolicy); err != nil {
+		return err
+	}
+	if c.plan.Silences, err = parseSilences(c.silences); err != nil {
+		return err
+	}
+	c.peer = strings.TrimRight(c.peer, "/")
+	c.follow = strings.TrimRight(c.follow, "/")
+	if c.targetSpec != "" && c.relearn {
+		// The relearn source is the local stream; with -scrape-targets the
+		// judge scrapes another one, also when -scrape-addr exports this one.
+		return fmt.Errorf("-relearn cannot be combined with -scrape-targets: it would learn from the local stream while the unit judges the targets' stream")
+	}
+	if c.targetSpec != "" && c.scrapeAddr == "" {
+		// The units' data comes over the wire: a flag that shapes or
+		// records a local stream would act on a stream nothing judges or
+		// exports.
+		for _, f := range []flagUse{
+			{"collector fault flags (-fault-*)", !c.plan.IsZero()},
+			{"-trace", c.trace != ""},
+			{"-trace-record", c.traceRec != ""},
+		} {
+			if f.set {
+				return fmt.Errorf("%s cannot be combined with -scrape-targets without -scrape-addr: the units only scrape external targets, so no local stream is judged (script faults on the exporters instead)", f.name)
 			}
 		}
-		fb = feedback.NewStoreFrom(fbCap, rec.FeedbackRecords())
-		srv.RestoreHistory(rec.VerdictHistory())
-		pers = store.NewPersister(st, rec, fb, *snapEvery)
-		online.SetPersister(pers)
-		fb.SetJournal(pers)
-		srv.SetPersistence(pers.Status)
-		m := st.Metrics()
-		log.Printf("durable state: dir=%s fsync=%s recovered %d records (resume tick %d, torn tail %v)",
-			*dataDir, policy, m.RecoveredRecords, resume, m.TornTail)
-
-		// Primary role: adopt the next fencing epoch durably (a promoted
-		// standby's epoch is already in the recovered log, so a takeover
-		// continues the sequence) and serve the WAL to warm standbys. With
-		// a known peer, first prove our log is the newest history: a
-		// crashed-and-failed-over primary restarted by its supervisor
-		// would otherwise recompute LatestEpoch()+1 from its own stale log
-		// and come back as a second primary at the new primary's epoch.
-		next := rec.LatestEpoch() + 1
-		if peerURL != "" {
-			bootCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			err := replicate.VerifyBootEpoch(bootCtx, nil, peerURL, next)
-			cancel()
-			if err != nil {
-				log.Fatalf("dbcatcherd: %v", err)
-			}
-		}
-		if err := st.AdoptEpoch(next, rec.DurableTick()); err != nil {
-			log.Fatalf("dbcatcherd: adopt epoch: %v", err)
-		}
-		epoch, _ := st.Epoch()
-		log.Printf("primary role: serving replication at /replicate/ under epoch %d", epoch)
-		repl = replicate.NewServer(st)
-		srv.SetReplication(repl.StatusBlock)
-		srv.SetRole(func() interface{} {
-			e, fenced := st.Epoch()
-			return map[string]interface{}{"role": "primary", "epoch": e, "fenced": fenced}
-		})
-	} else {
-		fb = feedback.NewStore(fbCap)
 	}
-	srv.SetFeedback(fb)
-
-	// Epoch guard: while serving as primary with a known peer, keep the
-	// pair's epochs converged — re-fence a peer stuck at an older epoch
-	// (the partition-survivor zombie) and self-fence on observing the peer
-	// at an equal-or-newer one (our history is the stale fork). This is
-	// what makes the one-shot fence at promotion time safe to miss.
-	guardCtx, guardCancel := context.WithCancel(context.Background())
-	defer guardCancel()
-	if st != nil && peerURL != "" {
-		g := replicate.NewGuard(st, replicate.GuardConfig{
-			Peer: peerURL,
-			Seed: *seed + 6,
-			OnSelfFence: func(peerEpoch uint64) {
-				log.Printf("epoch guard: peer %s serves epoch %d >= ours; self-fenced — durable writes stop, /readyz flips unready", peerURL, peerEpoch)
-				srv.Invalidate()
-			},
-		})
-		go g.Run(guardCtx)
-		log.Printf("epoch guard: watching peer %s", peerURL)
+	if c.trace != "" {
+		if c.series, err = loadTrace(c.trace); err != nil {
+			return err
+		}
+		c.dbs, c.horizon = c.series.Databases, c.series.Len()
 	}
-
-	// Readiness: the node should receive traffic once its feed is live and
-	// has not terminally failed; a finished replay still serves history. A
-	// fenced store means this node lost an epoch race — a load balancer
-	// must stop sending it traffic even though the process is healthy.
-	var feedFault atomic.Value
-	srv.SetReady(func() error {
-		if st != nil {
-			if e, fenced := st.Epoch(); fenced {
-				return fmt.Errorf("fenced: a newer primary holds an epoch above %d", e)
-			}
-		}
-		if v := feedFault.Load(); v != nil {
-			return v.(error)
-		}
-		return nil
-	})
-
-	// Adaptive relearning (optional): a supervised background loop watches
-	// the correlation-distance drift signal and accumulated DBA corrections,
-	// re-runs the threshold search in an isolated deadline-bounded
-	// goroutine, validates candidates on a held-out split, shadow-judges
-	// survivors on live traffic, and only then swaps thresholds atomically.
-	// Every failure mode (panic, deadline, regression, flip-budget breach)
-	// leaves the live thresholds untouched.
-	var sup *relearn.Supervisor
-	if *relearnOn && !*exportOnly {
-		// The cooldown flag is wall-clock; the supervisor counts collection
-		// ticks, which arrive every 5s/speedup.
-		cooldownTicks := int(float64(*relearnCool) * *speedup / float64(5*time.Second))
-		if cooldownTicks < 1 {
-			cooldownTicks = 1
-		}
-		sup = relearn.NewSupervisor(relearn.Config{
-			Q:             kpi.Count,
-			Deadline:      *relearnDL,
-			CooldownTicks: cooldownTicks,
-			ShadowTicks:   *relearnShadow,
-			Seed:          *seed + 5,
-		}, online, fb, relearn.SeriesSource{U: series})
-		if pers != nil {
-			sup.SetRecorder(pers)
-		}
-		srv.SetRelearn(func() interface{} { return sup.Status() }, sup.TriggerManual)
-		log.Printf("relearn supervisor: deadline %v, cooldown %d ticks, shadow %d ticks",
-			*relearnDL, cooldownTicks, *relearnShadow)
-	}
-
-	end := feedEnd(*horizon, *scrapeAddr, targets != nil)
-	if resume >= end {
-		log.Printf("recovered state already covers the %d-tick horizon; serving history only", *horizon)
-	}
-
-	// Fast-forward the deterministic collector to the resume point so
-	// the re-fed stream is tick-aligned with the persisted state.
-	for i := 0; i < resume; i++ {
-		if _, ok := collector.Next(); !ok {
-			break
+	if c.targetSpec != "" {
+		if c.targets, err = parseFleetTargets(c.targetSpec, c.units, c.dbs); err != nil {
+			return err
 		}
 	}
-	if *foTick > 0 && *foTick <= resume {
-		if err := online.SetPrimary(*foTarget); err != nil {
-			log.Printf("failover: %v", err)
-		}
-	}
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-
-	// Feeder: replay the simulated unit's lossy collection stream at the
-	// configured speed. The degraded-mode monitor accepts nil and partial
-	// samples, so faults degrade verdicts instead of stopping the feeder.
-	go func() {
-		defer close(done)
-		interval := time.Duration(float64(5*time.Second) / *speedup)
-		degradedRounds := 0
-		for tick := resume; tick < end; tick++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if *foTick > 0 && tick == *foTick {
-				// The detector follows the promotion so R-R KPIs are
-				// judged against the correct peer set.
-				if err := online.SetPrimary(*foTarget); err != nil {
-					log.Printf("failover: %v", err)
-				} else {
-					log.Printf("failover: detector now treats db%d as primary", *foTarget)
-				}
-			}
-			var sample [][]float64
-			if feed != nil || scraper == nil {
-				// The local simulation is the data source (everything but
-				// pure external-target mode).
-				var ok bool
-				sample, ok = collector.Next()
-				if !ok {
-					break
-				}
-			}
-			if feed != nil {
-				if err := feed.Publish(tick, sample); err != nil {
-					log.Printf("publish: %v", err)
-					feedFault.Store(fmt.Errorf("feed stopped: publish: %v", err))
-					return
-				}
-			}
-			if *exportOnly {
-				time.Sleep(interval)
-				continue
-			}
-			if scraper != nil {
-				scraped, rep, err := scraper.Round(context.Background())
-				if err != nil {
-					log.Printf("scrape round: %v", err)
-					feedFault.Store(fmt.Errorf("feed stopped: scrape round: %v", err))
-					return
-				}
-				if rep.Late || rep.Missing > 0 {
-					degradedRounds++
-					// Log the first few and then sampled repeats; a dead
-					// target must not flood the journal one line per tick.
-					if degradedRounds <= 10 || degradedRounds%100 == 0 {
-						log.Printf("scrape round %d: %d/%d targets arrived (breaker-skipped %d, late %v)",
-							rep.Round, rep.Arrived, scraper.Targets(), rep.Skipped, rep.Late)
-					}
-				}
-				sample = scraped
-			}
-			v, err := srv.Push(sample)
-			if err != nil {
-				log.Printf("push: %v", err)
-				feedFault.Store(fmt.Errorf("feed stopped: push: %v", err))
-				return
-			}
-			if sup != nil {
-				sup.ObserveVerdict(v)
-			}
-			if v != nil {
-				switch {
-				case v.Health == detect.HealthSkipped:
-					log.Printf("SKIPPED round: window [%d, %d) lost to collector faults", v.Start, v.Start+v.Size)
-				case v.Abnormal:
-					truth := ""
-					if labels != nil && tickAbnormal(labels, v.Start, v.Size) {
-						truth = " (matches injected anomaly)"
-					}
-					degraded := ""
-					if v.Health == detect.HealthDegraded {
-						degraded = fmt.Sprintf(" [degraded: %d gap cells]", v.GapCells)
-					}
-					log.Printf("ABNORMAL verdict: window [%d, %d) db=%d%s%s",
-						v.Start, v.Start+v.Size, v.AbnormalDB, truth, degraded)
-				}
-			}
-			time.Sleep(interval)
-		}
-		h := online.Health()
-		log.Printf("replay finished: %d gap cells, %d missed ticks, %d degraded verdicts, %d skipped rounds, %d deactivations, %d reactivations",
-			h.GapCells, h.MissedTicks, h.DegradedVerdicts, h.SkippedRounds, h.Deactivations, h.Reactivations)
-	}()
-
-	// Real serving timeouts: a stuck or malicious client cannot pin a
-	// connection open forever (the zero-value http.Server would let it).
-	handler := srv.Handler()
-	if repl != nil {
-		// Replication rides on the API listener: standbys fetch the WAL
-		// from /replicate/, everything else stays on the server mux.
-		outer := http.NewServeMux()
-		outer.Handle("/replicate/", repl.Handler())
-		outer.Handle("/", handler)
-		handler = outer
-	}
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       15 * time.Second,
-		WriteTimeout:      30 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-	shutdownDone := make(chan struct{})
-	go func() {
-		// Graceful shutdown: stop the feeder, drain in-flight API
-		// responses with a deadline, then flush the final snapshot so the
-		// next boot resumes exactly here.
-		defer close(shutdownDone)
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-		sig := <-sigc
-		log.Printf("received %v: draining and flushing durable state", sig)
-		close(stop)
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			log.Printf("feeder did not drain in time")
-		}
-		drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if expSrv != nil {
-			if err := expSrv.Shutdown(drainCtx); err != nil {
-				log.Printf("exporter shutdown: %v", err)
-			}
-		}
-		if err := httpSrv.Shutdown(drainCtx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-		if sup != nil {
-			// Cancel any in-flight search and join its goroutine before the
-			// final flush so the snapshot reflects a settled judge.
-			sup.Stop()
-		}
-		if pers != nil {
-			if err := pers.Flush(online); err != nil {
-				log.Printf("flush: %v", err)
-			}
-		}
-		if st != nil {
-			if err := st.Close(); err != nil {
-				log.Printf("close: %v", err)
-			}
-		}
-	}()
-
-	log.Printf("listening on %s", *addr)
-	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		log.Fatalf("dbcatcherd: %v", err)
-	}
-	<-shutdownDone
+	return nil
 }
 
 // loadTrace reads a -trace file and checks it fits the detector: the full
@@ -778,35 +365,35 @@ func loadTrace(path string) (*timeseries.UnitSeries, error) {
 	return series, nil
 }
 
-// parseFleetTargets parses the -fleet-scrape-targets spec: unit groups
-// separated by ';', each group either one exporter base URL (expanded to
-// the per-database /db/N/kpis targets, like self-scrape) or a
-// comma-separated list of exactly dbs URLs in database order. The group
-// count must match -units — a fleet scraping fewer exporters than it has
-// judges is a misconfiguration, not a default.
+// parseFleetTargets parses the -scrape-targets spec: unit groups separated
+// by ';', each group either one exporter base URL (expanded to the
+// per-database /db/N/kpis targets, like self-scrape) or a comma-separated
+// list of exactly dbs URLs in database order. The group count must match
+// -units — a fleet scraping fewer exporters than it has judges is a
+// misconfiguration, not a default.
 func parseFleetTargets(spec string, units, dbs int) ([][]string, error) {
 	groups := strings.Split(spec, ";")
 	if len(groups) != units {
-		return nil, fmt.Errorf("-fleet-scrape-targets lists %d unit groups for %d units", len(groups), units)
+		return nil, fmt.Errorf("-scrape-targets lists %d unit groups for %d units", len(groups), units)
 	}
 	out := make([][]string, len(groups))
 	for i, g := range groups {
 		list := splitTargets(g)
 		switch len(list) {
 		case 0:
-			return nil, fmt.Errorf("-fleet-scrape-targets unit %d is empty", i)
+			return nil, fmt.Errorf("-scrape-targets unit %d is empty", i)
 		case 1:
 			out[i] = scrape.SelfTargets(strings.TrimRight(list[0], "/"), dbs)
 		case dbs:
 			out[i] = list
 		default:
-			return nil, fmt.Errorf("-fleet-scrape-targets unit %d lists %d targets; want one base URL or exactly %d", i, len(list), dbs)
+			return nil, fmt.Errorf("-scrape-targets unit %d lists %d targets; want one base URL or exactly %d", i, len(list), dbs)
 		}
 	}
 	return out, nil
 }
 
-// splitTargets parses the -scrape-targets list (nil when empty).
+// splitTargets parses one comma-separated target group (nil when empty).
 func splitTargets(s string) []string {
 	if strings.TrimSpace(s) == "" {
 		return nil
@@ -906,33 +493,6 @@ func parseCount(f string) (int, error) {
 		return 0, fmt.Errorf("field %q out of range", f)
 	}
 	return v, nil
-}
-
-// feedEnd is the tick before which a feeder stops. -horizon bounds the
-// input the daemon simulates or replays itself, also when its own exporter
-// (-scrape-addr) serves it. External scrape targets publish for as long as
-// they run, so a feeder that only scrapes them (targets without an
-// exporter address) runs until the daemon stops.
-func feedEnd(horizon int, exportAddr string, targets bool) int {
-	if targets && exportAddr == "" {
-		return math.MaxInt
-	}
-	return horizon
-}
-
-// checkRunFlags rejects the shape and pace flags no mode can run with,
-// before any mode starts. A unit needs two databases to correlate (zero
-// would panic the judge), unless a trace fixes -dbs itself; a speedup
-// that is not positive (or NaN) makes the feed interval negative, so the
-// replay would run unthrottled.
-func checkRunFlags(dbs int, fromTrace bool, speedup float64) error {
-	if !fromTrace && dbs < 2 {
-		return fmt.Errorf("-dbs %d: a unit needs at least 2 databases", dbs)
-	}
-	if !(speedup > 0) {
-		return fmt.Errorf("-speedup %v: must be positive", speedup)
-	}
-	return nil
 }
 
 func parseProfile(s string) (workload.Profile, error) {

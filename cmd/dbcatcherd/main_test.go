@@ -1,9 +1,12 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dbcatcher/internal/cluster"
@@ -32,49 +35,208 @@ func TestParseProfile(t *testing.T) {
 	}
 }
 
+// parseRun parses args as the daemon's command line and runs the
+// validator over it.
+func parseRun(args ...string) (*fleetConfig, error) {
+	fs := flag.NewFlagSet("dbcatcherd", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	cfg := bindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return cfg, checkRunFlags(cfg)
+}
+
+// TestCheckRunFlags holds one accepted and one rejected command line per
+// flag rule; a rejection must name the rule's flag.
 func TestCheckRunFlags(t *testing.T) {
+	u, err := cluster.Simulate(cluster.Config{Name: "rec", Databases: 3, Ticks: 40, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := filepath.Join(t.TempDir(), "trace.csv")
+	if err := tracefile.WriteFile(trace, u.Series); err != nil {
+		t.Fatal(err)
+	}
+	const five = "http://h/0,http://h/1,http://h/2,http://h/3,http://h/4"
 	for _, c := range []struct {
-		dbs       int
-		fromTrace bool
-		speedup   float64
-		ok        bool
+		rule   string
+		args   []string
+		reject string // "" = accepted; else a substring of the error
 	}{
-		{5, false, 100, true},
-		{2, false, 1, true},
-		{0, true, 100, true}, // the trace sets -dbs
-		{0, false, 100, false},
-		{1, false, 100, false},
-		{-3, false, 100, false},
-		{5, false, 0, false},
-		{5, false, -1, false},
-		{5, false, math.NaN(), false},
-		{5, true, 0, false},
+		{"defaults", nil, ""},
+
+		{"-units bounds", []string{"-units", "4096"}, ""},
+		{"-units bounds", []string{"-units", "4097"}, "-units 4097"},
+		{"-units bounds", []string{"-units", "0"}, "-units must be at least 1"},
+
+		{"single-unit only: -scrape-addr", []string{"-scrape-addr", "127.0.0.1:0"}, ""},
+		{"single-unit only: -scrape-addr", []string{"-units", "2", "-scrape-addr", "127.0.0.1:0"}, "-scrape-addr is single-unit only"},
+		{"single-unit only: -scrape-fault", []string{"-scrape-addr", ":0", "-scrape-fault", "0:hang"}, ""},
+		{"single-unit only: -scrape-fault", []string{"-units", "2", "-scrape-fault", "0:hang"}, "-scrape-fault is single-unit only"},
+		{"single-unit only: -export-only", []string{"-scrape-addr", ":0", "-export-only"}, ""},
+		{"single-unit only: -export-only", []string{"-units", "2", "-export-only"}, "-export-only is single-unit only"},
+		{"single-unit only: -relearn", []string{"-relearn"}, ""},
+		{"single-unit only: -relearn", []string{"-units", "2", "-relearn"}, "-relearn is single-unit only"},
+		{"single-unit only: -failover-tick", []string{"-failover-tick", "50"}, ""},
+		{"single-unit only: -failover-tick", []string{"-units", "2", "-failover-tick", "50"}, "-failover-tick is single-unit only"},
+		{"single-unit only: -trace", []string{"-trace", trace}, ""},
+		{"single-unit only: -trace", []string{"-units", "2", "-trace", trace}, "-trace is single-unit only"},
+		{"single-unit only: -trace-record", []string{"-trace-record", "x.csv"}, ""},
+		{"single-unit only: -trace-record", []string{"-units", "2", "-trace-record", "x.csv"}, "-trace-record is single-unit only"},
+
+		{"-incidents needs a fleet", []string{"-units", "2", "-incidents"}, ""},
+		{"-incidents needs a fleet", []string{"-incidents"}, "-incidents requires -units > 1"},
+
+		{"-export-only needs -scrape-addr", []string{"-export-only"}, "-export-only requires -scrape-addr"},
+		{"-scrape-fault needs -scrape-addr", []string{"-scrape-fault", "0:hang"}, "-scrape-fault scripts this daemon's exporter"},
+
+		{"-follow needs -data-dir", []string{"-follow", "http://p", "-data-dir", "d"}, ""},
+		{"-follow needs -data-dir", []string{"-follow", "http://p"}, "-follow requires -data-dir"},
+		{"-follow without -export-only", []string{"-follow", "http://p", "-data-dir", "d", "-scrape-addr", ":0", "-export-only"}, "-follow cannot be combined"},
+		{"-follow without one unit's -scrape-targets", []string{"-units", "2", "-scrape-targets", "http://a;http://b", "-follow", "http://p", "-data-dir", "d"}, ""},
+		{"-follow without one unit's -scrape-targets", []string{"-follow", "http://p", "-data-dir", "d", "-scrape-targets", "http://e"}, "-follow cannot be combined"},
+
+		{"-trace without -trace-record", []string{"-trace", trace, "-trace-record", "x.csv"}, "-trace-record cannot be combined with -trace"},
+		{"-trace without -failover-tick", []string{"-trace", trace, "-failover-tick", "5"}, "-failover-tick rewrites the simulation"},
+		{"-trace reads its file", []string{"-trace", filepath.Join(t.TempDir(), "missing.csv")}, "missing.csv"},
+
+		{"-dbs at least 2", []string{"-dbs", "2"}, ""},
+		{"-dbs at least 2", []string{"-dbs", "1"}, "-dbs 1"},
+		{"-dbs at least 2", []string{"-dbs", "0"}, "-dbs 0"}, // zero databases would panic the judge
+		{"-dbs at least 2", []string{"-dbs", "-3"}, "-dbs -3"},
+		{"-dbs at least 2", []string{"-dbs", "0", "-trace", trace}, ""}, // the trace sets -dbs
+		{"-speedup positive", []string{"-speedup", "1"}, ""},
+		{"-speedup positive", []string{"-speedup", "0"}, "-speedup 0"},
+		{"-speedup positive", []string{"-speedup", "-1"}, "-speedup -1"},
+		{"-speedup positive", []string{"-speedup", "NaN"}, "-speedup NaN"},
+		{"-speedup positive", []string{"-trace", trace, "-speedup", "0"}, "-speedup 0"}, // a trace fixes -dbs, not -speedup
+
+		{"-profile known", []string{"-profile", "tpcc-ii"}, ""},
+		{"-profile known", []string{"-profile", "nope"}, "unknown profile"},
+		{"-scrape-format known", []string{"-scrape-format", "prom"}, ""},
+		{"-scrape-format known", []string{"-scrape-format", "xml"}, "unknown scrape format"},
+		{"-fsync-policy known", []string{"-fsync-policy", "always"}, ""},
+		{"-fsync-policy known", []string{"-fsync-policy", "sometimes"}, "unknown fsync policy"},
+		{"-fault-silence strict", []string{"-fault-silence", "1:100:40"}, ""},
+		{"-fault-silence strict", []string{"-fault-silence", "1:100"}, "bad silence"},
+
+		{"target groups match -units", []string{"-units", "2", "-scrape-targets", "http://a;http://b"}, ""},
+		{"target groups match -units", []string{"-units", "2", "-scrape-targets", "http://a"}, "1 unit groups for 2 units"},
+		{"one base URL or -dbs URLs", []string{"-scrape-targets", five}, ""},
+		{"one base URL or -dbs URLs", []string{"-scrape-targets", "http://h/0,http://h/1,http://h/2"}, "lists 3 targets"},
+
+		{"external targets: no collector faults", []string{"-scrape-addr", ":0", "-scrape-targets", "http://e", "-fault-drop-cell", "0.5"}, ""},
+		{"external targets: no collector faults", []string{"-scrape-targets", "http://e", "-fault-drop-cell", "0.5"}, "collector fault flags"},
+		{"external targets: no collector faults", []string{"-units", "2", "-scrape-targets", "http://e;http://e", "-fault-silence", "0:1:2"}, "collector fault flags"},
+		{"external targets: no -trace", []string{"-scrape-addr", ":0", "-scrape-targets", "http://e", "-trace", trace}, ""},
+		{"external targets: no -trace", []string{"-scrape-targets", "http://e", "-trace", trace}, "-trace cannot be combined with -scrape-targets"},
+		{"external targets: no -trace-record", []string{"-scrape-addr", ":0", "-scrape-targets", "http://e", "-trace-record", "x.csv"}, ""},
+		{"external targets: no -trace-record", []string{"-scrape-targets", "http://e", "-trace-record", "x.csv"}, "-trace-record cannot be combined with -scrape-targets"},
+		{"-relearn without -scrape-targets", []string{"-scrape-addr", ":0", "-relearn"}, ""},
+		{"-relearn without -scrape-targets", []string{"-scrape-targets", "http://e", "-relearn"}, "-relearn cannot be combined with -scrape-targets"},
+		{"-relearn without -scrape-targets", []string{"-scrape-addr", ":0", "-scrape-targets", "http://e", "-relearn"}, "-relearn cannot be combined with -scrape-targets"},
 	} {
-		err := checkRunFlags(c.dbs, c.fromTrace, c.speedup)
-		if (err == nil) != c.ok {
-			t.Errorf("checkRunFlags(%d, %v, %v) = %v, want ok=%v", c.dbs, c.fromTrace, c.speedup, err, c.ok)
+		_, err := parseRun(c.args...)
+		switch {
+		case c.reject == "" && err != nil:
+			t.Errorf("%s: %q rejected: %v", c.rule, c.args, err)
+		case c.reject != "" && err == nil:
+			t.Errorf("%s: %q accepted", c.rule, c.args)
+		case c.reject != "" && !strings.Contains(err.Error(), c.reject):
+			t.Errorf("%s: %q rejected for %q, want %q", c.rule, c.args, err, c.reject)
 		}
 	}
 }
 
-// -horizon bounds the input the daemon simulates or replays itself; a
-// feeder that scrapes only external targets runs until the daemon stops.
-func TestFeedEndPerInputMode(t *testing.T) {
-	const horizon = 60
-	for _, c := range []struct {
-		mode       string
-		exportAddr string
-		targets    bool
-		want       int
-	}{
-		{"simulated or trace", "", false, horizon},
-		{"own exporter (-scrape-addr, -export-only)", ":9101", false, horizon},
-		{"own exporter, scraping -scrape-targets", ":9101", true, horizon},
-		{"external targets (-scrape-targets, -fleet-scrape-targets)", "", true, math.MaxInt},
+// A -trace fixes -dbs and -horizon; a base-URL target group expands to
+// one target per database.
+func TestCheckRunFlagsResolves(t *testing.T) {
+	u, err := cluster.Simulate(cluster.Config{Name: "rec", Databases: 3, Ticks: 40, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace := filepath.Join(t.TempDir(), "trace.csv")
+	if err := tracefile.WriteFile(trace, u.Series); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := parseRun("-trace", trace, "-dbs", "9", "-horizon", "5", "-scrape-addr", ":0", "-scrape-targets", "http://e/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.dbs != 3 || cfg.horizon != 40 || cfg.series == nil {
+		t.Fatalf("trace resolved to %d dbs, %d ticks", cfg.dbs, cfg.horizon)
+	}
+	want := [][]string{{"http://e/db/0/kpis", "http://e/db/1/kpis", "http://e/db/2/kpis"}}
+	if !reflect.DeepEqual(cfg.targets, want) {
+		t.Fatalf("targets = %v, want %v", cfg.targets, want)
+	}
+}
+
+// A unit that only scrapes external targets has no input: no series,
+// labels, or collector. With its own exporter it simulates as usual.
+func TestBuildInputExternalTargetsHaveNone(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scrape-targets", "http://e"},
+		{"-units", "2", "-scrape-targets", "http://e;http://f"},
 	} {
-		if got := feedEnd(horizon, c.exportAddr, c.targets); got != c.want {
-			t.Errorf("%s: feedEnd = %d, want %d", c.mode, got, c.want)
+		cfg, err := parseRun(append(args, "-horizon", "60")...)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := 0; i < cfg.units; i++ {
+			in, err := buildInput(cfg, i)
+			if err != nil || in != (unitInput{}) {
+				t.Fatalf("%q unit %d: input %+v, %v; want none", args, i, in, err)
+			}
+		}
+	}
+	cfg, err := parseRun("-scrape-addr", ":0", "-scrape-targets", "http://e", "-horizon", "60")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in, err := buildInput(cfg, 0); err != nil || in.collector == nil || in.series.Len() != 60 {
+		t.Fatalf("exporting unit: input %+v, %v; want a 60-tick simulation", in, err)
+	}
+}
+
+// -horizon bounds the input the daemon simulates or replays itself; a
+// unit that scrapes only external targets has none here, and its feeder
+// runs until the daemon stops.
+func TestFeedEndPerInputMode(t *testing.T) {
+	for _, c := range []struct {
+		mode     string
+		args     []string
+		external bool
+	}{
+		{"simulated", nil, false},
+		{"own exporter (-scrape-addr, -export-only)", []string{"-scrape-addr", ":9101", "-export-only"}, false},
+		{"own exporter, scraping -scrape-targets", []string{"-scrape-addr", ":9101", "-scrape-targets", "http://e"}, false},
+		{"external targets (-scrape-targets without -scrape-addr)", []string{"-scrape-targets", "http://e"}, true},
+	} {
+		cfg, err := parseRun(c.args...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.mode, err)
+		}
+		if got := cfg.external(); got != c.external {
+			t.Errorf("%s: external() = %v, want %v", c.mode, got, c.external)
+		}
+	}
+}
+
+// Repeated log lines are kept to the first ten and then every hundredth,
+// whatever the unit count.
+func TestLogSample(t *testing.T) {
+	var n logSample
+	var logged []int
+	for i := 1; i <= 350; i++ {
+		if n.next() {
+			logged = append(logged, i)
+		}
+	}
+	want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 100, 200, 300}
+	if !reflect.DeepEqual(logged, want) {
+		t.Fatalf("logged occurrences %v, want %v", logged, want)
 	}
 }
 
