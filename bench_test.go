@@ -4,7 +4,9 @@ package dbcatcher
 // evaluation (run `go test -bench=. -benchmem`) and cover the design
 // ablations called out in DESIGN.md. The experiment benches execute the
 // same runners as cmd/experiments at quick scale with a single run; their
-// reported time is the cost of regenerating that artifact.
+// reported time is the cost of regenerating that artifact. The core
+// micro-benchmarks that BENCH_core.json gates (kcd/*, build_matrices/*,
+// detect_run/* and the rest) are defined once, in cmd/bench.
 
 import (
 	"fmt"
@@ -79,71 +81,6 @@ func benchUnit(b *testing.B, ticks int) *cluster.Unit {
 		b.Fatal(err)
 	}
 	return u
-}
-
-// BenchmarkBuildMatrices measures one window's Q correlation matrices (the
-// dominant §IV-D4 component) across the engine variants: the seed's
-// allocating measure-closure path and the allocation-lean scratch engine.
-// cmd/bench records the same two variants into BENCH_core.json.
-func BenchmarkBuildMatrices(b *testing.B) {
-	u := benchUnit(b, 200)
-	for _, w := range []int{20, 60} {
-		w := w
-		run := func(name string, e *correlate.Engine) {
-			b.Run(fmt.Sprintf("w=%d/%s", w, name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.BuildMatrices(u.Series, 0, w, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		run("serial-alloc", correlate.NewMeasureEngine(correlate.KCDMeasure(correlate.DetectionOptions()), 1))
-		run("serial-scratch", correlate.NewEngine(correlate.DetectionOptions(), 1))
-	}
-}
-
-// BenchmarkKCDScratch isolates the pair-level win: the allocating KCD call
-// vs the same computation through a warm reusable scratch.
-func BenchmarkKCDScratch(b *testing.B) {
-	x, y := randomPair(60, 3)
-	opts := correlate.DetectionOptions()
-	b.Run("alloc", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			correlate.KCDWithDelay(x, y, opts)
-		}
-	})
-	b.Run("scratch", func(b *testing.B) {
-		b.ReportAllocs()
-		s := correlate.NewScratch()
-		for i := 0; i < b.N; i++ {
-			correlate.KCDWithDelayScratch(x, y, opts, s)
-		}
-	})
-}
-
-// BenchmarkDetectRun measures a full offline detection pass over one unit
-// (points/sec throughput drives the §IV-D4 projection), serial and with
-// the per-window fan-out.
-func BenchmarkDetectRun(b *testing.B) {
-	u := benchUnit(b, 1200)
-	for _, c := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		cfg := detect.Config{Thresholds: window.DefaultThresholds(kpi.Count), Workers: c.workers}
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := detect.Run(u.Series, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(1200*5*kpi.Count), "points/op")
-		})
-	}
 }
 
 // BenchmarkOnlinePush measures the streaming path: one 5-second sample

@@ -442,13 +442,12 @@ func main() {
 	add(fleetBench(8))
 	add(fleetBench(32))
 
-	// server/status: the API status document under dashboard polling. The
+	// server/status: the API status document under dashboard polling,
+	// through the surface the daemon serves, with its request timeout. The
 	// cached variant is the steady-state hit — a conditional GET against an
 	// unchanged generation answers 304 from the cached document without
 	// re-serializing anything — and the rebuild variant forces the full
-	// re-marshal an actual state change pays. Middleware timeout is
-	// disabled so the measurement is the handler path, not a per-request
-	// watchdog goroutine.
+	// re-marshal an actual state change pays.
 	statusOnline, err := monitor.NewOnline(detect.Config{
 		Thresholds: window.DefaultThresholds(kpi.Count),
 		Flex:       window.FlexConfig{Initial: fleetWin, Max: fleetWin, ExhaustState: window.Abnormal},
@@ -459,14 +458,13 @@ func main() {
 		os.Exit(1)
 	}
 	statusSrv := server.New(statusOnline, "bench", 64)
-	statusSrv.SetRequestTimeout(0)
 	for t := 0; t < 3*fleetWin; t++ {
 		if _, err := statusSrv.Push(fleetTicks[t%fleetWin]); err != nil {
 			fmt.Fprintln(os.Stderr, "bench:", err)
 			os.Exit(1)
 		}
 	}
-	statusHandler := statusSrv.Handler()
+	statusHandler := server.NewFleet([]*server.Server{statusSrv}).Handler()
 	statusReq, err := http.NewRequest(http.MethodGet, "/api/status", nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bench:", err)

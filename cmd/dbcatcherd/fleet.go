@@ -1,10 +1,8 @@
 // The daemon's run loop: N database units behind one bounded round
-// scheduler (fleet.Monitor), for every -units value. One unit is a fleet
-// of one; only its persister and HTTP surface differ: store.Persister
-// (snapshot resume, feedback journal, relearn records) behind the
-// per-unit server.Server routes, where several units journal into
-// store.FleetPersister's multiplexed WAL behind the aggregated
-// server.Fleet routes.
+// scheduler (fleet.Monitor) and one HTTP surface (server.Fleet), for every
+// -units value. One unit is a fleet of one; only its persister differs:
+// store.Persister (snapshot resume, feedback journal, relearn records),
+// where several units journal into store.FleetPersister's multiplexed WAL.
 package main
 
 import (
@@ -40,17 +38,6 @@ import (
 
 // feedbackCap bounds a unit's DBA judgment-record ring.
 const feedbackCap = 512
-
-// surface is the HTTP API the daemon serves: one unit's *server.Server, or
-// the *server.Fleet over several. Both are wired the same way.
-type surface interface {
-	SetPersistence(func() interface{})
-	SetScrape(func() interface{})
-	SetReplication(func() interface{})
-	SetRole(func() interface{})
-	SetReady(func() error)
-	Handler() http.Handler
-}
 
 // unitInput is one unit's data source: its series (a trace or a
 // simulation), the injected anomaly labels, and the collector that replays
@@ -237,12 +224,7 @@ func runFleet(ctx context.Context, ln net.Listener, cfg *fleetConfig) (err error
 			cfg.units, cfg.dbs, cfg.scrape.Format, cfg.scrape.RoundTimeout, cfg.scrape.BreakerFailures, cfg.scrape.BreakerOpenRounds)
 	}
 
-	var api surface = servers[0]
-	var fleetAPI *server.Fleet
-	if cfg.units > 1 {
-		fleetAPI = server.NewFleet(servers)
-		api = fleetAPI
-	}
+	api := server.NewFleet(servers)
 	if scrapers != nil {
 		// One unit's scrape block is its scraper's health; a fleet's is the
 		// per-unit list.
@@ -376,7 +358,7 @@ func runFleet(ctx context.Context, ln net.Listener, cfg *fleetConfig) (err error
 	// is only touched from the feeder goroutine (ObserveRound runs there).
 	var incBuf []incident.Transition
 	if agg != nil {
-		fleetAPI.SetIncidents(agg)
+		api.SetIncidents(agg)
 		if fp != nil {
 			agg.SetPersist(func(t incident.Transition) { incBuf = append(incBuf, t) })
 		}
@@ -401,9 +383,7 @@ func runFleet(ctx context.Context, ln net.Listener, cfg *fleetConfig) (err error
 			Seed: cfg.seed + 6,
 			OnSelfFence: func(peerEpoch uint64) {
 				log.Printf("epoch guard: peer %s serves epoch %d >= ours; self-fenced — durable writes stop, /readyz flips unready", cfg.peer, peerEpoch)
-				for _, s := range servers {
-					s.Invalidate()
-				}
+				api.Invalidate()
 			},
 		})
 		guard.Add(1)

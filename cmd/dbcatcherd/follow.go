@@ -1,18 +1,19 @@
 // Follower role: with -follow the daemon is a warm standby. It does not
-// simulate, scrape, or judge anything; it tails the primary's WAL over
-// HTTP into the local -data-dir, byte-identical, and serves only the
-// probe/role surface. Promotion — manual POST /api/promote, or automatic
-// after -promote-after without primary contact — adopts the next fencing
-// epoch durably and returns control to main, which falls through into the
-// normal startup path: the recovered mirror rehydrates the detector and
-// the feed resumes from the last durable tick, exactly like a restart.
+// simulate, scrape, or judge anything; it tails the primary's WAL and
+// snapshot over HTTP into the local -data-dir, byte-identical, and serves
+// the daemon's surface over no units: the probes and the role block.
+// Promotion — manual POST /api/promote, or automatic after -promote-after
+// without primary contact — adopts the next fencing epoch durably and
+// returns control to main, which falls through into the normal startup
+// path: the recovered mirror rehydrates the detectors (one unit at the
+// mirrored snapshot) and the feed resumes, exactly like a restart.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"dbcatcher/internal/replicate"
+	"dbcatcher/internal/server"
 	"dbcatcher/internal/store"
 )
 
@@ -28,57 +30,47 @@ import (
 // promoting it would resurrect a stale epoch instead of continuing one.
 var errNeverContacted = errors.New("no primary contact yet")
 
-// followerMux is the follower's probe/role surface: /healthz, /readyz
-// (ready only once caught up within the staleness budget), /api/status
-// with the role block, and POST /api/promote, which requests promotion on
+// followerHandler is the follower's HTTP surface: the daemon's surface
+// over no units, whose /readyz is ready only once caught up within the
+// staleness budget and whose /api/status carries the follower's role
+// block, and beside it POST /api/promote, which requests promotion on
 // manual once and answers 409 to every later request.
-func followerMux(tl *replicate.Tailer, primary string, manual chan<- struct{}) *http.ServeMux {
-	var promoting atomic.Bool
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeProbeJSON(w, http.StatusOK, map[string]interface{}{"status": "ok"})
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+func followerHandler(tl *replicate.Tailer, primary string, manual chan<- struct{}) http.Handler {
+	api := server.NewFleet(nil)
+	api.SetReady(func() error {
 		s := tl.Status()
 		switch {
 		case s.LastContact.IsZero():
-			writeProbeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{
-				"status": "unready", "reason": errNeverContacted.Error(),
-			})
+			return errNeverContacted
 		case s.Stale:
-			writeProbeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{
-				"status": "unready",
-				"reason": fmt.Sprintf("replication stale: last contact %s ago (budget %s)",
-					time.Since(s.LastContact).Round(time.Millisecond), tl.StalenessBudget()),
-			})
+			return fmt.Errorf("replication stale: last contact %s ago (budget %s)",
+				time.Since(s.LastContact).Round(time.Millisecond), tl.StalenessBudget())
 		case !s.CaughtUp:
-			writeProbeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{
-				"status": "unready",
-				"reason": fmt.Sprintf("replaying: applied %d of %d", s.Applied, s.PrimaryLastSeq),
-			})
-		default:
-			writeProbeJSON(w, http.StatusOK, map[string]interface{}{"status": "ready"})
+			return fmt.Errorf("replaying: applied %d of %d", s.Applied, s.PrimaryLastSeq)
 		}
+		return nil
 	})
-	mux.HandleFunc("/api/status", func(w http.ResponseWriter, r *http.Request) {
-		writeProbeJSON(w, http.StatusOK, map[string]interface{}{
-			"role": followerRoleBlock(tl, primary),
-		})
-	})
+	api.SetRole(func() interface{} { return followerRoleBlock(tl, primary) })
+	var promoting atomic.Bool
+	mux := http.NewServeMux()
+	mux.Handle("/", api.Handler())
 	mux.HandleFunc("/api/promote", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 			return
 		}
+		w.Header().Set("Content-Type", "application/json")
 		if !promoting.CompareAndSwap(false, true) {
-			writeProbeJSON(w, http.StatusConflict, map[string]interface{}{"error": "promotion already in progress"})
+			w.WriteHeader(http.StatusConflict)
+			_, _ = io.WriteString(w, `{"error":"promotion already in progress"}`+"\n")
 			return
 		}
 		select {
 		case manual <- struct{}{}:
 		default:
 		}
-		writeProbeJSON(w, http.StatusAccepted, map[string]interface{}{"status": "promotion requested"})
+		w.WriteHeader(http.StatusAccepted)
+		_, _ = io.WriteString(w, `{"status":"promotion requested"}`+"\n")
 	})
 	return mux
 }
@@ -105,7 +97,7 @@ func runFollower(ctx context.Context, cfg *fleetConfig) (bool, error) {
 	}
 	manual := make(chan struct{}, 1)
 	httpSrv := &http.Server{
-		Handler:           followerMux(tl, cfg.follow, manual),
+		Handler:           followerHandler(tl, cfg.follow, manual),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       15 * time.Second,
 		WriteTimeout:      30 * time.Second,
@@ -260,12 +252,4 @@ func followerRoleBlock(tl *replicate.Tailer, primary string) map[string]interfac
 		block["lastError"] = s.LastError
 	}
 	return block
-}
-
-// writeProbeJSON is the follower surface's tiny JSON writer (the full
-// server package's middleware stack is not in play in this role).
-func writeProbeJSON(w http.ResponseWriter, code int, v map[string]interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -187,7 +187,7 @@ func TestFollowerProbeSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	manual := make(chan struct{}, 1)
-	probes := httptest.NewServer(followerMux(tl, srv.URL, manual))
+	probes := httptest.NewServer(followerHandler(tl, srv.URL, manual))
 	defer probes.Close()
 	call := func(method, path string) (int, map[string]interface{}) {
 		t.Helper()

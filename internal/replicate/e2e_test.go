@@ -120,9 +120,10 @@ func haVerdictValues(vs []*monitor.Verdict) []monitor.Verdict {
 
 // TestKillPrimaryPromoteStandbyBitIdentical is the HA acceptance e2e: a
 // primary persists a detection run and serves replication; a warm standby
-// tails its WAL. Mid-run the primary is killed (abandoned, no flush, no
-// close) and the standby is promoted: it opens its mirror, adopts the next
-// epoch, rehydrates, and resumes feeding from its durable horizon. The
+// tails its WAL and snapshot. Mid-run the primary is killed (abandoned, no
+// flush, no close) and the standby is promoted: it opens its mirror,
+// adopts the next epoch, rehydrates at the mirrored snapshot, and resumes
+// feeding from there. The
 // promoted node's durable verdict stream, thresholds, and feedback must be
 // bit-identical to an uninterrupted single-daemon reference run — and the
 // dead primary, on fencing, must refuse every further write.
@@ -179,6 +180,10 @@ func TestKillPrimaryPromoteStandbyBitIdentical(t *testing.T) {
 	// mid-run (no flush, no close, no final snapshot) and its endpoint
 	// goes away.
 	stepUntilCaughtUp(t, tl, 3)
+	// The caught-up mirror holds the primary's latest snapshot.
+	if want, got := store.LoadSnapshotFile(dirP), store.LoadSnapshotFile(dirF); want == nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("mirror snapshot %+v, want the primary's %+v", got, want)
+	}
 	srv.Close()
 
 	// The follower's failure budget fills — the auto-promotion signal.
@@ -208,28 +213,33 @@ func TestKillPrimaryPromoteStandbyBitIdentical(t *testing.T) {
 		t.Fatal("demoted primary accepted a write")
 	}
 
-	// Rehydration: the mirror holds the full WAL (no snapshot crossed the
-	// wire — no compaction gap opened), so the standby replays from
-	// scratch under its durable horizons, exactly like a daemon restart
-	// with a WAL-only directory.
-	if ms := recF.MonitorState(); ms != nil {
-		t.Fatalf("unexpected snapshot state in mirror: %+v", ms)
+	// Rehydration: the mirror holds the primary's snapshot beside the
+	// full WAL, so the standby resumes the judge at the snapshot, exactly
+	// like a daemon restart over the primary's own directory.
+	ms := recF.MonitorState()
+	resume, durable := recF.ResumeTick(), recF.DurableTick()
+	if ms == nil || resume <= 0 {
+		t.Fatalf("no resumable judge state in the mirror (resume tick %d)", resume)
 	}
-	durable := recF.DurableTick()
-	if durable <= 0 {
-		t.Fatal("no durable horizon replicated")
+	if durable < resume {
+		t.Fatalf("durable tick %d below resume tick %d", durable, resume)
 	}
 	oF := haOnline(t)
+	if err := oF.RestoreState(ms); err != nil {
+		t.Fatal(err)
+	}
 	fbF := feedback.NewStoreFrom(haFbCap, recF.FeedbackRecords())
 	pF := store.NewPersister(stF, recF, fbF, 3)
 	oF.SetPersister(pF)
 	fbF.SetJournal(pF)
 
-	// Resume the feed from tick 0 (deterministic catch-up; the persister
-	// suppresses re-appending at or below the horizon, the scripted marks
-	// skip replayed verdicts) and run to the end of the workload.
-	countF := 0
-	post := haDrive(t, oF, fbF, samples, 0, haTicks, &countF, durable)
+	// Resume the feed at the snapshot's tick and run to the end of the
+	// workload. The persister suppresses re-appending at or below the
+	// durable horizon and the scripted marks skip regenerated verdicts;
+	// the threshold retune is already in the restored state, so the
+	// published counter resumes past 5.
+	countF := 6
+	post := haDrive(t, oF, fbF, samples, resume, haTicks, &countF, durable)
 
 	// The published stream across the pair equals the reference: the
 	// primary's pre-kill verdicts, then the promoted standby's verdicts

@@ -3,6 +3,7 @@ package replicate
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -289,6 +291,108 @@ func TestTailerSnapshotRestartAfterCompaction(t *testing.T) {
 	}
 	if c := rec.LastCounters(); c.GapCells != 59 {
 		t.Fatalf("promoted counters %+v", c)
+	}
+}
+
+// snapshotPrimary opens a primary store with n counter records and a
+// snapshot covering them.
+func snapshotPrimary(t *testing.T, n int) *store.Store {
+	t.Helper()
+	st := primaryWithRecords(t, store.Options{Fsync: store.FsyncAlways}, n)
+	if err := st.WriteSnapshot(store.SnapshotState{Seq: st.LastSeq(), Counters: store.CountersRecord{GapCells: n - 1}}); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// A tailer that has caught up with a snapshotting primary holds that
+// primary's latest snapshot beside the mirrored segments, installed
+// without a reset: every record arrives exactly once and OnReset never
+// fires.
+func TestTailerMirrorsPrimarySnapshot(t *testing.T) {
+	st := snapshotPrimary(t, 20)
+	srv := httptest.NewServer(NewServer(st).Handler())
+	defer srv.Close()
+	var got []store.SeqRecord
+	resets := 0
+	dir := t.TempDir()
+	cfg := fastCfg(srv.URL, dir)
+	cfg.OnRecord = func(r store.SeqRecord) { got = append(got, r) }
+	cfg.OnReset = func(*store.SnapshotState) { resets++ }
+	tl, err := NewTailer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 2; round++ {
+		stepUntilCaughtUp(t, tl, 3)
+		want := store.LoadSnapshotFile(st.Dir())
+		if got := store.LoadSnapshotFile(dir); want == nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: mirror snapshot %+v, want the primary's %+v", round, got, want)
+		}
+		mirrorEqualsPrimary(t, st, dir)
+		// The primary moves on and snapshots again.
+		for i := 0; i < 5; i++ {
+			if _, err := st.AppendCounters(store.CountersRecord{GapCells: 20 + i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.WriteSnapshot(store.SnapshotState{Seq: st.LastSeq(), Counters: store.CountersRecord{GapCells: 24}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if resets != 0 || tl.Status().SnapshotRestarts != 0 {
+		t.Fatalf("%d resets, %d snapshot restarts; mirroring a snapshot is not a reset", resets, tl.Status().SnapshotRestarts)
+	}
+	for i, r := range got {
+		if r.Seq != uint64(i+1) {
+			t.Fatalf("record %d has seq %d: delivered out of order or twice", i, r.Seq)
+		}
+	}
+}
+
+// A snapshot whose Seq is above what the tailer has applied (the primary
+// snapshotted again between the manifest and the fetch) is not installed:
+// the mirror would claim records it does not hold. The next pass with a
+// covered snapshot installs it.
+func TestTailerSkipsSnapshotPastApplied(t *testing.T) {
+	st := snapshotPrimary(t, 20)
+	inner := NewServer(st).Handler()
+	var ahead atomic.Bool
+	ahead.Store(true)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/replicate/snapshot" || !ahead.Load() {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		blob, err := st.SnapshotBlob()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		var snap store.SnapshotState
+		if err := json.Unmarshal(blob, &snap); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		snap.Seq = st.LastSeq() + 5
+		_ = json.NewEncoder(w).Encode(snap)
+	}))
+	defer srv.Close()
+	dir := t.TempDir()
+	tl, err := NewTailer(fastCfg(srv.URL, dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stepUntilCaughtUp(t, tl, 3)
+	if got := store.LoadSnapshotFile(dir); got != nil {
+		t.Fatalf("installed a snapshot at seq %d with %d records applied", got.Seq, tl.Status().Applied)
+	}
+	mirrorEqualsPrimary(t, st, dir)
+
+	ahead.Store(false)
+	stepUntilCaughtUp(t, tl, 3)
+	if got := store.LoadSnapshotFile(dir); got == nil || got.Seq != st.LastSeq() {
+		t.Fatalf("mirror snapshot %+v after a covered one was served, want seq %d", got, st.LastSeq())
 	}
 }
 

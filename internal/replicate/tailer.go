@@ -22,8 +22,8 @@ type Config struct {
 	// Primary is the primary's base URL (scheme://host:port).
 	Primary string
 	// Dir is the local directory the WAL is mirrored into — byte-identical
-	// segment files plus the bootstrap snapshot, so a promotion is just a
-	// store.Open over it.
+	// segment files plus the primary's latest snapshot, so a promotion is
+	// just a store.Open over it that resumes at that snapshot.
 	Dir string
 	// Client issues the HTTP fetches (default: 5s-timeout client, so a
 	// hung primary can never wedge the tailer).
@@ -131,6 +131,8 @@ type Tailer struct {
 	resumed bool
 	applied uint64
 	pos     map[string]segPos
+	// snapSeq is the mirrored snapshot's Seq, 0 without one.
+	snapSeq uint64
 
 	mu sync.Mutex
 	st Status
@@ -170,9 +172,10 @@ func (t *Tailer) StalenessBudget() time.Duration { return t.cfg.StalenessBudget 
 
 // Step performs one catch-up pass: resume local state (first call only),
 // fetch the manifest, bootstrap from snapshot if the primary compacted
-// past us, then tail every segment to its committed size, delivering new
-// records in order. It returns the first error; failures are also counted
-// in Status for the promotion budget.
+// past us, tail every segment to its committed size, delivering new
+// records in order, then mirror the primary's newer snapshot. It returns
+// the first error; failures are also counted in Status for the promotion
+// budget.
 func (t *Tailer) Step(ctx context.Context) error {
 	err := t.step(ctx)
 	t.mu.Lock()
@@ -219,6 +222,9 @@ func (t *Tailer) step(ctx context.Context) error {
 	if err := t.catchUp(ctx, &m); err != nil {
 		return err
 	}
+	if err := t.mirrorSnapshot(ctx, &m); err != nil {
+		return err
+	}
 	t.mu.Lock()
 	t.st.CaughtUp = t.applied >= m.LastSeq
 	t.st.Applied = t.applied
@@ -263,7 +269,7 @@ func (t *Tailer) Run(ctx context.Context) {
 // before any network traffic.
 func (t *Tailer) resume() error {
 	if snap := store.LoadSnapshotFile(t.cfg.Dir); snap != nil {
-		t.applied = snap.Seq
+		t.applied, t.snapSeq = snap.Seq, snap.Seq
 		t.mu.Lock()
 		if snap.Epoch > t.st.Epoch {
 			t.st.Epoch = snap.Epoch
@@ -502,7 +508,7 @@ func (t *Tailer) bootstrap(ctx context.Context, m *store.Manifest) error {
 		return err
 	}
 	t.pos = make(map[string]segPos)
-	t.applied = snap.Seq
+	t.applied, t.snapSeq = snap.Seq, snap.Seq
 	t.mu.Lock()
 	t.st.Applied = snap.Seq
 	t.st.SnapshotRestarts++
@@ -513,6 +519,41 @@ func (t *Tailer) bootstrap(ctx context.Context, m *store.Manifest) error {
 	if t.cfg.OnReset != nil {
 		t.cfg.OnReset(snap)
 	}
+	return nil
+}
+
+// mirrorSnapshot installs the primary's snapshot beside the mirrored
+// segments when the manifest advertises one newer than the mirror's, so a
+// promoted mirror resumes at it instead of re-judging the whole log. It is
+// not a reset: no segment is wiped, no record is delivered again, and
+// OnReset does not fire. Only a snapshot whose records the mirror has
+// already applied is installed; one the primary wrote past them after the
+// manifest waits for a later pass.
+func (t *Tailer) mirrorSnapshot(ctx context.Context, m *store.Manifest) error {
+	if !m.HasSnapshot || m.SnapshotSeq <= t.snapSeq || m.SnapshotSeq > t.applied {
+		return nil
+	}
+	blob, code, err := t.get(ctx, "/replicate/snapshot", 1<<26)
+	if err != nil {
+		return err
+	}
+	if code != http.StatusOK {
+		return fmt.Errorf("replicate: snapshot HTTP %d", code)
+	}
+	var head struct {
+		Seq uint64 `json:"seq"`
+	}
+	if err := json.Unmarshal(blob, &head); err != nil {
+		return fmt.Errorf("replicate: snapshot: %w", err)
+	}
+	if head.Seq <= t.snapSeq || head.Seq > t.applied {
+		return nil
+	}
+	snap, err := store.InstallSnapshotBlob(t.cfg.Dir, blob)
+	if err != nil {
+		return err
+	}
+	t.snapSeq = snap.Seq
 	return nil
 }
 

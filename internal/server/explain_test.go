@@ -88,7 +88,7 @@ func TestExplainServesTheVerdictsEvidence(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := New(o, "unit-test", 64)
-		return s, col, s.Handler()
+		return s, col, NewFleet([]*Server{s}).Handler()
 	}
 
 	s, col, h := newServer()
@@ -181,7 +181,7 @@ func TestExplainBesidePush(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(o, "unit-test", 64)
-	h := s.Handler()
+	h := NewFleet([]*Server{s}).Handler()
 
 	judged := map[int]*monitor.Verdict{} // by window start; written by the pusher only
 	pushed := make(chan struct{})

@@ -1,16 +1,26 @@
-// Fleet aggregation: one HTTP surface over many per-unit Servers. The
-// fleet daemon owns N units behind one scheduler; dashboards read
-// region-wide totals and page through per-unit summaries instead of
-// polling N ports. Pagination is strict — malformed offsets and limits
-// are rejected with 400 exactly like the per-unit API's limit parameter.
+// The daemon's one HTTP surface: a Fleet serves the same routes over any
+// number of per-unit Servers — several units, one, or none (a follower,
+// which serves only the probes and the daemon-wide status). Dashboards
+// read region-wide totals and page through per-unit summaries instead of
+// polling N ports. Parameters are parsed strictly: malformed units,
+// offsets and limits are rejected with 400.
+//
+// The probes are what a load balancer or orchestrator points at: /healthz
+// answers "is the process alive", /readyz "should traffic go here right
+// now". The daemon wires closures describing its role (a primary serving
+// a live feed, or a follower tailing one) and its readiness (store open,
+// feed live, replication caught up within the staleness budget); the
+// answer flips across a promotion without restarting the listener.
 package server
 
 import (
 	"log"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"dbcatcher/internal/incident"
 )
@@ -23,54 +33,75 @@ const maxFleetPage = 256
 // given.
 const defaultFleetPage = 32
 
-// Fleet serves the aggregated API over a fixed set of per-unit Servers.
-// The unit set is immutable after construction; per-unit state is read
-// through each Server's own lock, or for verdict pages through its
-// published history view, so handlers are safe against the scheduler
-// pushing rounds concurrently.
+// Fleet serves the API over a fixed set of per-unit Servers. The unit set
+// is immutable after construction; per-unit state is read through each
+// Server's own lock, or for verdict pages through its published history
+// view, so handlers are safe against the scheduler pushing rounds
+// concurrently.
 type Fleet struct {
 	units []*Server
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// persistence, scrape, replication and role, when set, provide the
+	// daemon-wide blocks of /api/status and /api/fleet/status.
 	persistence func() interface{}
 	scrape      func() interface{}
 	replication func() interface{}
-	incidents   *incident.Aggregator
-	panics      atomic.Int64
-	// ha holds the role/readiness wiring (see ha.go).
-	ha haState
+	role        func() interface{}
+	// ready, when set, decides /readyz: nil error means ready.
+	ready     func() error
+	incidents *incident.Aggregator
+	// panics counts handler panics recovered by the middleware.
+	panics atomic.Int64
 }
 
-// NewFleet builds the aggregation surface. The slice is not copied; it
-// must not be mutated afterwards.
+// NewFleet builds the surface. The slice is not copied; it must not be
+// mutated afterwards.
 func NewFleet(units []*Server) *Fleet {
 	return &Fleet{units: units}
 }
 
-// SetPersistence attaches a provider embedded as the "persistence" block
-// of /api/fleet/status (e.g. store.FleetPersister.Status).
-func (f *Fleet) SetPersistence(fn func() interface{}) {
+// set stores a provider under mu, then marks every unit's status document
+// stale: a document built from here on sees the new provider.
+func (f *Fleet) set(field *func() interface{}, fn func() interface{}) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.persistence = fn
+	*field = fn
+	f.mu.Unlock()
+	f.Invalidate()
 }
 
-// SetScrape attaches a provider embedded as the "scrape" block of
-// /api/fleet/status (e.g. every unit's scraper health in fleet scrape
-// ingestion mode).
-func (f *Fleet) SetScrape(fn func() interface{}) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.scrape = fn
+// Invalidate marks every unit's cached status document stale. Setting a
+// provider does it; call it when a daemon-wide block changes without one,
+// e.g. on a fencing that flips the role block.
+func (f *Fleet) Invalidate() {
+	for _, s := range f.units {
+		s.Invalidate()
+	}
 }
 
-// SetReplication attaches a provider embedded as the "replication" block
-// of /api/fleet/status (e.g. replicate.Server.StatusBlock: the fleet WAL's
-// served extent plus every tracked standby's lag).
-func (f *Fleet) SetReplication(fn func() interface{}) {
+// SetPersistence attaches the "persistence" block provider (e.g.
+// store.Persister.Status or store.FleetPersister.Status).
+func (f *Fleet) SetPersistence(fn func() interface{}) { f.set(&f.persistence, fn) }
+
+// SetScrape attaches the "scrape" block provider (e.g. the scrapers'
+// health).
+func (f *Fleet) SetScrape(fn func() interface{}) { f.set(&f.scrape, fn) }
+
+// SetReplication attaches the "replication" block provider (e.g.
+// replicate.Server.StatusBlock: the WAL's served extent plus every tracked
+// standby's lag).
+func (f *Fleet) SetReplication(fn func() interface{}) { f.set(&f.replication, fn) }
+
+// SetRole attaches the "role" block provider (e.g.
+// {"role":"follower","applied":123,...}).
+func (f *Fleet) SetRole(fn func() interface{}) { f.set(&f.role, fn) }
+
+// SetReady attaches the /readyz check: nil error means ready. With no
+// check attached the node reports ready whenever it is alive.
+func (f *Fleet) SetReady(fn func() error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.replication = fn
+	f.ready = fn
 }
 
 // SetIncidents attaches the incident aggregator: it backs GET
@@ -83,26 +114,162 @@ func (f *Fleet) SetIncidents(a *incident.Aggregator) {
 	f.incidents = a
 }
 
-// Handler returns the fleet routes, hardened like the per-unit API:
-// per-request timeout on every route but /api/fleet/verdicts (see harden),
-// panic recovery into a JSON 500.
-func (f *Fleet) Handler() http.Handler {
+// Handler returns the routes, hardened for unattended serving: every
+// request but the verdict routes is bounded by DefaultRequestTimeout (see
+// harden), and a handler panic is recovered into a JSON 500 (counted in
+// the server block) instead of tearing down the connection.
+func (f *Fleet) Handler() http.Handler { return f.handler(DefaultRequestTimeout) }
+
+// handler is Handler with the request bound d.
+func (f *Fleet) handler(d time.Duration) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc("/readyz", f.ha.handleReadyz)
-	mux.HandleFunc("/api/fleet/status", f.handleStatus)
+	mux.HandleFunc("/readyz", f.handleReadyz)
+	mux.HandleFunc("/api/status", f.handleStatus)
+	mux.HandleFunc("/api/explain", f.unitRoute((*Server).handleExplain))
+	mux.HandleFunc("/api/thresholds", f.unitRoute((*Server).handleThresholds))
+	mux.HandleFunc("/api/feedback", f.unitRoute((*Server).handleFeedback))
+	mux.HandleFunc("/api/relearn", f.unitRoute((*Server).handleRelearn))
+	mux.HandleFunc("/api/kpis", handleKPIs)
+	mux.HandleFunc("/api/fleet/status", f.handleFleetStatus)
 	mux.HandleFunc("/api/incidents", f.handleIncidents)
-	return harden(mux, DefaultRequestTimeout, "/api/fleet/verdicts", f.handleVerdicts, f.recordPanic)
+	return harden(mux, d, f.handleVerdicts, f.recordPanic)
 }
 
+// recordPanic counts a recovered handler panic. The first stack is logged
+// in full; repeats log one line so a panicking endpoint under load cannot
+// flood the journal.
 func (f *Fleet) recordPanic(v interface{}, stack []byte) {
-	if f.panics.Add(1) == 1 {
-		log.Printf("server: recovered fleet handler panic: %v\n%s", v, stack)
+	// Count, then invalidate: a status document sampling the new
+	// generation must already see the new count.
+	n := f.panics.Add(1)
+	f.Invalidate()
+	if n == 1 {
+		log.Printf("server: recovered handler panic: %v\n%s", v, stack)
 		return
 	}
-	log.Printf("server: recovered fleet handler panic: %v (stack logged on first occurrence)", v)
+	log.Printf("server: recovered handler panic: %v (stack logged on first occurrence)", v)
+}
+
+// unit applies the unit rule to a request's "unit" parameter and returns
+// the unit it selects; ok is false when it answered the request instead.
+// Without the parameter a one-unit surface selects its unit, a surface
+// with several answers 400 "unit required" and one with none 404. A
+// malformed value answers 400 "bad unit", one at or past the unit count
+// 404 "no such unit".
+func (f *Fleet) unit(w http.ResponseWriter, q url.Values) (s *Server, unit int, ok bool) {
+	if q.Get("unit") == "" {
+		switch len(f.units) {
+		case 0:
+			http.Error(w, "no unit selected", http.StatusNotFound)
+		case 1:
+			return f.units[0], 0, true
+		default:
+			http.Error(w, "unit required", http.StatusBadRequest)
+		}
+		return nil, 0, false
+	}
+	unit, ok = queryInt(q, "unit", 0)
+	if !ok {
+		http.Error(w, "bad unit", http.StatusBadRequest)
+		return nil, 0, false
+	}
+	if unit >= len(f.units) {
+		http.Error(w, "no such unit", http.StatusNotFound)
+		return nil, 0, false
+	}
+	return f.units[unit], unit, true
+}
+
+// unitRoute mounts a per-unit handler on the unit the request selects.
+func (f *Fleet) unitRoute(h func(*Server, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s, _, ok := f.unit(w, r.URL.Query()); ok {
+			h(s, w, r)
+		}
+	}
+}
+
+// handleReadyz serves the readiness probe: 200 when the node should
+// receive traffic, 503 with a reason when it should not (store closed,
+// feed dead, follower stale). Liveness stays on /healthz.
+func (f *Fleet) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
+	f.mu.Lock()
+	check := f.ready
+	f.mu.Unlock()
+	if check != nil {
+		if err := check(); err != nil {
+			writeJSON(w, http.StatusServiceUnavailable, map[string]string{
+				"status": "unready", "reason": err.Error(),
+			})
+			return
+		}
+	}
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+}
+
+// handleStatus serves GET /api/status: the selected unit's cached status
+// document with a strong ETag, or with no unit selected the daemon-wide
+// blocks alone. A unit's body is rebuilt only when its status generation
+// has moved since the last build, and a conditional GET whose
+// If-None-Match matches is answered 304 with no body — a dashboard polling
+// an idle unit costs two header lines, not a re-serialization.
+func (f *Fleet) handleStatus(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
+	q := r.URL.Query()
+	if len(f.units) == 0 && q.Get("unit") == "" {
+		body := map[string]interface{}{}
+		f.addBlocks(body)
+		writeJSON(w, http.StatusOK, body)
+		return
+	}
+	s, _, ok := f.unit(w, q)
+	if !ok {
+		return
+	}
+	body, etag := s.statusDocument(f)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("ETag", etag)
+	if etagMatch(r.Header.Get("If-None-Match"), etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+}
+
+// addBlocks adds the daemon-wide blocks to a status document: "server"
+// always, and "persistence", "scrape", "replication" and "role" when their
+// providers are attached.
+func (f *Fleet) addBlocks(body map[string]interface{}) {
+	f.mu.Lock()
+	persistence, scrapeFn, replication, role := f.persistence, f.scrape, f.replication, f.role
+	f.mu.Unlock()
+	body["server"] = map[string]interface{}{
+		"panics":           f.panics.Load(),
+		"requestTimeoutMs": DefaultRequestTimeout.Milliseconds(),
+	}
+	if persistence != nil {
+		body["persistence"] = persistence()
+	}
+	if scrapeFn != nil {
+		body["scrape"] = scrapeFn()
+	}
+	if replication != nil {
+		body["replication"] = replication()
+	}
+	if role != nil {
+		body["role"] = role()
+	}
 }
 
 // fleetUnitJSON is one unit's row in a /api/fleet/status page.
@@ -144,28 +311,33 @@ func (s *Server) fleetSummary(unit int) fleetUnitJSON {
 	}
 }
 
-// handleStatus serves GET /api/fleet/status?offset=&limit=: region-wide
-// totals over every unit plus one page of per-unit summaries. A page
-// starting past the last unit is an empty page (200), not an error;
+// pageParams parses the offset (default 0) and limit (default
+// defaultFleetPage, clamped to maxFleetPage) of a fleet page, answering
+// malformed input 400.
+func pageParams(w http.ResponseWriter, q url.Values) (offset, limit int, ok bool) {
+	if offset, ok = queryInt(q, "offset", 0); !ok {
+		http.Error(w, "bad offset", http.StatusBadRequest)
+		return 0, 0, false
+	}
+	if limit, ok = queryInt(q, "limit", defaultFleetPage); !ok || limit < 1 {
+		http.Error(w, "bad limit", http.StatusBadRequest)
+		return 0, 0, false
+	}
+	return offset, min(limit, maxFleetPage), true
+}
+
+// handleFleetStatus serves GET /api/fleet/status?offset=&limit=:
+// region-wide totals over every unit plus one page of per-unit summaries.
+// A page starting past the last unit is an empty page (200), not an error;
 // malformed pagination is a 400.
-func (f *Fleet) handleStatus(w http.ResponseWriter, r *http.Request) {
+func (f *Fleet) handleFleetStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	q := r.URL.Query()
-	offset, ok := queryInt(q, "offset", 0)
+	offset, limit, ok := pageParams(w, r.URL.Query())
 	if !ok {
-		http.Error(w, "bad offset", http.StatusBadRequest)
 		return
-	}
-	limit, ok := queryInt(q, "limit", defaultFleetPage)
-	if !ok || limit < 1 {
-		http.Error(w, "bad limit", http.StatusBadRequest)
-		return
-	}
-	if limit > maxFleetPage {
-		limit = maxFleetPage
 	}
 
 	totals := struct {
@@ -192,12 +364,6 @@ func (f *Fleet) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	f.mu.Lock()
-	persistence := f.persistence
-	scrapeFn := f.scrape
-	replication := f.replication
-	incidents := f.incidents
-	f.mu.Unlock()
 	body := map[string]interface{}{
 		"units":  len(f.units),
 		"offset": offset,
@@ -205,59 +371,41 @@ func (f *Fleet) handleStatus(w http.ResponseWriter, r *http.Request) {
 		"count":  len(page),
 		"totals": totals,
 		"page":   page,
-		"server": map[string]interface{}{
-			"panics":           f.panics.Load(),
-			"requestTimeoutMs": DefaultRequestTimeout.Milliseconds(),
-		},
 	}
-	if persistence != nil {
-		body["persistence"] = persistence()
-	}
-	if scrapeFn != nil {
-		body["scrape"] = scrapeFn()
-	}
-	if replication != nil {
-		body["replication"] = replication()
-	}
+	f.addBlocks(body)
+	f.mu.Lock()
+	incidents := f.incidents
+	f.mu.Unlock()
 	if incidents != nil {
 		body["incidents"] = incidents.Status()
-	}
-	if role := f.ha.roleBlock(); role != nil {
-		body["role"] = role
 	}
 	writeJSON(w, http.StatusOK, body)
 }
 
-// handleVerdicts serves GET /api/fleet/verdicts?unit=&limit=&since=: one
-// unit's recent verdict stream. The unit key is mandatory; an out-of-range
-// unit is a 404 and malformed parameters are 400s. Like the per-unit
-// /api/verdicts it reads the unit's published history view and takes no
-// lock.
-func (f *Fleet) handleVerdicts(w http.ResponseWriter, r *http.Request) {
+// handleVerdicts serves the selected unit's newest retained verdicts:
+// GET /api/verdicts?unit=&limit=&since= as a bare array, and
+// /api/fleet/verdicts with the same parameters inside an envelope naming
+// the unit. It reads the unit's published history view and takes no lock,
+// so it never waits on Push.
+func (f *Fleet) handleVerdicts(w http.ResponseWriter, r *http.Request, envelope bool) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
 	q := r.URL.Query()
-	if q.Get("unit") == "" {
-		http.Error(w, "unit required", http.StatusBadRequest)
-		return
-	}
-	unit, ok := queryInt(q, "unit", 0)
+	s, unit, ok := f.unit(w, q)
 	if !ok {
-		http.Error(w, "bad unit", http.StatusBadRequest)
 		return
 	}
-	if unit >= len(f.units) {
-		http.Error(w, "no such unit", http.StatusNotFound)
-		return
-	}
-	s := f.units[unit]
 	limit, since, ok := s.pageQuery(w, q)
 	if !ok {
 		return
 	}
 	n, entries := s.history.view.Load().page(since, limit)
+	if !envelope {
+		writeVerdicts(w, arrayOpen, entries, arrayClose)
+		return
+	}
 	// The envelope's keys in encoding/json's map order.
 	head := make([]byte, 0, 80+len(s.nameJSON))
 	head = append(head, `{"count":`...)
@@ -286,19 +434,9 @@ func (f *Fleet) handleIncidents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "incident aggregation not enabled", http.StatusNotFound)
 		return
 	}
-	q := r.URL.Query()
-	offset, ok := queryInt(q, "offset", 0)
+	offset, limit, ok := pageParams(w, r.URL.Query())
 	if !ok {
-		http.Error(w, "bad offset", http.StatusBadRequest)
 		return
-	}
-	limit, ok := queryInt(q, "limit", defaultFleetPage)
-	if !ok || limit < 1 {
-		http.Error(w, "bad limit", http.StatusBadRequest)
-		return
-	}
-	if limit > maxFleetPage {
-		limit = maxFleetPage
 	}
 	total, rows := agg.Page(offset, limit)
 	writeJSON(w, http.StatusOK, map[string]interface{}{

@@ -2,12 +2,15 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"dbcatcher/internal/cluster"
 	"dbcatcher/internal/detect"
+	"dbcatcher/internal/feedback"
 	"dbcatcher/internal/kpi"
 	"dbcatcher/internal/monitor"
 	"dbcatcher/internal/window"
@@ -231,5 +234,130 @@ func TestVerdictsLimitStrictParsing(t *testing.T) {
 		if resp := getJSON(t, ts.URL+"/api/verdicts"+q, &out); resp.StatusCode != 200 {
 			t.Fatalf("%s: status %d, want 200", q, resp.StatusCode)
 		}
+	}
+}
+
+// fedUnits builds n units whose judges have each resolved a round, with a
+// feedback store and a relearn status attached, so every unit-scoped route
+// answers 200 once it selects one.
+func fedUnits(t *testing.T, n int) []*Server {
+	t.Helper()
+	u, err := cluster.Simulate(cluster.Config{Name: "u", Ticks: 60, Seed: 5, Profile: workload.TencentIrregular})
+	if err != nil {
+		t.Fatal(err)
+	}
+	units := make([]*Server, n)
+	for i := range units {
+		o, err := monitor.NewOnline(detect.Config{
+			Thresholds: window.DefaultThresholds(kpi.Count),
+			Workers:    1,
+		}, kpi.Count, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		units[i] = New(o, fmt.Sprintf("unit-%d", i), 16)
+		units[i].SetFeedback(feedback.NewStore(8))
+		units[i].SetRelearn(func() interface{} { return map[string]string{"state": "idle"} }, nil)
+		c, err := cluster.NewCollector(u.Series, workload.FaultPlan{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			sample, ok := c.Next()
+			if !ok {
+				break
+			}
+			if _, err := units[i].Push(sample); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return units
+}
+
+// TestRouteTable runs the one surface over 0, 1 and 3 units and applies
+// the unit rule to every unit-scoped route: an absent unit selects the
+// only unit of a one-unit surface, is required with several and selects
+// nothing with none; a malformed one is 400 and one past the last unit
+// 404. /api/status?unit=i carries unit i's block and the daemon-wide
+// blocks of /api/fleet/status.
+func TestRouteTable(t *testing.T) {
+	routes := []string{
+		"/api/status", "/api/verdicts", "/api/explain", "/api/thresholds",
+		"/api/feedback", "/api/relearn", "/api/fleet/verdicts",
+	}
+	for _, n := range []int{0, 1, 3} {
+		t.Run(fmt.Sprintf("units=%d", n), func(t *testing.T) {
+			f := NewFleet(fedUnits(t, n))
+			f.SetPersistence(func() interface{} { return map[string]int{"durableTick": 7} })
+			f.SetScrape(func() interface{} { return map[string]int{"rounds": 3} })
+			f.SetReplication(func() interface{} { return map[string]int{"lastSeq": 9} })
+			f.SetRole(func() interface{} { return map[string]string{"role": "primary"} })
+			h := f.Handler()
+			get := func(url string) (int, map[string]interface{}) {
+				t.Helper()
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+				var body map[string]interface{}
+				_ = json.Unmarshal(rec.Body.Bytes(), &body) // arrays and plain-text errors stay nil
+				return rec.Code, body
+			}
+
+			type probe struct {
+				query string
+				want  int // for a route that needs a unit
+			}
+			probes := []probe{{"", http.StatusOK}, {"?unit=0", http.StatusOK}}
+			switch n {
+			case 0:
+				probes = []probe{{"", http.StatusNotFound}, {"?unit=0", http.StatusNotFound}}
+			case 3:
+				probes[0].want = http.StatusBadRequest
+				probes = append(probes, probe{"?unit=2", http.StatusOK})
+			}
+			probes = append(probes,
+				probe{fmt.Sprintf("?unit=%d", n), http.StatusNotFound},
+				probe{"?unit=+1", http.StatusBadRequest})
+			for _, route := range routes {
+				for _, p := range probes {
+					want := p.want
+					if route == "/api/status" && n == 0 && p.query == "" {
+						want = http.StatusOK // the daemon-wide blocks alone
+					}
+					if code, _ := get(route + p.query); code != want {
+						t.Errorf("GET %s%s = %d, want %d", route, p.query, code, want)
+					}
+				}
+			}
+
+			code, fleetDoc := get("/api/fleet/status")
+			if code != http.StatusOK || fleetDoc["units"] != float64(n) {
+				t.Fatalf("/api/fleet/status = %d %v", code, fleetDoc)
+			}
+			blocks := []string{"server", "persistence", "scrape", "replication", "role"}
+			sameBlocks := func(url string, doc map[string]interface{}) {
+				t.Helper()
+				for _, b := range blocks {
+					if doc[b] == nil || !reflect.DeepEqual(doc[b], fleetDoc[b]) {
+						t.Errorf("%s %q block %v, /api/fleet/status has %v", url, b, doc[b], fleetDoc[b])
+					}
+				}
+			}
+			if n == 0 {
+				_, doc := get("/api/status")
+				if _, ok := doc["unit"]; ok || len(doc) != len(blocks) {
+					t.Errorf("/api/status with no unit = %v, want the daemon-wide blocks alone", doc)
+				}
+				sameBlocks("/api/status", doc)
+			}
+			for i := 0; i < n; i++ {
+				url := fmt.Sprintf("/api/status?unit=%d", i)
+				_, doc := get(url)
+				if doc["unit"] != fmt.Sprintf("unit-%d", i) {
+					t.Errorf("%s names unit %v", url, doc["unit"])
+				}
+				sameBlocks(url, doc)
+			}
+		})
 	}
 }

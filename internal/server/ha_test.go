@@ -12,7 +12,7 @@ import (
 )
 
 func TestReadyzDefaultAndWiredCheck(t *testing.T) {
-	s, ts := newTestServer(t)
+	_, f, ts := newTestUnit(t)
 
 	// No check wired: alive implies ready.
 	var body map[string]string
@@ -22,7 +22,7 @@ func TestReadyzDefaultAndWiredCheck(t *testing.T) {
 
 	// A follower still catching up is unready, with the reason surfaced.
 	ready := false
-	s.SetReady(func() error {
+	f.SetReady(func() error {
 		if !ready {
 			return errors.New("follower 42 records behind primary")
 		}
@@ -61,9 +61,9 @@ func TestPromoteEndpoint(t *testing.T) {
 }
 
 func TestStatusETagCachingAndRoleBlock(t *testing.T) {
-	s, ts := newTestServer(t)
+	s, f, ts := newTestUnit(t)
 	role := "follower"
-	s.SetRole(func() interface{} { return map[string]string{"role": role} })
+	f.SetRole(func() interface{} { return map[string]string{"role": role} })
 
 	fetch := func(inm string) (*http.Response, []byte) {
 		req, err := http.NewRequest(http.MethodGet, ts.URL+"/api/status", nil)

@@ -264,8 +264,6 @@ func TestFleetConcurrentServing(t *testing.T) {
 	f.SetIncidents(agg)
 	ts := httptest.NewServer(f.Handler())
 	t.Cleanup(ts.Close)
-	unitTS := httptest.NewServer(units[1].Handler())
-	t.Cleanup(unitTS.Close)
 
 	// pushed is the tick of the newest sample handed to a round; no served
 	// verdict may be newer.
@@ -301,7 +299,7 @@ func TestFleetConcurrentServing(t *testing.T) {
 	readers := []*reader{
 		{url: ts.URL + "/api/fleet/verdicts?unit=0", fleetRoute: true, unit: 0, since: -1},
 		{url: ts.URL + "/api/fleet/verdicts?unit=2&since=40", fleetRoute: true, unit: 2, since: 40},
-		{url: unitTS.URL + "/api/verdicts?since=20&limit=5", unit: 1, since: 20},
+		{url: ts.URL + "/api/verdicts?unit=1&since=20&limit=5", unit: 1, since: 20},
 	}
 	done := make(chan struct{})
 	var wg, ready sync.WaitGroup // ready: every verdict reader has read a page

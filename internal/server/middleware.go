@@ -32,25 +32,29 @@ func Recover(next http.Handler, onPanic func(v interface{}, stack []byte)) http.
 	})
 }
 
-// harden mounts an API for unattended serving: requests for path go
-// straight to the verdict handler, every other request to timed inside
-// Timeout(d), and both run inside Recover. (A ServeMux in front would cost
-// the timed routes an allocating second match on every request.)
+// harden mounts the API for unattended serving: requests for the two
+// verdict routes go straight to the verdict handler (envelope set for
+// /api/fleet/verdicts), every other request to timed inside Timeout(d),
+// and all of them run inside Recover. (A ServeMux in front would cost the
+// timed routes an allocating second match on every request.)
 //
-// The verdict handlers may skip Timeout because they cannot block: they
-// read a published verdictView and take no lock that a push, a persister
-// or I/O can hold, and they copy at most the history bound. A route leaves
+// The verdict handler may skip Timeout because it cannot block: it reads
+// a published verdictView and takes no lock that a push, a persister or
+// I/O can hold, and it copies at most the history bound. A route leaves
 // Timeout only under that rule; a handler that takes such a lock would
 // otherwise hang on a stuck persister. Timeout never bounded a slow
 // client: the http.Server's WriteTimeout does, for every route.
-func harden(timed http.Handler, d time.Duration, path string, verdicts http.HandlerFunc, onPanic func(v interface{}, stack []byte)) http.Handler {
+func harden(timed http.Handler, d time.Duration, verdicts func(w http.ResponseWriter, r *http.Request, envelope bool), onPanic func(v interface{}, stack []byte)) http.Handler {
 	timed = Timeout(timed, d)
 	return Recover(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == path {
-			verdicts(w, r)
-			return
+		switch r.URL.Path {
+		case "/api/fleet/verdicts":
+			verdicts(w, r, true)
+		case "/api/verdicts":
+			verdicts(w, r, false)
+		default:
+			timed.ServeHTTP(w, r)
 		}
-		timed.ServeHTTP(w, r)
 	}), onPanic)
 }
 

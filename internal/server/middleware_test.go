@@ -108,12 +108,12 @@ func TestTimeoutPassesFastHandlersThrough(t *testing.T) {
 }
 
 func TestStatusServerAndScrapeBlocks(t *testing.T) {
-	s, ts := newTestServer(t)
-	s.SetScrape(func() interface{} {
+	_, f, ts := newTestUnit(t)
+	f.SetScrape(func() interface{} {
 		return map[string]int{"rounds": 7}
 	})
-	s.recordPanic("test-panic", []byte("stack"))
-	s.recordPanic("test-panic-2", []byte("stack"))
+	f.recordPanic("test-panic", []byte("stack"))
+	f.recordPanic("test-panic-2", []byte("stack"))
 
 	var body map[string]interface{}
 	if resp := getJSON(t, ts.URL+"/api/status", &body); resp.StatusCode != 200 {
@@ -139,9 +139,9 @@ func TestStatusServerAndScrapeBlocks(t *testing.T) {
 // the request comes back as a JSON 500, the counter increments, and the
 // next request is served normally.
 func TestHandlerRecoversPanickingProvider(t *testing.T) {
-	s, ts := newTestServer(t)
+	_, f, ts := newTestUnit(t)
 	poisoned := true
-	s.SetScrape(func() interface{} {
+	f.SetScrape(func() interface{} {
 		if poisoned {
 			panic("poisoned provider")
 		}
@@ -156,8 +156,8 @@ func TestHandlerRecoversPanickingProvider(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("poisoned status = %d", resp.StatusCode)
 	}
-	if s.panics.Load() != 1 {
-		t.Fatalf("panics = %d", s.panics.Load())
+	if f.panics.Load() != 1 {
+		t.Fatalf("panics = %d", f.panics.Load())
 	}
 	poisoned = false
 	var body map[string]interface{}

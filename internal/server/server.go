@@ -6,9 +6,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
-	"log"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -24,13 +24,18 @@ import (
 	"dbcatcher/internal/window"
 )
 
-// DefaultRequestTimeout bounds a single API request. A Server starts with
-// it and can change it with SetRequestTimeout; a Fleet always uses it. The
-// verdict routes run outside the bound (see harden).
+// DefaultRequestTimeout bounds a single API request. The verdict routes
+// run outside the bound (see harden).
 const DefaultRequestTimeout = 10 * time.Second
 
-// Server wraps an online detector with a JSON HTTP API. It is safe for
-// concurrent use; the feeder goroutine pushes samples while handlers read.
+// maxBodyBytes bounds a POST body the API decodes: a thresholds document
+// for 14 KPIs is under 1 KB, a feedback mark under 100 bytes.
+const maxBodyBytes = 16 << 10
+
+// Server holds one unit's state behind the API: its judge, its verdict
+// history and its cached status document. A Fleet serves its routes. It is
+// safe for concurrent use; the feeder goroutine pushes samples while
+// handlers read.
 type Server struct {
 	mu     sync.Mutex
 	online *monitor.Online
@@ -44,27 +49,12 @@ type Server struct {
 	// RestoreHistory; Push drops regenerated verdicts at or below it
 	// (they are already in the history).
 	restoredThrough int
-	// persistence, when set, contributes a block to /api/status.
-	persistence func() interface{}
-	// scrape, when set, contributes the network-collection health block to
-	// /api/status (e.g. scrape.Scraper.Health via SetScrape).
-	scrape func() interface{}
-	// replication, when set, contributes the primary's replication block to
-	// /api/status (e.g. replicate.Server.StatusBlock): log extent plus
-	// every tracked follower's lag.
-	replication func() interface{}
 	// fb, when set, backs the /api/feedback DBA-marking endpoint.
 	fb *feedback.Store
 	// relearnStatus and relearnTrigger, when set, back /api/relearn and
 	// the relearn block of /api/status (e.g. relearn.Supervisor).
 	relearnStatus  func() interface{}
 	relearnTrigger func() error
-	// reqTimeout bounds each request served through Handler.
-	reqTimeout time.Duration
-	// panics counts handler panics recovered by the middleware.
-	panics atomic.Int64
-	// ha holds the role/readiness wiring (see ha.go).
-	ha haState
 	// gen is the status generation: every state change bumps it, and the
 	// cached /api/status document (statusBody/statusETag, guarded by mu)
 	// is rebuilt only when the generation it was built at goes stale.
@@ -83,43 +73,8 @@ func New(o *monitor.Online, unitName string, maxHistory int) *Server {
 	return &Server{
 		online: o, history: newVerdictLog(maxHistory),
 		unitName: unitName, nameJSON: appendString(nil, unitName),
-		restoredThrough: -1, reqTimeout: DefaultRequestTimeout,
+		restoredThrough: -1,
 	}
-}
-
-// SetPersistence attaches a provider whose value is embedded as the
-// "persistence" block of /api/status (e.g. store.Persister.Status).
-func (s *Server) SetPersistence(fn func() interface{}) {
-	s.gen.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.persistence = fn
-}
-
-// SetScrape attaches a provider whose value is embedded as the "scrape"
-// block of /api/status (e.g. scrape.Scraper.Health wrapped in a closure).
-func (s *Server) SetScrape(fn func() interface{}) {
-	s.gen.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.scrape = fn
-}
-
-// SetReplication attaches a provider embedded as the "replication" block
-// of /api/status (e.g. replicate.Server.StatusBlock wrapped in a closure).
-func (s *Server) SetReplication(fn func() interface{}) {
-	s.gen.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.replication = fn
-}
-
-// SetRequestTimeout overrides the per-request bound applied by Handler
-// (call before Handler; 0 disables the bound).
-func (s *Server) SetRequestTimeout(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reqTimeout = d
 }
 
 // SetFeedback attaches the DBA judgment-record store behind /api/feedback.
@@ -181,50 +136,10 @@ func (s *Server) record(v *monitor.Verdict) {
 	}
 }
 
-// Handler returns the HTTP routing for the API, hardened for unattended
-// serving: every request but /api/verdicts is bounded by the configured
-// timeout (see harden), and a handler panic is recovered into a JSON 500
-// (counted in /api/status) instead of tearing down the connection.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.ha.handleReadyz)
-	mux.HandleFunc("/api/status", s.handleStatus)
-	mux.HandleFunc("/api/thresholds", s.handleThresholds)
-	mux.HandleFunc("/api/kpis", s.handleKPIs)
-	mux.HandleFunc("/api/explain", s.handleExplain)
-	mux.HandleFunc("/api/feedback", s.handleFeedback)
-	mux.HandleFunc("/api/relearn", s.handleRelearn)
-	s.mu.Lock()
-	timeout := s.reqTimeout
-	s.mu.Unlock()
-	return harden(mux, timeout, "/api/verdicts", s.handleVerdicts, s.recordPanic)
-}
-
-// recordPanic counts a recovered handler panic. The first stack is logged
-// in full; repeats log one line so a panicking endpoint under load cannot
-// flood the journal.
-func (s *Server) recordPanic(v interface{}, stack []byte) {
-	// Mutate-then-bump, like every other invalidation site: a
-	// statusDocument sampling the new generation must already see the new
-	// panic count, or it pins a stale document under a fresh generation.
-	n := s.panics.Add(1)
-	s.gen.Add(1) // the panic counter is part of /api/status
-	if n == 1 {
-		log.Printf("server: recovered handler panic: %v\n%s", v, stack)
-		return
-	}
-	log.Printf("server: recovered handler panic: %v (stack logged on first occurrence)", v)
-}
-
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // Invalidate marks the cached /api/status document stale. Mutating
@@ -232,27 +147,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // (scrape rounds, relearn completion) whose state feeds a status block the
 // server cannot observe changing.
 func (s *Server) Invalidate() { s.gen.Add(1) }
-
-// handleStatus serves the cached status document with a strong ETag: the
-// body is rebuilt only when the status generation has moved since the last
-// build, and a conditional GET whose If-None-Match matches is answered
-// 304 with no body — a dashboard polling an idle unit costs two header
-// lines, not a re-serialization.
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	body, etag := s.statusDocument()
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("ETag", etag)
-	if etagMatch(r.Header.Get("If-None-Match"), etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
-}
 
 // etagMatch evaluates an If-None-Match header against the current entity
 // tag per RFC 7232 §3.2: a comma-separated list of entity-tags compared
@@ -276,11 +170,12 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// statusDocument returns the marshaled status body and its ETag,
-// rebuilding only on a stale generation. The generation is sampled before
-// taking the lock; a bump racing the rebuild merely causes one extra
-// rebuild on the next request, never a stale document being pinned.
-func (s *Server) statusDocument() ([]byte, string) {
+// statusDocument returns the unit's marshaled status body, with f's
+// daemon-wide blocks, and its ETag, rebuilding only on a stale
+// generation. The generation is sampled before taking the lock; a bump
+// racing the rebuild merely causes one extra rebuild on the next request,
+// never a stale document being pinned.
+func (s *Server) statusDocument(f *Fleet) ([]byte, string) {
 	g := s.gen.Load()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -313,25 +208,10 @@ func (s *Server) statusDocument() ([]byte, string) {
 			"silentRecent":     h.SilentRecent,
 		},
 	}
-	body["server"] = map[string]interface{}{
-		"panics":           s.panics.Load(),
-		"requestTimeoutMs": s.reqTimeout.Milliseconds(),
-	}
-	if s.persistence != nil {
-		body["persistence"] = s.persistence()
-	}
-	if s.scrape != nil {
-		body["scrape"] = s.scrape()
-	}
-	if s.replication != nil {
-		body["replication"] = s.replication()
-	}
 	if s.relearnStatus != nil {
 		body["relearn"] = s.relearnStatus()
 	}
-	if role := s.ha.roleBlock(); role != nil {
-		body["role"] = role
-	}
+	f.addBlocks(body)
 	b, err := json.Marshal(body)
 	if err != nil {
 		b = []byte(`{"error":"status marshal failed"}`)
@@ -412,8 +292,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			Predicted bool `json:"predicted"`
 			Actual    bool `json:"actual"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &body) {
 			return
 		}
 		if body.Size <= 0 || body.Start < 0 {
@@ -426,6 +305,23 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
+}
+
+// decodeBody decodes r's JSON body into v. A body over maxBodyBytes is
+// answered 413 before more of it is read, malformed JSON 400; either way
+// it returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
+	}
+	return false
 }
 
 // queryInt parses the named query parameter as a canonical non-negative
@@ -453,22 +349,6 @@ func queryInt(query url.Values, name string, def int) (int, bool) {
 		return 0, false
 	}
 	return v, true
-}
-
-// handleVerdicts serves GET /api/verdicts?limit=&since=: the unit's
-// newest retained verdicts as a bare array. It reads the history's
-// published view and takes no lock, so it never waits on Push.
-func (s *Server) handleVerdicts(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	limit, since, ok := s.pageQuery(w, r.URL.Query())
-	if !ok {
-		return
-	}
-	_, entries := s.history.view.Load().page(since, limit)
-	writeVerdicts(w, arrayOpen, entries, arrayClose)
 }
 
 // pageQuery parses the verdict routes' limit (default 50, clamped to the
@@ -510,8 +390,7 @@ func (s *Server) handleThresholds(w http.ResponseWriter, r *http.Request) {
 		})
 	case http.MethodPost, http.MethodPut:
 		var body thresholdsJSON
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
+		if !decodeBody(w, r, &body) {
 			return
 		}
 		th := window.Thresholds{
@@ -582,7 +461,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *Server) handleKPIs(w http.ResponseWriter, r *http.Request) {
+// handleKPIs lists the monitored KPIs: the same document for every unit.
+func handleKPIs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -21,6 +22,13 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
+	s, _, ts := newTestUnit(t)
+	return s, ts
+}
+
+// newTestUnit serves one unit through the daemon's surface.
+func newTestUnit(t *testing.T) (*Server, *Fleet, *httptest.Server) {
+	t.Helper()
 	o, err := monitor.NewOnline(detect.Config{
 		Thresholds: window.DefaultThresholds(kpi.Count),
 	}, kpi.Count, 5)
@@ -28,9 +36,10 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	s := New(o, "unit-test", 16)
-	ts := httptest.NewServer(s.Handler())
+	f := NewFleet([]*Server{s})
+	ts := httptest.NewServer(f.Handler())
 	t.Cleanup(ts.Close)
-	return s, ts
+	return s, f, ts
 }
 
 func getJSON(t *testing.T, url string, out interface{}) *http.Response {
@@ -144,6 +153,37 @@ func TestThresholdsRoundTrip(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("invalid thresholds status = %d", resp.StatusCode)
+	}
+}
+
+// A POST body over the bound is answered 413 before it is decoded, on
+// both routes that decode JSON, and changes nothing.
+func TestOversizedBodiesAnswer413(t *testing.T) {
+	s, f, _ := newTestUnit(t)
+	fb := feedback.NewStore(8)
+	s.SetFeedback(fb)
+	before := s.online.Thresholds()
+	// One 1 MiB JSON document: a threshold set whose alpha runs far past
+	// the bound.
+	var big bytes.Buffer
+	big.WriteString(`{"theta":0.2,"maxTolerance":1,"alpha":[`)
+	for big.Len() < 1<<20 {
+		big.WriteString("0.5,")
+	}
+	big.WriteString("0.5]}")
+	h := f.Handler()
+	for _, route := range []string{"/api/thresholds", "/api/feedback"} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(big.Bytes())))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("POST %s with a 1 MiB body = %d %s, want 413", route, rec.Code, rec.Body.Bytes())
+		}
+	}
+	if got := s.online.Thresholds(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("thresholds changed by a refused body: %+v, was %+v", got, before)
+	}
+	if recs := fb.Snapshot(); len(recs) != 0 {
+		t.Fatalf("feedback ring holds %d records after a refused body", len(recs))
 	}
 }
 
@@ -373,13 +413,13 @@ func TestFeedbackEndpoint(t *testing.T) {
 }
 
 func TestStatusPersistenceBlock(t *testing.T) {
-	s, ts := newTestServer(t)
+	_, f, ts := newTestUnit(t)
 	var body map[string]interface{}
 	getJSON(t, ts.URL+"/api/status", &body)
 	if _, present := body["persistence"]; present {
 		t.Fatal("persistence block present without a provider")
 	}
-	s.SetPersistence(func() interface{} {
+	f.SetPersistence(func() interface{} {
 		return map[string]interface{}{"durableTick": 42, "fsyncPolicy": "interval"}
 	})
 	body = nil

@@ -184,7 +184,7 @@ func checkAgainstRef(t *testing.T, step string, s *Server, unitH, fleetH http.Ha
 		t.Fatalf("%s: fleet row verdicts/abnormal/last = %d/%d/%d, want %d/%d/%d", step,
 			row.Verdicts, row.AbnormalVerdicts, row.LastVerdictTick, len(ref.verdicts), abnormal, last.Tick)
 	}
-	body, _ := s.statusDocument()
+	body, _ := s.statusDocument(NewFleet([]*Server{s}))
 	var status struct {
 		Verdicts         int `json:"verdicts"`
 		AbnormalVerdicts int `json:"abnormalVerdicts"`
@@ -257,7 +257,7 @@ func TestVerdictBodiesMatchEncoder(t *testing.T) {
 			for i, name := range names {
 				servers[i] = newBareServer(t, name, max)
 				refs[i] = newRefHistory(servers[i].history.max)
-				unitHs[i] = servers[i].Handler()
+				unitHs[i] = NewFleet([]*Server{servers[i]}).Handler()
 			}
 			fleetH := NewFleet(servers).Handler()
 			checkAll := func(step string) {
@@ -318,7 +318,7 @@ func TestVerdictBodiesMatchEncoderLive(t *testing.T) {
 	}
 	s := newBareServer(t, "live<&>", 8)
 	ref := newRefHistory(8)
-	unitH, fleetH := s.Handler(), NewFleet([]*Server{s}).Handler()
+	h := NewFleet([]*Server{s}).Handler()
 	for {
 		sample, ok := c.Next()
 		if !ok {
@@ -330,7 +330,7 @@ func TestVerdictBodiesMatchEncoderLive(t *testing.T) {
 		}
 		if v != nil {
 			ref.push(v)
-			checkAgainstRef(t, fmt.Sprintf("tick %d", v.Tick), s, unitH, fleetH, 0, ref)
+			checkAgainstRef(t, fmt.Sprintf("tick %d", v.Tick), s, h, h, 0, ref)
 		}
 	}
 	if len(ref.verdicts) == 0 {
@@ -401,11 +401,8 @@ func TestVerdictReadsDoNotWaitOnPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newBareServer(t, "blocked", 16)
-	s.SetRequestTimeout(100 * time.Millisecond)
-	unitTS := httptest.NewServer(s.Handler())
-	defer unitTS.Close()
-	fleetTS := httptest.NewServer(NewFleet([]*Server{s}).Handler())
-	defer fleetTS.Close()
+	ts := httptest.NewServer(NewFleet([]*Server{s}).handler(100 * time.Millisecond))
+	defer ts.Close()
 	p := &blockingPersister{entered: make(chan struct{}), release: make(chan struct{})}
 	s.online.SetPersister(p)
 	var before []verdictJSON
@@ -466,18 +463,18 @@ func TestVerdictReadsDoNotWaitOnPush(t *testing.T) {
 		}
 		return resp.StatusCode, buf.Bytes()
 	}
-	if code, body := get(unitTS.URL + "/api/verdicts"); code != 200 || !bytes.Equal(body, encodeRef(t, before)) {
+	if code, body := get(ts.URL + "/api/verdicts"); code != 200 || !bytes.Equal(body, encodeRef(t, before)) {
 		t.Fatalf("/api/verdicts while blocked: %d %s", code, body)
 	}
 	since := before[0].Tick
 	wantFleet := encodeRef(t, map[string]interface{}{
 		"unit": 0, "name": "blocked", "count": len(before) - 1, "verdicts": before[1:],
 	})
-	if code, body := get(fleetTS.URL + "/api/fleet/verdicts?unit=0&since=" + strconv.Itoa(since)); code != 200 || !bytes.Equal(body, wantFleet) {
+	if code, body := get(ts.URL + "/api/fleet/verdicts?unit=0&since=" + strconv.Itoa(since)); code != 200 || !bytes.Equal(body, wantFleet) {
 		t.Fatalf("/api/fleet/verdicts while blocked: %d %s", code, body)
 	}
 	// Routes that take the unit lock keep the request timeout.
-	if code, _ := get(unitTS.URL + "/api/status"); code != http.StatusServiceUnavailable {
+	if code, _ := get(ts.URL + "/api/status"); code != http.StatusServiceUnavailable {
 		t.Fatalf("/api/status while blocked: %d, want 503 from the request timeout", code)
 	}
 
@@ -486,7 +483,7 @@ func TestVerdictReadsDoNotWaitOnPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	var after []verdictJSON
-	if code := getJSON(t, unitTS.URL+"/api/verdicts", &after).StatusCode; code != 200 || len(after) != len(before)+1 {
+	if code := getJSON(t, ts.URL+"/api/verdicts", &after).StatusCode; code != 200 || len(after) != len(before)+1 {
 		t.Fatalf("after release: %d, %d verdicts, want %d", code, len(after), len(before)+1)
 	}
 }
