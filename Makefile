@@ -48,8 +48,9 @@ bench-baseline:
 bench-diff:
 	$(GO) run ./cmd/bench -diff BENCH_core.json -benchtime 100ms
 
-# Fuzz the untrusted-input decoders (the tracefile reader and the WAL
-# record decoder), the KCD kernel on gap-bearing windows, the incident
+# Fuzz the untrusted-input decoders (the tracefile reader, the WAL record
+# decoder, and the scrape wire's exposition and JSON parsers, one-database
+# and unit bodies), the KCD kernel on gap-bearing windows, the incident
 # transition-sequence replayer, and the verdict JSON appender against
 # encoding/json. Each target gets $(FUZZTIME).
 fuzz:
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzKCD -fuzztime $(FUZZTIME) ./internal/correlate
 	$(GO) test -run '^$$' -fuzz FuzzRestore -fuzztime $(FUZZTIME) ./internal/incident
 	$(GO) test -run '^$$' -fuzz FuzzPromParse -fuzztime $(FUZZTIME) ./internal/scrape
+	$(GO) test -run '^$$' -fuzz FuzzPayloadParse -fuzztime $(FUZZTIME) ./internal/scrape
 	$(GO) test -run '^$$' -fuzz FuzzVerdictJSON -fuzztime $(FUZZTIME) ./internal/server
 
 # The end-to-end benchmark harness is its own module (it replaces

@@ -26,8 +26,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -313,21 +311,43 @@ func main() {
 		}
 	})
 	add(parseProm)
-
-	// scrape/round-*: one Scraper.Round over the unit's targets in prom,
-	// through an in-memory transport serving canned bodies, so the
-	// measurement is the scraper's own per-round cost (workers, request,
-	// read, parse, breaker and staleness bookkeeping, assembly) without
-	// the network or an exporter. The served tick alternates between
-	// rounds, so no target goes stale. round-c1 is one fetch at a time
-	// (the per-unit setting of a 32-unit fleet on a small host); round-all
-	// is the daemon's default of every target at once.
-	canned := &cannedTransport{bodies: make([][2][]byte, dbs)}
-	for d := range canned.bodies {
-		for tick := range canned.bodies[d] {
-			canned.bodies[d][tick] = scrape.AppendBody(nil,
-				&scrape.Payload{Tick: tick, DB: d, Values: wire}, scrape.FormatProm)
+	// The same decode for a whole unit's body, the shape a /kpis scrape
+	// carries: every database's vector from one exposition into warm
+	// payloads, under the same zero-alloc contract.
+	unitWire := make([]scrape.Payload, dbs)
+	for d := range unitWire {
+		unitWire[d] = scrape.Payload{Tick: 1, DB: d, Values: wire}
+	}
+	promUnitBody := scrape.AppendUnit(nil, unitWire, scrape.FormatProm)
+	parsedUnit, err := scrape.ParseUnit(promUnitBody, nil, scrape.FormatProm)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		os.Exit(1)
+	}
+	add(measure("scrape/parse-prom-unit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if parsedUnit, err = scrape.ParseUnit(promUnitBody, parsedUnit, scrape.FormatProm); err != nil {
+				b.Fatal(err)
+			}
 		}
+	}))
+
+	// scrape/round-*: one Scraper.Round over the unit's SelfTargets (one
+	// /kpis endpoint) in prom, through an in-memory transport serving
+	// canned unit bodies, so the measurement is the scraper's own per-round
+	// cost (workers, request, read, parse, breaker and staleness
+	// bookkeeping, assembly) without the network or an exporter. The served
+	// tick alternates between rounds, so no database goes stale. round-c1
+	// is one fetch at a time (the per-unit setting of a 32-unit fleet on a
+	// small host); round-all is the daemon's default of every endpoint at
+	// once.
+	canned := &cannedTransport{}
+	for tick := range canned.bodies {
+		for d := range unitWire {
+			unitWire[d].Tick = tick
+		}
+		canned.bodies[tick] = scrape.AppendUnit(nil, unitWire, scrape.FormatProm)
 	}
 	roundBench := func(name string, conc int) Entry {
 		sc, err := scrape.New(scrape.Config{
@@ -354,6 +374,22 @@ func main() {
 	}
 	add(roundBench("scrape/round-c1", 1))
 	add(roundBench("scrape/round-all", 0))
+
+	// scrape/setup-unit: what a scrape-mode daemon builds per unit before
+	// its first round — the feed, the exporter's handler, the unit's
+	// SelfTargets and its scraper.
+	add(measure("scrape/setup-unit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = scrape.NewExporter(scrape.NewFeed(kpi.Count, dbs)).Handler()
+			if _, err := scrape.New(scrape.Config{
+				Targets: scrape.SelfTargets("http://bench", dbs),
+				KPIs:    kpi.Count,
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
 
 	// One genome evaluation of the relearn supervisor's holdout fitness:
 	// replay the detector over materialized judgment-record samples whose
@@ -680,24 +716,21 @@ func (w *discardResponseWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// cannedTransport answers a scrape of http://host/db/N/kpis with target
-// N's canned body for the current tick, in memory. tick is set between
-// rounds, before Round starts the workers that read it.
+// cannedTransport answers a scrape of http://host/kpis with the unit's
+// canned body for the current tick, in memory. tick is set between rounds,
+// before Round starts the workers that read it.
 type cannedTransport struct {
-	bodies [][2][]byte // [db][tick parity]
+	bodies [2][]byte // [tick parity]
 	tick   int
 }
 
 func (c *cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rest, _ := strings.CutPrefix(req.URL.Path, "/db/")
-	num, _ := strings.CutSuffix(rest, "/kpis")
-	db, err := strconv.Atoi(num)
-	if err != nil || db < 0 || db >= len(c.bodies) {
+	if req.URL.Path != "/kpis" {
 		return nil, fmt.Errorf("canned transport: no target at %s", req.URL.Path)
 	}
 	return &http.Response{
 		StatusCode: http.StatusOK,
-		Body:       io.NopCloser(bytes.NewReader(c.bodies[db][c.tick])),
+		Body:       io.NopCloser(bytes.NewReader(c.bodies[c.tick])),
 		Request:    req,
 	}, nil
 }

@@ -172,9 +172,9 @@ func runFleet(ctx context.Context, ln net.Listener, cfg *fleetConfig) (err error
 		log.Printf("recorded the injected stream to %s (replay with -trace)", cfg.traceRec)
 	}
 
-	// Network scrape layer. With -scrape-addr (one unit) every database
-	// becomes an HTTP scrape target served by this process, and the unit
-	// scrapes itself unless -scrape-targets names other exporters; with
+	// Network scrape layer. With -scrape-addr (one unit) this process
+	// exports the unit over HTTP, and the unit scrapes itself at /kpis, one
+	// request per tick, unless -scrape-targets names other exporters; with
 	// -scrape-targets alone each unit scrapes its own target group.
 	var feed *scrape.Feed
 	var expSrv *http.Server
@@ -200,7 +200,7 @@ func runFleet(ctx context.Context, ln net.Listener, cfg *fleetConfig) (err error
 			port := expLn.Addr().(*net.TCPAddr).Port
 			targets = [][]string{scrape.SelfTargets(fmt.Sprintf("http://127.0.0.1:%d", port), cfg.dbs)}
 		}
-		log.Printf("exporting %d scrape targets on %v (/db/N/kpis)", cfg.dbs, expLn.Addr())
+		log.Printf("exporting %d databases on %v (the unit at /kpis, each database at /db/N/kpis)", cfg.dbs, expLn.Addr())
 	}
 	mon, err := fleet.NewMonitor(pushers, cfg.fleetConc)
 	if err != nil {

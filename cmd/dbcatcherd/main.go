@@ -12,14 +12,15 @@
 // thresholds. SIGTERM/SIGINT drain in-flight API responses and flush a
 // final snapshot before exit.
 //
-// With -scrape-addr the collection path is a real network pipeline: every
-// database is exported as an HTTP scrape target (/db/N/kpis) and ingestion
-// runs exporter → deadline-driven scraper (retries, backoff, per-target
-// circuit breakers) → degraded monitor. -scrape-fault injects exporter
-// misbehaviour (hangs, 5xx, truncated JSON, drops) to watch the pipeline
-// degrade and recover; /api/status reports per-target scrape health. A
-// second process can run -scrape-addr :9101 -export-only while this one
-// scrapes it via -scrape-targets.
+// With -scrape-addr the collection path is a real network pipeline: the
+// unit is exported over HTTP, all of it at /kpis and each database at
+// /db/N/kpis, and ingestion runs exporter → deadline-driven scraper
+// (retries, backoff, per-endpoint circuit breakers) → degraded monitor. The
+// unit scrapes itself at /kpis, one request per tick. -scrape-fault injects
+// exporter misbehaviour (hangs, 5xx, truncated JSON, drops) to watch the
+// pipeline degrade and recover; /api/status reports per-database scrape
+// health. A second process can run -scrape-addr :9101 -export-only while
+// this one scrapes it via -scrape-targets.
 //
 // With -relearn a supervised background loop adapts the detection
 // thresholds to drift: a Page-Hinkley test on the correlation distance and
@@ -194,8 +195,8 @@ func bindFlags(fs *flag.FlagSet) *fleetConfig {
 	fs.DurationVar(&c.staleBudget, "staleness-budget", 5*time.Second, "replication lag budget before a follower's /readyz reports unready")
 	fs.StringVar(&c.peer, "peer", "", "HA counterpart base URL: a booting primary refuses to serve if the peer already holds an equal-or-newer fencing epoch, and while serving it runs the epoch guard (re-fences a stale peer, self-fences on seeing a newer one); a promoted standby defaults this to the old primary's URL")
 
-	fs.StringVar(&c.scrapeAddr, "scrape-addr", "", "serve the unit's per-DB KPI exporter on this address and ingest over HTTP scrape instead of the in-process collector")
-	fs.StringVar(&c.targetSpec, "scrape-targets", "", "external scrape targets: unit groups separated by ';', each one exporter base URL (expanded to /db/N/kpis) or a comma-separated list of exactly -dbs URLs in database order; replaces the simulated feed (with -scrape-addr, the self targets)")
+	fs.StringVar(&c.scrapeAddr, "scrape-addr", "", "serve the unit's KPI exporter on this address (the whole unit at /kpis, each database at /db/N/kpis) and ingest over HTTP scrape instead of the in-process collector")
+	fs.StringVar(&c.targetSpec, "scrape-targets", "", "external scrape targets: unit groups separated by ';', each one exporter base URL (the unit's /kpis, one request per tick) or a comma-separated list of exactly -dbs URLs in database order (databases that repeat a URL share one request); replaces the simulated feed (with -scrape-addr, the self targets)")
 	fs.BoolVar(&c.exportOnly, "export-only", false, "with -scrape-addr: only publish and export KPIs, skip detection (a second dbcatcherd scrapes this one via -scrape-targets)")
 
 	fs.DurationVar(&c.scrape.RoundTimeout, "scrape-round-timeout", 2*time.Second, "collection deadline per tick; late targets become NaN gaps")
@@ -204,8 +205,8 @@ func bindFlags(fs *flag.FlagSet) *fleetConfig {
 	fs.IntVar(&c.scrape.BreakerFailures, "scrape-breaker-failures", 3, "consecutive failed rounds before a target's circuit breaker opens")
 	fs.IntVar(&c.scrape.BreakerOpenRounds, "scrape-breaker-open", 5, "rounds an open breaker skips before its half-open probe")
 	fs.IntVar(&c.scrape.StaleRounds, "scrape-stale-rounds", 3, "rounds a target may re-serve the same tick before it is marked down")
-	fs.IntVar(&c.scrape.Concurrency, "scrape-concurrency", 0, "fetches in flight per scrape round, on the feeding goroutine plus up to N-1 it starts (0 = all targets, capped at 16)")
-	fs.StringVar(&c.scrapeFaults, "scrape-fault", "", "exporter fault script: db:mode[:count],... (modes: hang, 5xx, truncate, garbage, drop, flap, stale, format-flip)")
+	fs.IntVar(&c.scrape.Concurrency, "scrape-concurrency", 0, "endpoints (distinct target URLs) fetched at once per scrape round, on the feeding goroutine plus up to N-1 it starts (0 = all endpoints, capped at 16)")
+	fs.StringVar(&c.scrapeFaults, "scrape-fault", "", "exporter fault script: db:mode[:count],... (modes: hang, 5xx, truncate, garbage, drop, flap, stale, format-flip); a wire fault on one database fails the whole /kpis response that self-scrape fetches, so to drill one database name per-database URLs (.../db/N/kpis) in -scrape-targets")
 	fs.StringVar(&c.formatName, "scrape-format", "json", "scrape wire format negotiated with every target: json (bespoke payload) or prom (Prometheus text exposition)")
 
 	fs.StringVar(&c.trace, "trace", "", "replay a recorded KPI trace (CSV, see internal/tracefile) through the full pipeline instead of simulating; the trace fixes -dbs and -horizon")
@@ -366,9 +367,10 @@ func loadTrace(path string) (*timeseries.UnitSeries, error) {
 }
 
 // parseFleetTargets parses the -scrape-targets spec: unit groups separated
-// by ';', each group either one exporter base URL (expanded to the
-// per-database /db/N/kpis targets, like self-scrape) or a comma-separated
-// list of exactly dbs URLs in database order. The group count must match
+// by ';', each group either one exporter base URL (its /kpis for every
+// database, like self-scrape: one endpoint) or a comma-separated list of
+// exactly dbs URLs in database order, where databases that repeat a URL
+// form one endpoint. The group count must match
 // -units — a fleet scraping fewer exporters than it has judges is a
 // misconfiguration, not a default.
 func parseFleetTargets(spec string, units, dbs int) ([][]string, error) {

@@ -149,8 +149,8 @@ func TestCheckRunFlags(t *testing.T) {
 	}
 }
 
-// A -trace fixes -dbs and -horizon; a base-URL target group expands to
-// one target per database.
+// A -trace fixes -dbs and -horizon; a base-URL target group names the
+// exporter's /kpis for every database: one endpoint.
 func TestCheckRunFlagsResolves(t *testing.T) {
 	u, err := cluster.Simulate(cluster.Config{Name: "rec", Databases: 3, Ticks: 40, Seed: 7})
 	if err != nil {
@@ -167,7 +167,7 @@ func TestCheckRunFlagsResolves(t *testing.T) {
 	if cfg.dbs != 3 || cfg.horizon != 40 || cfg.series == nil {
 		t.Fatalf("trace resolved to %d dbs, %d ticks", cfg.dbs, cfg.horizon)
 	}
-	want := [][]string{{"http://e/db/0/kpis", "http://e/db/1/kpis", "http://e/db/2/kpis"}}
+	want := [][]string{{"http://e/kpis", "http://e/kpis", "http://e/kpis"}}
 	if !reflect.DeepEqual(cfg.targets, want) {
 		t.Fatalf("targets = %v, want %v", cfg.targets, want)
 	}
@@ -372,7 +372,7 @@ func TestParseFleetTargets(t *testing.T) {
 	if len(got) != 2 || len(got[0]) != 3 || len(got[1]) != 3 {
 		t.Fatalf("groups = %v", got)
 	}
-	if got[0][2] != "http://a:1/db/2/kpis" {
+	if got[0][2] != "http://a:1/kpis" {
 		t.Fatalf("base URL expansion = %q", got[0][2])
 	}
 	if got[1][0] != "http://b:2/db/0/kpis" {

@@ -232,8 +232,14 @@ func TestMonitorScrapeRound(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Each database at its own URL, so the fault on unit 1's database
+		// 0 costs that database's column alone.
+		targets := make([]string, testDBs)
+		for d := range targets {
+			targets[d] = fmt.Sprintf("%s/db/%d/kpis", srv.URL, d)
+		}
 		sc, err := scrape.New(scrape.Config{
-			Targets:         scrape.SelfTargets(srv.URL, testDBs),
+			Targets:         targets,
 			KPIs:            kpi.Count,
 			MaxAttempts:     1,
 			BreakerFailures: 2,

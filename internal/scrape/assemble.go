@@ -24,15 +24,16 @@ func NewAssembler(kpis, dbs int) *Assembler {
 	}
 	a := &Assembler{kpis: kpis, dbs: dbs}
 	a.rows = make([][]float64, kpis)
+	cells := make([]float64, kpis*dbs)
 	for k := range a.rows {
-		a.rows[k] = make([]float64, dbs)
+		a.rows[k] = cells[k*dbs : (k+1)*dbs : (k+1)*dbs]
 	}
 	return a
 }
 
 // Assemble builds the sample for one round. vecs must have one entry per
 // database: vecs[d] is database d's KPI vector (length kpis), or nil when
-// the target was missing, late, broken, or stale by the deadline — its
+// the database was missing, late, broken, or stale by the deadline — its
 // column becomes NaN gaps for the degraded-ingestion path. The returned
 // sample aliases the assembler's reusable storage; ingest it before the
 // next call.

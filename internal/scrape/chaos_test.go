@@ -66,49 +66,71 @@ func runInProcess(t *testing.T, u *cluster.Unit) []*monitor.Verdict {
 // With healthy exporters, routing every sample through HTTP — encode,
 // serve, scrape, parse, assemble — must yield verdicts bit-identical to
 // the in-process collector. This is the acceptance bar for the scrape
-// layer: the network is invisible when it behaves.
+// layer: the network is invisible when it behaves. It holds for both
+// target shapes: a URL per database, and the whole unit at /kpis in one
+// request per round.
 func TestScrapeModeBitIdenticalToInProcess(t *testing.T) {
 	const ticks = 240
 	u := simulateUnit(t, ticks, 29)
 	want := runInProcess(t, u)
 
 	dbs := u.Series.Databases
-	p := newTestPipe(t, u.Series.KPIs, dbs, nil)
-	judge := newChaosOnline(t, dbs)
-	c, err := cluster.NewCollector(u.Series, workload.FaultPlan{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []*monitor.Verdict
-	for tick := 0; ; tick++ {
-		sample, ok := c.Next()
-		if !ok {
-			break
-		}
-		p.publish(t, tick, sample)
-		assembled, rep := p.round(t)
-		if rep.Missing != 0 || rep.Skipped != 0 || rep.Late {
-			t.Fatalf("tick %d: healthy scrape round incomplete: %+v", tick, rep)
-		}
-		v, err := judge.Push(assembled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != nil {
-			got = append(got, v)
-		}
-	}
+	for _, shape := range []struct {
+		name      string
+		targets   func(base string, dbs int) []string
+		wantUnit  int64 // GET /kpis over the run
+		wantPerDB int64 // GET /db/{db}/kpis per database over the run
+	}{
+		{"per-database", dbTargets, 0, ticks},
+		{"unit", SelfTargets, ticks, 0},
+	} {
+		t.Run(shape.name, func(t *testing.T) {
+			p := newPipe(t, u.Series.KPIs, dbs, shape.targets, nil)
+			judge := newChaosOnline(t, dbs)
+			c, err := cluster.NewCollector(u.Series, workload.FaultPlan{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []*monitor.Verdict
+			for tick := 0; ; tick++ {
+				sample, ok := c.Next()
+				if !ok {
+					break
+				}
+				p.publish(t, tick, sample)
+				assembled, rep := p.round(t)
+				if rep.Missing != 0 || rep.Skipped != 0 || rep.Late {
+					t.Fatalf("tick %d: healthy scrape round incomplete: %+v", tick, rep)
+				}
+				v, err := judge.Push(assembled)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v != nil {
+					got = append(got, v)
+				}
+			}
 
-	if len(got) != len(want) {
-		t.Fatalf("scrape mode emitted %d verdicts, in-process %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("verdict %d differs:\nscrape:     %+v\nin-process: %+v", i, got[i], want[i])
-		}
-	}
-	if h := p.s.Health(); h.CompleteRounds != ticks {
-		t.Fatalf("complete rounds = %d, want %d", h.CompleteRounds, ticks)
+			if len(got) != len(want) {
+				t.Fatalf("scrape mode emitted %d verdicts, in-process %d", len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("verdict %d differs:\nscrape:     %+v\nin-process: %+v", i, got[i], want[i])
+				}
+			}
+			if h := p.s.Health(); h.CompleteRounds != ticks {
+				t.Fatalf("complete rounds = %d, want %d", h.CompleteRounds, ticks)
+			}
+			if n := p.unitReqs.Load(); n != shape.wantUnit {
+				t.Fatalf("%d unit requests, want %d", n, shape.wantUnit)
+			}
+			for db := range p.reqs {
+				if n := p.reqs[db].Load(); n != shape.wantPerDB {
+					t.Fatalf("db %d: %d requests, want %d", db, n, shape.wantPerDB)
+				}
+			}
+		})
 	}
 }
 

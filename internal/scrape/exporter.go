@@ -79,7 +79,7 @@ func ParseFaultMode(s string) (FaultMode, error) {
 	return 0, fmt.Errorf("scrape: unknown fault mode %q", s)
 }
 
-// Fault scripts one target's misbehaviour. Count bounds how many requests
+// Fault scripts one database's misbehaviour. Count bounds how many requests
 // it affects (0 = until cleared).
 type Fault struct {
 	Mode  FaultMode
@@ -93,25 +93,50 @@ type targetFault struct {
 	requests int // total requests served (drives FaultFlap parity)
 	// frozenTick/frozenVals hold the sample captured when a FaultStale was
 	// installed; freezing values rather than rendered bytes lets a stale
-	// target answer in whichever format each request negotiates.
+	// database answer in whichever format each request negotiates.
 	frozenTick int
 	frozenVals []float64
-	// stalePending requests capture of the next healthy sample.
+	// stalePending requests capture of the next sample a response carries.
 	stalePending bool
 }
 
-// Exporter serves a unit's per-database KPI vectors over HTTP: GET
-// /db/{db}/kpis returns the database's current-tick sample as the bespoke
-// JSON payload or, when the request's Accept header asks for text/plain, as
-// Prometheus text exposition. Faults are injectable per target so tests and
-// demos can script the full set of real-world scrape failures.
+// next counts one request against the fault and returns its mode for that
+// request: FaultNone when the fault is cleared, spent (Count) or on the
+// passing half of a flap, Fault5xx on the failing half, otherwise the
+// scripted mode.
+func (tf *targetFault) next() FaultMode {
+	tf.requests++
+	mode := tf.fault.Mode
+	if mode != FaultNone {
+		tf.affected++
+		if tf.fault.Count > 0 && tf.affected > tf.fault.Count {
+			*tf = targetFault{requests: tf.requests}
+			mode = FaultNone
+		}
+	}
+	if mode == FaultFlap {
+		if tf.requests%2 == 1 {
+			return FaultNone
+		}
+		return Fault5xx
+	}
+	return mode
+}
+
+// Exporter serves a unit's KPI vectors over HTTP: GET /kpis returns every
+// database's current-tick sample in one body (a unit body, see AppendUnit),
+// and GET /db/{db}/kpis returns one database's. Each is the bespoke JSON
+// payload or, when the request's Accept header asks for text/plain,
+// Prometheus text exposition. Faults are injectable per database so tests
+// and demos can script the full set of real-world scrape failures.
 type Exporter struct {
 	feed *Feed
 
-	mu     sync.Mutex
-	faults []targetFault
-	bufs   [][]byte    // per-db response build buffers, reused
-	vecs   [][]float64 // per-db Read scratch
+	mu       sync.Mutex
+	faults   []targetFault
+	buf      []byte      // response build buffer, reused
+	vecs     [][]float64 // per-db Read scratch
+	payloads []Payload   // per-db render scratch
 }
 
 // NewExporter builds the exporter over a feed.
@@ -119,11 +144,12 @@ func NewExporter(feed *Feed) *Exporter {
 	kpis, dbs := feed.Shape()
 	e := &Exporter{feed: feed}
 	e.faults = make([]targetFault, dbs)
-	e.bufs = make([][]byte, dbs)
 	e.vecs = make([][]float64, dbs)
+	cells := make([]float64, dbs*kpis)
 	for d := range e.vecs {
-		e.vecs[d] = make([]float64, kpis)
+		e.vecs[d] = cells[d*kpis : (d+1)*kpis : (d+1)*kpis]
 	}
+	e.payloads = make([]Payload, dbs)
 	return e
 }
 
@@ -139,16 +165,41 @@ func (e *Exporter) SetFault(db int, f Fault) error {
 	return nil
 }
 
-// Handler returns the exporter's routes: one scrape target per database at
-// /db/{db}/kpis, plus /healthz.
-func (e *Exporter) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+// Handler returns the exporter's routes: the whole unit at /kpis, one scrape
+// target per database at /db/{db}/kpis, plus /healthz.
+func (e *Exporter) Handler() http.Handler { return e }
+
+// ServeHTTP routes GET (and HEAD) requests for the exporter's three paths
+// itself: a ServeMux costs more to set up than the rest of the exporter, and
+// one is built per unit.
+func (e *Exporter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		w.Header().Set("Allow", "GET, HEAD")
+		http.Error(w, http.StatusText(http.StatusMethodNotAllowed), http.StatusMethodNotAllowed)
+		return
+	}
+	_, dbs := e.feed.Shape()
+	path := r.URL.Path
+	switch path {
+	case "/kpis":
+		e.serve(w, r, 0, dbs)
+		return
+	case "/healthz":
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write([]byte(`{"status":"ok"}` + "\n"))
-	})
-	mux.HandleFunc("GET /db/{db}/kpis", e.handleKPIs)
-	return mux
+		return
+	}
+	rest, ok := strings.CutPrefix(path, "/db/")
+	if num, ok2 := strings.CutSuffix(rest, "/kpis"); ok && ok2 {
+		db, err := strconv.Atoi(num)
+		if err != nil || db < 0 || db >= dbs {
+			http.Error(w, "unknown database", http.StatusNotFound)
+			return
+		}
+		e.serve(w, r, db, db+1)
+		return
+	}
+	http.NotFound(w, r)
 }
 
 // formatFor resolves a scrape request's negotiated format: asking for
@@ -161,16 +212,10 @@ func formatFor(r *http.Request) Format {
 	return FormatJSON
 }
 
-func (e *Exporter) handleKPIs(w http.ResponseWriter, r *http.Request) {
-	_, dbs := e.feed.Shape()
-	db, err := strconv.Atoi(r.PathValue("db"))
-	if err != nil || db < 0 || db >= dbs {
-		http.Error(w, "unknown database", http.StatusNotFound)
-		return
-	}
-
+// serve answers one scrape of databases lo..hi-1.
+func (e *Exporter) serve(w http.ResponseWriter, r *http.Request, lo, hi int) {
 	e.mu.Lock()
-	body, served, mode := e.renderLocked(db, formatFor(r))
+	body, served, mode := e.renderLocked(lo, hi, formatFor(r))
 	e.mu.Unlock()
 
 	switch mode {
@@ -204,59 +249,49 @@ func (e *Exporter) handleKPIs(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-// renderLocked resolves db's fault for this request and, when the request
-// should carry data, renders the response body in the served format. A nil
-// body with FaultNone means no tick has been published yet.
-func (e *Exporter) renderLocked(db int, f Format) (body []byte, served Format, mode FaultMode) {
-	tf := &e.faults[db]
-	tf.requests++
-	mode = tf.fault.Mode
-	if mode != FaultNone {
-		tf.affected++
-		if tf.fault.Count > 0 && tf.affected > tf.fault.Count {
-			*tf = targetFault{requests: tf.requests}
-			mode = FaultNone
+// renderLocked counts one request against the fault of each database in
+// lo..hi-1 and resolves the response's: the wire fault (hang, 5xx,
+// truncate, garbage, drop, the failing half of a flap, format-flip) of the
+// lowest-indexed database that has one applies to the whole response,
+// while a stale database freezes only its own samples. When the response
+// should carry data it renders the body in the served format. A nil body
+// with FaultNone means no tick has been published yet.
+func (e *Exporter) renderLocked(lo, hi int, f Format) (body []byte, served Format, mode FaultMode) {
+	for d := lo; d < hi; d++ {
+		if m := e.faults[d].next(); mode == FaultNone && m != FaultStale {
+			mode = m
 		}
 	}
-	if mode == FaultFlap {
-		if tf.requests%2 == 1 {
-			mode = FaultNone
-		} else {
-			return nil, f, Fault5xx
-		}
-	}
-	if mode == FaultFormatFlip {
+	switch mode {
+	case FaultFormatFlip:
 		if f == FormatJSON {
 			f = FormatProm
 		} else {
 			f = FormatJSON
 		}
 		mode = FaultNone
+	case FaultHang, Fault5xx, FaultGarbage, FaultDrop:
+		return nil, f, mode
 	}
 
-	tick, ok := e.feed.Read(db, e.vecs[db])
+	tick, ok := e.feed.Read(lo, e.vecs[lo:hi])
 	if !ok {
 		return nil, f, mode
 	}
-	vals := e.vecs[db]
-	if mode == FaultStale {
-		if tf.stalePending {
-			tf.frozenTick = tick
-			tf.frozenVals = append(tf.frozenVals[:0], vals...)
-			tf.stalePending = false
+	for d := lo; d < hi; d++ {
+		p := &e.payloads[d]
+		p.Tick, p.DB, p.Values = tick, d, e.vecs[d]
+		if tf := &e.faults[d]; tf.fault.Mode == FaultStale {
+			if tf.stalePending {
+				tf.frozenTick = tick
+				tf.frozenVals = append(tf.frozenVals[:0], e.vecs[d]...)
+				tf.stalePending = false
+			}
+			p.Tick, p.Values = tf.frozenTick, tf.frozenVals
 		}
-		tick, vals = tf.frozenTick, tf.frozenVals
-		mode = FaultNone
 	}
-	p := Payload{Tick: tick, DB: db, Values: vals}
-	e.bufs[db] = AppendBody(e.bufs[db][:0], &p, f)
-
-	switch mode {
-	case FaultNone, FaultTruncate:
-		// The handler writes after the lock drops, so it must not hold a
-		// buffer a concurrent render could rewrite: copy out.
-		return append([]byte(nil), e.bufs[db]...), f, mode
-	default:
-		return nil, f, mode
-	}
+	e.buf = AppendUnit(e.buf[:0], e.payloads[lo:hi], f)
+	// The handler writes after the lock drops, so it must not hold a buffer
+	// a concurrent render could rewrite: copy out.
+	return append([]byte(nil), e.buf...), f, mode
 }

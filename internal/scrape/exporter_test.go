@@ -48,7 +48,7 @@ func TestExporterServesPublishedTick(t *testing.T) {
 			t.Fatalf("db %d: %v, %v", db, resp.StatusCode, err)
 		}
 		var p Payload
-		if err := parsePayload(body, &p); err != nil {
+		if err := ParseBody(body, &p, FormatJSON); err != nil {
 			t.Fatalf("db %d: %v", db, err)
 		}
 		if p.Tick != 9 || p.DB != db || len(p.Values) != 3 {
@@ -75,7 +75,7 @@ func TestExporterPublishShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]float64, 2)
-	tick, ok := feed.Read(1, dst)
+	tick, ok := feed.Read(1, [][]float64{dst})
 	if !ok || tick != 4 || !math.IsNaN(dst[0]) || !math.IsNaN(dst[1]) {
 		t.Fatalf("dropped tick read = %d %v %v", tick, ok, dst)
 	}
@@ -83,10 +83,10 @@ func TestExporterPublishShapes(t *testing.T) {
 	if err := feed.Publish(5, [][]float64{{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if tick, ok = feed.Read(2, dst); !ok || tick != 5 || !math.IsNaN(dst[0]) {
+	if tick, ok = feed.Read(2, [][]float64{dst}); !ok || tick != 5 || !math.IsNaN(dst[0]) {
 		t.Fatalf("truncated row read = %d %v %v", tick, ok, dst)
 	}
-	if _, ok = feed.Read(0, dst); !ok || dst[0] != 1 || !math.IsNaN(dst[1]) {
+	if _, ok = feed.Read(0, [][]float64{dst}); !ok || dst[0] != 1 || !math.IsNaN(dst[1]) {
 		t.Fatalf("partial KPI read = %v", dst)
 	}
 	// Oversized samples are pipeline bugs.
@@ -121,14 +121,14 @@ func TestExporterFaults(t *testing.T) {
 		t.Fatalf("garbage fault = %v, %v", resp, err)
 	}
 	var p Payload
-	if err := parsePayload(body, &p); err == nil {
+	if err := ParseBody(body, &p, FormatJSON); err == nil {
 		t.Fatal("garbage body parsed")
 	}
 
 	// Truncate: client sees a broken body.
 	exp.SetFault(0, Fault{Mode: FaultTruncate})
 	if _, body, err = get(t, url); err == nil {
-		if err2 := parsePayload(body, &p); err2 == nil {
+		if err2 := ParseBody(body, &p, FormatJSON); err2 == nil {
 			t.Fatal("truncated body parsed cleanly")
 		}
 	}
@@ -176,17 +176,17 @@ func TestExporterFaults(t *testing.T) {
 	// Stale: tick frozen at install time even as the feed advances.
 	exp.SetFault(0, Fault{Mode: FaultStale})
 	_, body, _ = get(t, url)
-	if err := parsePayload(body, &p); err != nil || p.Tick != 1 {
+	if err := ParseBody(body, &p, FormatJSON); err != nil || p.Tick != 1 {
 		t.Fatalf("stale capture = %+v, %v", p, err)
 	}
 	feed.Publish(2, [][]float64{{11}, {21}})
 	_, body, _ = get(t, url)
-	if err := parsePayload(body, &p); err != nil || p.Tick != 1 || p.Values[0] != 10 {
+	if err := ParseBody(body, &p, FormatJSON); err != nil || p.Tick != 1 || p.Values[0] != 10 {
 		t.Fatalf("stale fault served fresh data: %+v, %v", p, err)
 	}
 	exp.SetFault(0, Fault{})
 	_, body, _ = get(t, url)
-	if err := parsePayload(body, &p); err != nil || p.Tick != 2 || p.Values[0] != 11 {
+	if err := ParseBody(body, &p, FormatJSON); err != nil || p.Tick != 2 || p.Values[0] != 11 {
 		t.Fatalf("cleared stale fault still frozen: %+v, %v", p, err)
 	}
 
@@ -207,5 +207,46 @@ func TestParseFaultMode(t *testing.T) {
 	}
 	if !strings.Contains(FaultMode(99).String(), "99") {
 		t.Error("out-of-range mode String")
+	}
+}
+
+// The exporter answers GET and HEAD on its three paths, 405 with Allow on
+// any other method, and 404 elsewhere.
+func TestExporterRoutes(t *testing.T) {
+	feed, _, ts := newExporterServer(t, 2, 2)
+	if err := feed.Publish(0, [][]float64{{1, 2}, {3, 4}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		method, path string
+		code         int
+	}{
+		{http.MethodGet, "/healthz", http.StatusOK},
+		{http.MethodGet, "/kpis", http.StatusOK},
+		{http.MethodHead, "/kpis", http.StatusOK},
+		{http.MethodGet, "/db/1/kpis", http.StatusOK},
+		{http.MethodHead, "/db/0/kpis", http.StatusOK},
+		{http.MethodPost, "/kpis", http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/db/0/kpis", http.StatusMethodNotAllowed},
+		{http.MethodGet, "/db/x/kpis", http.StatusNotFound},
+		{http.MethodGet, "/db/2/kpis", http.StatusNotFound},
+		{http.MethodGet, "/kpis/", http.StatusNotFound},
+		{http.MethodGet, "/metrics", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("%s %s = %d, want %d", tc.method, tc.path, resp.StatusCode, tc.code)
+		}
+		if tc.code == http.StatusMethodNotAllowed && resp.Header.Get("Allow") != "GET, HEAD" {
+			t.Errorf("%s %s: Allow %q", tc.method, tc.path, resp.Header.Get("Allow"))
+		}
 	}
 }

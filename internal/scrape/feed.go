@@ -6,12 +6,12 @@ import (
 	"sync"
 )
 
-// Feed is the bridge between a unit's collection source and its exporters:
+// Feed is the bridge between a unit's collection source and its exporter:
 // Publish installs the current tick's sample (in the collector's
-// sample[kpi][db] layout, possibly nil or ragged), and each per-database
-// exporter handler reads its column back out. A wholly-dropped tick is
-// published as all-NaN so targets still advance their tick — the scraper
-// sees fresh responses carrying no usable data, exactly what the
+// sample[kpi][db] layout, possibly nil or ragged), and each scrape the
+// exporter serves reads its databases' columns back out. A wholly-dropped
+// tick is published as all-NaN so databases still advance their tick — the
+// scraper sees fresh responses carrying no usable data, exactly what the
 // in-process path records as a missed tick.
 //
 // Feed is safe for concurrent use: the publisher goroutine advances ticks
@@ -31,8 +31,9 @@ func NewFeed(kpis, dbs int) *Feed {
 	}
 	f := &Feed{kpis: kpis, dbs: dbs, tick: -1}
 	f.cols = make([][]float64, dbs)
+	cells := make([]float64, dbs*kpis)
 	for d := range f.cols {
-		f.cols[d] = make([]float64, kpis)
+		f.cols[d] = cells[d*kpis : (d+1)*kpis : (d+1)*kpis]
 	}
 	return f
 }
@@ -69,15 +70,19 @@ func (f *Feed) Publish(tick int, sample [][]float64) error {
 	return nil
 }
 
-// Read copies database db's current vector into dst (which must hold kpis
-// values) and returns the published tick. ok is false before the first
-// Publish.
-func (f *Feed) Read(db int, dst []float64) (tick int, ok bool) {
+// Read copies the current vectors of databases lo, lo+1, … into dst (dst[i]
+// receives database lo+i's and must hold kpis values) under one read lock,
+// so every vector comes from the same published tick, and returns that
+// tick. ok is false before the first Publish or when the range leaves the
+// unit.
+func (f *Feed) Read(lo int, dst [][]float64) (tick int, ok bool) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	if db < 0 || db >= f.dbs || f.tick < 0 {
+	if lo < 0 || lo+len(dst) > f.dbs || f.tick < 0 {
 		return 0, false
 	}
-	copy(dst, f.cols[db])
+	for i, v := range dst {
+		copy(v, f.cols[lo+i])
+	}
 	return f.tick, true
 }

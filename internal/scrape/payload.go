@@ -1,13 +1,14 @@
 // Package scrape turns the in-process collection path into a real network
-// monitoring pipeline: every database in a unit becomes an HTTP scrape
-// target serving its current-tick KPI vector as JSON (the exporter), and a
-// per-round, deadline-driven fan-out (the scraper) collects whatever
-// arrived in time, assembles a possibly-partial sample, and hands it to the
-// monitor's degraded-ingestion path. Slow, dead, or garbage-emitting
-// targets degrade the sample — never the detection loop: per-target retries
-// back off exponentially, a circuit breaker stops hammering dead targets,
-// and anything missing by the tick deadline becomes NaN gaps that the
-// gap-tolerant judgment already knows how to absorb.
+// monitoring pipeline: a unit's databases are served over HTTP with their
+// current-tick KPI vectors (the exporter), the whole unit in one body or
+// each database alone, and a per-round, deadline-driven fan-out (the
+// scraper) collects whatever arrived in time, assembles a possibly-partial
+// sample, and hands it to the monitor's degraded-ingestion path. Slow,
+// dead, or garbage-emitting targets degrade the sample — never the
+// detection loop: per-endpoint retries back off exponentially, a circuit
+// breaker stops hammering dead endpoints, and anything missing by the tick
+// deadline becomes NaN gaps that the gap-tolerant judgment already knows
+// how to absorb.
 package scrape
 
 import (
@@ -17,20 +18,37 @@ import (
 	"strconv"
 )
 
-// Payload is the wire format one scrape target serves: the exporter's
-// current collection tick and the database's KPI vector in KPI-id order.
-// Cells the collector lost are null on the wire and NaN in memory.
+// Payload is one database's part of a scrape body: the exporter's current
+// collection tick and the database's KPI vector in KPI-id order. Cells the
+// collector lost are null on the wire and NaN in memory.
 type Payload struct {
 	Tick   int       `json:"tick"`
 	DB     int       `json:"db"`
 	Values []float64 `json:"values"`
 }
 
-// appendPayload renders p as JSON. Values round-trip exactly: floats are
-// encoded with strconv's shortest round-trip form and NaN becomes null
-// (encoding/json refuses NaN, and a lossy float encoding would break the
-// scrape path's bit-identicality with in-process collection).
-func appendPayload(b []byte, p *Payload) []byte {
+// appendPayloads renders ps as JSON: one database's payload as the object
+// itself, several as an array of those objects, then a newline. Values
+// round-trip exactly: floats are encoded with strconv's shortest round-trip
+// form and NaN becomes null (encoding/json refuses NaN, and a lossy float
+// encoding would break the scrape path's bit-identicality with in-process
+// collection).
+func appendPayloads(b []byte, ps []Payload) []byte {
+	if len(ps) == 1 {
+		return append(appendObject(b, &ps[0]), '\n')
+	}
+	b = append(b, '[')
+	for i := range ps {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendObject(b, &ps[i])
+	}
+	return append(b, "]\n"...)
+}
+
+// appendObject renders one database's payload object.
+func appendObject(b []byte, p *Payload) []byte {
 	b = append(b, `{"tick":`...)
 	b = strconv.AppendInt(b, int64(p.Tick), 10)
 	b = append(b, `,"db":`...)
@@ -46,26 +64,26 @@ func appendPayload(b []byte, p *Payload) []byte {
 			b = strconv.AppendFloat(b, v, 'g', -1, 64)
 		}
 	}
-	b = append(b, `]}`...)
-	b = append(b, '\n')
-	return b
+	return append(b, `]}`...)
 }
 
-// parsePayload decodes a scrape response body into p, reusing p.Values'
-// backing storage. It is a strict hand-rolled parser for exactly the shape
-// appendPayload emits (with arbitrary JSON whitespace): anything else —
-// truncated bodies, garbage, wrong field types — errors rather than
-// producing a half-filled vector.
-func parsePayload(body []byte, p *Payload) error {
+// parsePayloads decodes a JSON scrape body into ps[:0]. It is a strict
+// hand-rolled parser for exactly the shapes appendPayloads emits (with
+// arbitrary JSON whitespace): one payload object, or a non-empty array of
+// them in strictly increasing db order. Anything else — truncated bodies,
+// garbage, wrong field types — errors rather than producing a half-filled
+// vector.
+func parsePayloads(body []byte, ps []Payload) ([]Payload, error) {
 	d := &payloadParser{buf: body}
-	if err := d.parse(p); err != nil {
-		return err
+	ps, err := d.parse(ps[:0])
+	if err != nil {
+		return ps, err
 	}
 	d.skipSpace()
 	if d.pos != len(d.buf) {
-		return fmt.Errorf("scrape: trailing data after payload")
+		return ps, fmt.Errorf("scrape: trailing data after payload")
 	}
-	return nil
+	return ps, nil
 }
 
 type payloadParser struct {
@@ -138,7 +156,41 @@ func (d *payloadParser) key(name string) error {
 	return d.expect(':')
 }
 
-func (d *payloadParser) parse(p *Payload) error {
+// parse decodes the body's one object, or its array of objects, onto ps.
+func (d *payloadParser) parse(ps []Payload) ([]Payload, error) {
+	d.skipSpace()
+	if d.pos >= len(d.buf) || d.buf[d.pos] != '[' {
+		ps = nextPayload(ps)
+		return ps, d.object(&ps[0])
+	}
+	d.pos++
+	for {
+		ps = nextPayload(ps)
+		p := &ps[len(ps)-1]
+		if err := d.object(p); err != nil {
+			return ps, err
+		}
+		if n := len(ps); n > 1 && p.DB <= ps[n-2].DB {
+			return ps, fmt.Errorf("scrape: duplicate or out-of-order payload (db %d after db %d)", p.DB, ps[n-2].DB)
+		}
+		d.skipSpace()
+		if d.pos >= len(d.buf) {
+			return ps, fmt.Errorf("scrape: truncated payload")
+		}
+		switch d.buf[d.pos] {
+		case ',':
+			d.pos++
+		case ']':
+			d.pos++
+			return ps, nil
+		default:
+			return ps, fmt.Errorf("scrape: malformed payload at byte %d", d.pos)
+		}
+	}
+}
+
+// object decodes one payload object into p, reusing p.Values' storage.
+func (d *payloadParser) object(p *Payload) error {
 	if err := d.expect('{'); err != nil {
 		return err
 	}

@@ -15,9 +15,9 @@ func TestPayloadRoundTrip(t *testing.T) {
 	}
 	for i, vals := range cases {
 		in := Payload{Tick: 1234 + i, DB: i, Values: vals}
-		body := appendPayload(nil, &in)
+		body := AppendBody(nil, &in, FormatJSON)
 		var out Payload
-		if err := parsePayload(body, &out); err != nil {
+		if err := ParseBody(body, &out, FormatJSON); err != nil {
 			t.Fatalf("case %d: parse: %v\nbody: %s", i, err, body)
 		}
 		if out.Tick != in.Tick || out.DB != in.DB || len(out.Values) != len(in.Values) {
@@ -33,10 +33,10 @@ func TestPayloadRoundTrip(t *testing.T) {
 }
 
 func TestPayloadReusesValues(t *testing.T) {
-	body := appendPayload(nil, &Payload{Tick: 1, DB: 0, Values: []float64{1, 2, 3}})
+	body := AppendBody(nil, &Payload{Tick: 1, DB: 0, Values: []float64{1, 2, 3}}, FormatJSON)
 	p := Payload{Values: make([]float64, 0, 8)}
 	backing := p.Values[:cap(p.Values)]
-	if err := parsePayload(body, &p); err != nil {
+	if err := ParseBody(body, &p, FormatJSON); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Values) != 3 || &p.Values[0] != &backing[0] {
@@ -45,7 +45,7 @@ func TestPayloadReusesValues(t *testing.T) {
 }
 
 func TestPayloadRejectsGarbage(t *testing.T) {
-	good := string(appendPayload(nil, &Payload{Tick: 7, DB: 2, Values: []float64{1, 2}}))
+	good := string(AppendBody(nil, &Payload{Tick: 7, DB: 2, Values: []float64{1, 2}}, FormatJSON))
 	bad := []string{
 		"",
 		"<<<this is not json at all>>>",
@@ -58,12 +58,12 @@ func TestPayloadRejectsGarbage(t *testing.T) {
 	}
 	var p Payload
 	for _, b := range bad {
-		if err := parsePayload([]byte(b), &p); err == nil {
+		if err := ParseBody([]byte(b), &p, FormatJSON); err == nil {
 			t.Errorf("parse accepted %q", b)
 		}
 	}
 	// Whitespace variants of the canonical shape are fine.
-	if err := parsePayload([]byte(" {\"tick\": 7 , \"db\": 2 , \"values\": [ 1 , null ] } \n"), &p); err != nil {
+	if err := ParseBody([]byte(" {\"tick\": 7 , \"db\": 2 , \"values\": [ 1 , null ] } \n"), &p, FormatJSON); err != nil {
 		t.Fatalf("whitespace variant rejected: %v", err)
 	}
 	if p.Tick != 7 || p.DB != 2 || len(p.Values) != 2 || !math.IsNaN(p.Values[1]) {

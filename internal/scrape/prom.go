@@ -53,24 +53,62 @@ func (f Format) contentType() string {
 const promContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // AppendBody renders p in format f onto b (reusing b's backing storage) and
-// returns the extended slice. The single dispatch point the exporter — and
-// cmd/bench, which measures the wire paths from outside the package —
-// renders through.
+// returns the extended slice: the one-database case of AppendUnit, and the
+// entry point cmd/bench measures the wire paths through.
 func AppendBody(b []byte, p *Payload, f Format) []byte {
-	if f == FormatProm {
-		return appendProm(b, p)
-	}
-	return appendPayload(b, p)
+	return AppendUnit(b, []Payload{*p}, f)
 }
 
-// ParseBody decodes body in format f into p, reusing p.Values' backing
-// storage. Both formats apply the same strict reject-trailing-garbage
-// discipline; a healthy body decodes to bit-identical vectors either way.
-func ParseBody(body []byte, p *Payload, f Format) error {
+// AppendUnit renders the payloads of several databases, in the order given
+// (strictly increasing DB, as every unit body lists them), as one body in
+// format f onto b. The exporter renders every response through it: a
+// one-database body is the case len(ps) == 1.
+func AppendUnit(b []byte, ps []Payload, f Format) []byte {
 	if f == FormatProm {
-		return parseProm(body, p)
+		return appendProm(b, ps)
 	}
-	return parsePayload(body, p)
+	return appendPayloads(b, ps)
+}
+
+// ParseBody decodes a one-database body in format f into p, reusing
+// p.Values' backing storage: the one-database case of ParseUnit, which
+// rejects a body carrying any other number of databases.
+func ParseBody(body []byte, p *Payload, f Format) error {
+	one := [1]Payload{*p}
+	ps, err := ParseUnit(body, one[:], f)
+	if err == nil && len(ps) != 1 {
+		err = fmt.Errorf("scrape: body carries %d databases, want 1", len(ps))
+	}
+	*p = one[0]
+	return err
+}
+
+// ParseUnit decodes a body in format f into ps[:0], extended by one payload
+// per database it carries, and returns the extended slice. Each slot ps
+// already holds keeps its Values' backing storage, so a warm decode into
+// slots with the capacity allocates nothing. Both formats apply the same
+// strict discipline: at least one database, databases in strictly
+// increasing order, nothing after the last one but whitespace (JSON) or
+// comments (prom); a healthy body decodes to bit-identical vectors either
+// way. On error the payloads are unspecified.
+func ParseUnit(body []byte, ps []Payload, f Format) ([]Payload, error) {
+	if f == FormatProm {
+		return parseProm(body, ps)
+	}
+	return parsePayloads(body, ps)
+}
+
+// nextPayload extends ps by one slot, reusing that slot's Values storage
+// when ps has the capacity, and empties the slot's vector.
+func nextPayload(ps []Payload) []Payload {
+	if len(ps) < cap(ps) {
+		ps = ps[:len(ps)+1]
+	} else {
+		ps = append(ps, Payload{})
+	}
+	p := &ps[len(ps)-1]
+	p.Values = p.Values[:0]
+	return ps
 }
 
 // accept is the Accept header the scraper sends to negotiate the format.
@@ -82,64 +120,77 @@ func (f Format) accept() string {
 }
 
 // Prometheus series names of the exposition. Every KPI cell is one
-// dbcatcher_kpi sample keyed by its KPI index, and dbcatcher_tick carries
-// the exporter's collection tick so staleness detection works identically
-// to the JSON path.
+// dbcatcher_kpi sample keyed by its database and KPI index, and
+// dbcatcher_tick carries each database's collection tick so staleness
+// detection works identically to the JSON path.
 const (
 	promTickSeries = "dbcatcher_tick"
 	promKPISeries  = "dbcatcher_kpi"
 )
 
-// appendProm renders p as Prometheus text exposition. Floats use strconv's
-// shortest round-trip form and NaN cells are emitted as the NaN literal —
-// the exposition-format spelling of the JSON payload's null — so the prom
-// path stays bit-identical to the JSON path.
-func appendProm(b []byte, p *Payload) []byte {
+// appendProm renders ps as Prometheus text exposition: each family's
+// samples together under its one TYPE line, as the exposition format
+// requires. First every database's dbcatcher_tick sample, then each
+// database's dbcatcher_kpi samples, one database after another. Floats use
+// strconv's shortest round-trip form and NaN cells are emitted as the NaN
+// literal — the exposition-format spelling of the JSON payload's null — so
+// the prom path stays bit-identical to the JSON path.
+func appendProm(b []byte, ps []Payload) []byte {
 	b = append(b, "# TYPE "+promTickSeries+" gauge\n"...)
-	b = append(b, promTickSeries+`{db="`...)
-	b = strconv.AppendInt(b, int64(p.DB), 10)
-	b = append(b, `"} `...)
-	b = strconv.AppendInt(b, int64(p.Tick), 10)
-	b = append(b, '\n')
-	b = append(b, "# TYPE "+promKPISeries+" gauge\n"...)
-	for i, v := range p.Values {
-		b = append(b, promKPISeries+`{db="`...)
-		b = strconv.AppendInt(b, int64(p.DB), 10)
-		b = append(b, `",kpi="`...)
-		b = strconv.AppendInt(b, int64(i), 10)
+	for i := range ps {
+		b = append(b, promTickSeries+`{db="`...)
+		b = strconv.AppendInt(b, int64(ps[i].DB), 10)
 		b = append(b, `"} `...)
-		if math.IsNaN(v) {
-			b = append(b, `NaN`...)
-		} else {
-			b = strconv.AppendFloat(b, v, 'g', -1, 64)
-		}
+		b = strconv.AppendInt(b, int64(ps[i].Tick), 10)
 		b = append(b, '\n')
+	}
+	b = append(b, "# TYPE "+promKPISeries+" gauge\n"...)
+	for i := range ps {
+		for k, v := range ps[i].Values {
+			b = append(b, promKPISeries+`{db="`...)
+			b = strconv.AppendInt(b, int64(ps[i].DB), 10)
+			b = append(b, `",kpi="`...)
+			b = strconv.AppendInt(b, int64(k), 10)
+			b = append(b, `"} `...)
+			if math.IsNaN(v) {
+				b = append(b, `NaN`...)
+			} else {
+				b = strconv.AppendFloat(b, v, 'g', -1, 64)
+			}
+			b = append(b, '\n')
+		}
 	}
 	return b
 }
 
-// parseProm decodes a Prometheus text-exposition body into p, reusing
-// p.Values' backing storage. It applies the same strict discipline as
-// parsePayload: exactly one dbcatcher_tick sample, dbcatcher_kpi samples in
-// strictly increasing kpi order starting at 0 (so duplicate, out-of-order,
-// or missing series are rejected, not silently absorbed), one consistent db
-// label, finite or NaN values only, and nothing else but comments and blank
-// lines. Truncation mid-line, mid-label, or mid-number errors rather than
-// yielding a half-filled vector.
-func parseProm(body []byte, p *Payload) error {
-	d := promParser{buf: body}
-	return d.parse(p)
+// parseProm decodes a Prometheus text-exposition body into ps[:0]. It
+// accepts exactly the shape appendProm emits: one dbcatcher_tick sample per
+// database, in strictly increasing db order, then each of those databases'
+// dbcatcher_kpi samples in the same order, each database's in strictly
+// increasing kpi order starting at 0, every database carrying at least one.
+// So a duplicate, missing or out-of-order series, a tick sample after a KPI
+// sample, or a KPI sample for a database no tick sample announced is
+// rejected, not silently absorbed. Values are finite or NaN; nothing else
+// but comments and blank lines is allowed. Truncation mid-line, mid-label,
+// or mid-number errors rather than yielding a half-filled vector.
+func parseProm(body []byte, ps []Payload) ([]Payload, error) {
+	d := promParser{buf: body, cur: -1}
+	return d.parse(ps[:0])
 }
 
+// promParser walks one body. The payloads are threaded through its methods
+// by value, never stored in it, so a caller's slot array stays on its
+// stack.
 type promParser struct {
 	buf []byte
 	pos int
+	// cur indexes the database whose dbcatcher_kpi samples are being read;
+	// -1 until the first one.
+	cur int
 }
 
-func (d *promParser) parse(p *Payload) error {
-	p.Values = p.Values[:0]
-	p.Tick, p.DB = 0, -1
-	tickSeen := false
+func (d *promParser) parse(ps []Payload) ([]Payload, error) {
+	var err error
 	for d.pos < len(d.buf) {
 		c := d.buf[d.pos]
 		switch {
@@ -148,18 +199,18 @@ func (d *promParser) parse(p *Payload) error {
 		case c == '#':
 			d.skipLine()
 		default:
-			if err := d.sample(p, &tickSeen); err != nil {
-				return err
+			if ps, err = d.sample(ps); err != nil {
+				return ps, err
 			}
 		}
 	}
-	if !tickSeen {
-		return fmt.Errorf("scrape: exposition missing %s series", promTickSeries)
+	if len(ps) == 0 {
+		return ps, fmt.Errorf("scrape: exposition missing %s series", promTickSeries)
 	}
-	if len(p.Values) == 0 {
-		return fmt.Errorf("scrape: exposition carries no %s series", promKPISeries)
+	if d.cur != len(ps)-1 {
+		return ps, fmt.Errorf("scrape: exposition carries no %s series for db %d", promKPISeries, ps[d.cur+1].DB)
 	}
-	return nil
+	return ps, nil
 }
 
 // skipLine consumes through the next newline (or EOF: a comment needs no
@@ -175,70 +226,77 @@ func (d *promParser) skipLine() {
 
 // sample parses one metric line. The exposition grammar accepted is exactly
 // what appendProm emits: name{labels} value\n with single spaces and no
-// timestamps.
-func (d *promParser) sample(p *Payload, tickSeen *bool) error {
+// timestamps. A dbcatcher_tick sample appends its database's slot to ps.
+func (d *promParser) sample(ps []Payload) ([]Payload, error) {
 	start := d.pos
 	for d.pos < len(d.buf) && d.buf[d.pos] != '{' && d.buf[d.pos] != '\n' {
 		d.pos++
 	}
 	if d.pos >= len(d.buf) || d.buf[d.pos] != '{' {
-		return fmt.Errorf("scrape: malformed exposition at byte %d (metric without labels)", start)
+		return ps, fmt.Errorf("scrape: malformed exposition at byte %d (metric without labels)", start)
 	}
 	name := d.buf[start:d.pos]
 	d.pos++ // consume '{'
 	switch string(name) {
 	case promTickSeries:
-		if *tickSeen {
-			return fmt.Errorf("scrape: duplicate %s series", promTickSeries)
+		if d.cur >= 0 {
+			return ps, fmt.Errorf("scrape: %s sample after %s samples", promTickSeries, promKPISeries)
 		}
 		db, err := d.label("db")
 		if err != nil {
-			return err
+			return ps, err
 		}
 		if err := d.closeLabels(); err != nil {
-			return err
+			return ps, err
 		}
-		if err := d.setDB(p, db); err != nil {
-			return err
+		if n := len(ps); n > 0 && db <= ps[n-1].DB {
+			return ps, fmt.Errorf("scrape: duplicate or out-of-order %s series (db %d after db %d)",
+				promTickSeries, db, ps[n-1].DB)
 		}
 		tick, err := d.intValue()
 		if err != nil {
-			return err
+			return ps, err
 		}
-		p.Tick = tick
-		*tickSeen = true
-		return nil
+		ps = nextPayload(ps)
+		p := &ps[len(ps)-1]
+		p.Tick, p.DB = tick, db
+		return ps, nil
 	case promKPISeries:
 		db, err := d.label("db")
 		if err != nil {
-			return err
+			return ps, err
 		}
 		if d.pos >= len(d.buf) || d.buf[d.pos] != ',' {
-			return fmt.Errorf("scrape: malformed exposition at byte %d (want kpi label)", d.pos)
+			return ps, fmt.Errorf("scrape: malformed exposition at byte %d (want kpi label)", d.pos)
 		}
 		d.pos++
 		id, err := d.label("kpi")
 		if err != nil {
-			return err
+			return ps, err
 		}
 		if err := d.closeLabels(); err != nil {
-			return err
+			return ps, err
 		}
-		if err := d.setDB(p, db); err != nil {
-			return err
+		if d.cur < 0 || db != ps[d.cur].DB {
+			// The next announced database's samples start here.
+			if d.cur+1 >= len(ps) || db != ps[d.cur+1].DB {
+				return ps, fmt.Errorf("scrape: exposition mixes databases: %s sample for db %d out of place", promKPISeries, db)
+			}
+			d.cur++
 		}
+		p := &ps[d.cur]
 		if id != len(p.Values) {
-			return fmt.Errorf("scrape: duplicate, missing, or out-of-order %s series (kpi %d, want %d)",
+			return ps, fmt.Errorf("scrape: duplicate, missing, or out-of-order %s series (kpi %d, want %d)",
 				promKPISeries, id, len(p.Values))
 		}
 		v, err := d.floatValue()
 		if err != nil {
-			return err
+			return ps, err
 		}
 		p.Values = append(p.Values, v)
-		return nil
+		return ps, nil
 	}
-	return fmt.Errorf("scrape: unknown series %q in exposition", name)
+	return ps, fmt.Errorf("scrape: unknown series %q in exposition", name)
 }
 
 // label consumes name="<digits>" and returns the integer label value.
@@ -285,19 +343,6 @@ func (d *promParser) digits() (int, error) {
 	}
 	d.pos++
 	return n, nil
-}
-
-// setDB pins the payload's database id from a sample's db label; every
-// sample in one exposition must agree.
-func (d *promParser) setDB(p *Payload, db int) error {
-	if p.DB == -1 {
-		p.DB = db
-		return nil
-	}
-	if p.DB != db {
-		return fmt.Errorf("scrape: exposition mixes databases %d and %d", p.DB, db)
-	}
-	return nil
 }
 
 // intValue consumes an unsigned integer value token and its newline.

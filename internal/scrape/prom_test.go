@@ -31,10 +31,10 @@ func TestPromRoundTrip(t *testing.T) {
 		1.5, -3e-9, 4e12, math.NaN(), 0, -0.0, math.SmallestNonzeroFloat64,
 		math.MaxFloat64, 0.1, 1.0 / 3.0,
 	}}
-	body := appendProm(nil, &in)
+	body := AppendBody(nil, &in, FormatProm)
 	var out Payload
-	if err := parseProm(body, &out); err != nil {
-		t.Fatalf("parseProm: %v\nbody:\n%s", err, body)
+	if err := ParseBody(body, &out, FormatProm); err != nil {
+		t.Fatalf("ParseBody: %v\nbody:\n%s", err, body)
 	}
 	if out.Tick != in.Tick || out.DB != in.DB || len(out.Values) != len(in.Values) {
 		t.Fatalf("round trip shape: got %+v", out)
@@ -55,8 +55,8 @@ func TestPromParseSkipsComments(t *testing.T) {
 		"dbcatcher_kpi{db=\"1\",kpi=\"0\"} 2.5\n" +
 		"# unterminated comment"
 	var p Payload
-	if err := parseProm([]byte(body), &p); err != nil {
-		t.Fatalf("parseProm: %v", err)
+	if err := ParseBody([]byte(body), &p, FormatProm); err != nil {
+		t.Fatalf("ParseBody: %v", err)
 	}
 	if p.Tick != 7 || p.DB != 1 || len(p.Values) != 1 || p.Values[0] != 2.5 {
 		t.Fatalf("parsed %+v", p)
@@ -66,7 +66,7 @@ func TestPromParseSkipsComments(t *testing.T) {
 // The malformed-exposition corpus: every entry must be rejected loudly —
 // no panics, no silently absorbed garbage.
 func TestPromParseRejectsCorpus(t *testing.T) {
-	valid := string(appendProm(nil, &Payload{Tick: 3, DB: 0, Values: []float64{1, 2}}))
+	valid := string(AppendBody(nil, &Payload{Tick: 3, DB: 0, Values: []float64{1, 2}}, FormatProm))
 	cases := map[string]string{
 		"empty":            "",
 		"comments only":    "# nothing here\n",
@@ -90,13 +90,13 @@ func TestPromParseRejectsCorpus(t *testing.T) {
 		"unquoted label":   "dbcatcher_tick{db=0} 3\n",
 		"missing newline":  strings.TrimSuffix(valid, "\n"),
 		"crlf":             "dbcatcher_tick{db=\"0\"} 3\r\ndbcatcher_kpi{db=\"0\",kpi=\"0\"} 1\r\n",
-		"json body":        string(appendPayload(nil, &Payload{Tick: 3, DB: 0, Values: []float64{1, 2}})),
+		"json body":        string(AppendBody(nil, &Payload{Tick: 3, DB: 0, Values: []float64{1, 2}}, FormatJSON)),
 		"oversized":        valid + strings.Repeat("x", maxBodySize),
 	}
 	for name, body := range cases {
 		var p Payload
-		if err := parseProm([]byte(body), &p); err == nil {
-			t.Errorf("%s: parseProm accepted %q", name, body)
+		if err := ParseBody([]byte(body), &p, FormatProm); err == nil {
+			t.Errorf("%s: ParseBody accepted %q", name, body)
 		}
 	}
 }
@@ -105,14 +105,14 @@ func TestPromParseRejectsCorpus(t *testing.T) {
 // to the full vector — a cut body is either rejected outright or comes up
 // short and is then rejected by the scraper's KPI-count check.
 func TestPromParseTruncation(t *testing.T) {
-	full := appendProm(nil, &Payload{Tick: 9, DB: 2, Values: []float64{1.25, math.NaN(), -7e3}})
+	full := AppendBody(nil, &Payload{Tick: 9, DB: 2, Values: []float64{1.25, math.NaN(), -7e3}}, FormatProm)
 	var ref Payload
-	if err := parseProm(full, &ref); err != nil {
+	if err := ParseBody(full, &ref, FormatProm); err != nil {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(full); cut++ {
 		var p Payload
-		if err := parseProm(full[:cut], &p); err == nil && len(p.Values) >= len(ref.Values) {
+		if err := ParseBody(full[:cut], &p, FormatProm); err == nil && len(p.Values) >= len(ref.Values) {
 			t.Fatalf("prefix of %d/%d bytes parsed to a full vector", cut, len(full))
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,14 +15,15 @@ import (
 	"dbcatcher/internal/mathx"
 )
 
-// BreakerState is a target's circuit-breaker position.
+// BreakerState is an endpoint's circuit-breaker position.
 type BreakerState int
 
 const (
-	// BreakerClosed: the target is scraped normally.
+	// BreakerClosed: the endpoint is scraped normally.
 	BreakerClosed BreakerState = iota
-	// BreakerOpen: recent rounds all failed; the target is skipped (its
-	// column reads NaN) instead of being hammered with doomed requests.
+	// BreakerOpen: recent rounds all failed; the endpoint is skipped (its
+	// databases' columns read NaN) instead of being hammered with doomed
+	// requests.
 	BreakerOpen
 	// BreakerHalfOpen: the open interval elapsed; this round sends a
 	// single no-retry probe. Success closes the breaker, failure re-opens.
@@ -44,6 +46,9 @@ func (b BreakerState) String() string {
 // Config tunes the scraper. Zero fields take the documented defaults.
 type Config struct {
 	// Targets maps database index to its scrape URL (see SelfTargets).
+	// Databases that name the same URL form one endpoint: one request per
+	// attempt fetches all of them in one body, which must carry exactly
+	// those databases in index order.
 	Targets []string
 	// KPIs is the expected vector length; shorter or longer payloads are
 	// rejected as garbage.
@@ -53,8 +58,9 @@ type Config struct {
 	// (default FormatJSON). The scraper negotiates it via the Accept
 	// header and parses the response with the matching strict parser.
 	Format Format
-	// Formats optionally overrides the format per target; when non-nil it
-	// must name one format per Targets entry.
+	// Formats optionally overrides the format per database; when non-nil it
+	// must name one format per Targets entry, the same for every database
+	// of one endpoint.
 	Formats []Format
 
 	// RoundTimeout is the collection deadline per tick: whatever has not
@@ -62,7 +68,7 @@ type Config struct {
 	RoundTimeout time.Duration
 	// TryTimeout bounds one HTTP attempt. Default RoundTimeout/4.
 	TryTimeout time.Duration
-	// MaxAttempts bounds attempts per target per round (first try plus
+	// MaxAttempts bounds attempts per endpoint per round (first try plus
 	// retries). Default 3.
 	MaxAttempts int
 	// BackoffBase and BackoffMax shape the exponential retry backoff;
@@ -72,20 +78,21 @@ type Config struct {
 	BackoffMax  time.Duration
 	// JitterSeed makes the backoff jitter deterministic for tests.
 	JitterSeed uint64
-	// Concurrency bounds the fetches in flight (default: all targets at
-	// once, capped at 16). A round runs them on the goroutine that calls
-	// Round plus at most Concurrency-1 goroutines it starts and joins.
+	// Concurrency bounds the endpoints fetched at once (default: every
+	// endpoint, capped at 16). A round runs them on the goroutine that
+	// calls Round plus at most Concurrency-1 goroutines it starts and
+	// joins.
 	Concurrency int
 
-	// BreakerFailures is the consecutive failed rounds after which a
-	// target's breaker opens. Default 3.
+	// BreakerFailures is the consecutive failed rounds after which an
+	// endpoint's breaker opens. Default 3.
 	BreakerFailures int
 	// BreakerOpenRounds is how many rounds an open breaker skips before
 	// sending its half-open probe. Default 5.
 	BreakerOpenRounds int
-	// StaleRounds is the consecutive rounds a target may re-serve the same
-	// tick before it is considered down and its column marked NaN (feeding
-	// the monitor's auto-deactivation budget). Default 3.
+	// StaleRounds is the consecutive rounds a database may re-serve the
+	// same tick before it is considered down and its column marked NaN
+	// (feeding the monitor's auto-deactivation budget). Default 3.
 	StaleRounds int
 
 	// Client overrides the HTTP client (tests inject transports). The
@@ -94,7 +101,9 @@ type Config struct {
 	Client *http.Client
 }
 
-func (c Config) withDefaults() Config {
+// withDefaults fills the zero fields for a scraper of the given endpoint
+// count.
+func (c Config) withDefaults(endpoints int) Config {
 	if c.RoundTimeout <= 0 {
 		c.RoundTimeout = 2 * time.Second
 	}
@@ -111,10 +120,7 @@ func (c Config) withDefaults() Config {
 		c.BackoffMax = 250 * time.Millisecond
 	}
 	if c.Concurrency <= 0 {
-		c.Concurrency = len(c.Targets)
-		if c.Concurrency > 16 {
-			c.Concurrency = 16
-		}
+		c.Concurrency = min(endpoints, 16)
 	}
 	if c.BreakerFailures <= 0 {
 		c.BreakerFailures = 3
@@ -129,11 +135,13 @@ func (c Config) withDefaults() Config {
 }
 
 // SelfTargets builds the target list for an exporter serving a dbs-wide
-// unit at base (e.g. "http://127.0.0.1:9101").
+// unit at base (e.g. "http://127.0.0.1:9101"): its /kpis URL for every
+// database, so the unit is one endpoint, fetched in one request.
 func SelfTargets(base string, dbs int) []string {
 	out := make([]string, dbs)
+	url := base + "/kpis"
 	for d := range out {
-		out[d] = fmt.Sprintf("%s/db/%d/kpis", base, d)
+		out[d] = url
 	}
 	return out
 }
@@ -141,7 +149,7 @@ func SelfTargets(base string, dbs int) []string {
 // maxBodySize caps a scrape response; anything larger is garbage.
 const maxBodySize = 1 << 20
 
-// action is a target's role in one round, decided by the breaker.
+// action is an endpoint's role in one round, decided by its breaker.
 type action int
 
 const (
@@ -150,64 +158,75 @@ const (
 	actSkip                 // open: no request at all
 )
 
-// targetState is one scrape target's breaker position, staleness tracking,
-// cumulative stats, and per-round scratch. Long-lived fields are guarded by
-// the scraper mutex; scratch fields are owned by the round worker that
-// claimed the target.
-type targetState struct {
+// endpoint is one scrape URL and the databases it serves: its breaker
+// position, cumulative stats and per-round scratch. Long-lived fields are
+// guarded by the scraper mutex; scratch fields are owned by the round
+// worker that claimed the endpoint.
+type endpoint struct {
 	url    string
-	db     int
 	format Format
+	dbs    []int // member databases, ascending
 
 	state       BreakerState
 	consecFails int
 	openUntil   int // first round index allowed to probe
-	lastTick    int
-	staleStreak int
 
 	scrapes, successes, failures int
 	retries, timeouts            int
 	trips, probes, skips         int
-	staleDrops                   int
 	lastErr                      string
 
+	// act is this round's role, set before the workers start.
+	act action
+
 	// Round scratch (worker-owned while a round is in flight). req is the
-	// target's GET, built on its first fetch and never mutated: each
-	// attempt sends a copy carrying the attempt's context.
-	rng     *mathx.RNG
-	req     *http.Request
-	payload Payload
-	body    []byte
-	vec     []float64
-	res     fetchResult
+	// endpoint's GET, built on its first fetch and never mutated: each
+	// attempt sends a copy carrying the attempt's context. payloads[i] is
+	// member dbs[i]'s payload from the last successful fetch; its Values
+	// are that database's vector until the next round.
+	rng      *mathx.RNG
+	req      *http.Request
+	body     []byte
+	payloads []Payload
+	res      fetchResult
+}
+
+// dbState is one database's staleness tracking: it follows the database's
+// own tick in its endpoint's body.
+type dbState struct {
+	lastTick    int
+	staleStreak int
+	staleDrops  int
 }
 
 // fetchResult carries one round's outcome from the worker that fetched the
-// target back to the apply phase.
+// endpoint back to the apply phase.
 type fetchResult struct {
 	ok       bool
-	tick     int
 	retries  int
 	timeouts int
 	err      string
 }
 
-// RoundReport summarizes one collection round.
+// RoundReport summarizes one collection round, counting databases.
 type RoundReport struct {
 	// Round is the zero-based round index.
 	Round int
-	// Arrived counts targets that delivered a usable fresh-enough vector.
+	// Arrived counts databases that delivered a usable fresh-enough vector.
 	Arrived int
 	// Missing counts NaN columns (failures, breaker skips, stale drops).
 	Missing int
-	// Skipped counts breaker-open targets that were not contacted at all.
+	// Skipped counts databases whose endpoint's breaker was open, so it was
+	// not contacted at all.
 	Skipped int
-	// Late reports that the round deadline expired before every target
+	// Late reports that the round deadline expired before every endpoint
 	// resolved.
 	Late bool
 }
 
-// TargetHealth is one target's externally visible scrape state.
+// TargetHealth is one database's externally visible scrape state. The URL,
+// breaker and counter fields are its endpoint's (the counters count the
+// endpoint's scrapes); StaleDrops and LastTick are the database's own.
 type TargetHealth struct {
 	URL                 string `json:"url"`
 	DB                  int    `json:"db"`
@@ -239,15 +258,16 @@ type Health struct {
 
 // Scraper is the per-round, deadline-driven KPI collection fan-out. One
 // goroutine calls Round per tick; Health may be called concurrently from
-// serving handlers. A round fetches on min(Concurrency, contacted targets)
-// workers: the calling goroutine is the first and starts and joins the
-// rest, and each worker claims the next target in index order.
+// serving handlers. A round fetches on min(Concurrency, contacted
+// endpoints) workers: the calling goroutine is the first and starts and
+// joins the rest, and each worker claims the next endpoint in order.
 type Scraper struct {
 	cfg    Config
 	client *http.Client
 
 	mu      sync.Mutex
-	targets []*targetState
+	eps     []endpoint
+	dbs     []dbState
 	rounds  int
 	late    int
 	partial int
@@ -255,12 +275,13 @@ type Scraper struct {
 
 	asm  *Assembler
 	vecs [][]float64
-	acts []action
 }
 
-// New validates the config and builds a scraper.
+// New validates the config, groups the databases into endpoints by URL in
+// order of first appearance, and builds a scraper.
 func New(cfg Config) (*Scraper, error) {
-	if len(cfg.Targets) == 0 {
+	n := len(cfg.Targets)
+	if n == 0 {
 		return nil, fmt.Errorf("scrape: no targets")
 	}
 	if cfg.KPIs <= 0 {
@@ -269,53 +290,93 @@ func New(cfg Config) (*Scraper, error) {
 	if cfg.Format < FormatJSON || cfg.Format > FormatProm {
 		return nil, fmt.Errorf("scrape: invalid format %d", int(cfg.Format))
 	}
-	if cfg.Formats != nil && len(cfg.Formats) != len(cfg.Targets) {
+	if cfg.Formats != nil && len(cfg.Formats) != n {
 		return nil, fmt.Errorf("scrape: %d per-target formats for %d targets",
-			len(cfg.Formats), len(cfg.Targets))
+			len(cfg.Formats), n)
 	}
 	for _, f := range cfg.Formats {
 		if f < FormatJSON || f > FormatProm {
 			return nil, fmt.Errorf("scrape: invalid format %d", int(f))
 		}
 	}
-	cfg = cfg.withDefaults()
+	formatOf := func(d int) Format {
+		if cfg.Formats != nil {
+			return cfg.Formats[d]
+		}
+		return cfg.Format
+	}
+
+	// Number the endpoints by first appearance, then lay the members out
+	// endpoint by endpoint, each endpoint's ascending.
+	index := make(map[string]int)
+	epOf := make([]int, n)
+	for d, url := range cfg.Targets {
+		i, ok := index[url]
+		if !ok {
+			i = len(index)
+			index[url] = i
+		}
+		epOf[d] = i
+	}
+	order := make([]int, n)
+	for d := range order {
+		order[d] = d
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return epOf[a] - epOf[b] })
+
+	cfg = cfg.withDefaults(len(index))
 	s := &Scraper{cfg: cfg, client: cfg.Client}
 	if s.client == nil {
 		// http.DefaultTransport keeps 2 idle connections per host, so a
-		// round over more targets than that would re-dial the rest.
+		// round over more endpoints than that would re-dial the rest.
 		tr := http.DefaultTransport.(*http.Transport).Clone()
 		tr.MaxIdleConnsPerHost = cfg.Concurrency
 		s.client = &http.Client{Transport: tr}
 	}
 	root := mathx.NewRNG(cfg.JitterSeed).Split(0x5c4a)
-	s.targets = make([]*targetState, len(cfg.Targets))
-	for d, url := range cfg.Targets {
-		format := cfg.Format
-		if cfg.Formats != nil {
-			format = cfg.Formats[d]
+	s.eps = make([]endpoint, len(index))
+	payloads := make([]Payload, n)
+	cells := make([]float64, n*cfg.KPIs)
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && epOf[order[hi]] == epOf[order[lo]] {
+			hi++
 		}
-		s.targets[d] = &targetState{
-			url:      url,
-			db:       d,
-			format:   format,
-			lastTick: -1,
-			rng:      root.Split(uint64(d)),
-			vec:      make([]float64, cfg.KPIs),
+		ep := &s.eps[epOf[order[lo]]]
+		ep.dbs = order[lo:hi:hi]
+		ep.url = cfg.Targets[ep.dbs[0]]
+		ep.format = formatOf(ep.dbs[0])
+		for _, d := range ep.dbs[1:] {
+			if formatOf(d) != ep.format {
+				return nil, fmt.Errorf("scrape: databases %d and %d share %s but not a format (%v, %v)",
+					ep.dbs[0], d, ep.url, ep.format, formatOf(d))
+			}
 		}
+		// Jitter from the first member's split keeps a one-database
+		// endpoint's backoff sequence that of its database.
+		ep.rng = root.Split(uint64(ep.dbs[0]))
+		ep.payloads = payloads[lo:lo:hi]
+		for i := lo; i < hi; i++ {
+			payloads[i].Values = cells[i*cfg.KPIs : i*cfg.KPIs : (i+1)*cfg.KPIs]
+		}
+		lo = hi
 	}
-	s.asm = NewAssembler(cfg.KPIs, len(cfg.Targets))
-	s.vecs = make([][]float64, len(cfg.Targets))
-	s.acts = make([]action, len(cfg.Targets))
+	s.dbs = make([]dbState, n)
+	for d := range s.dbs {
+		s.dbs[d].lastTick = -1
+	}
+	s.asm = NewAssembler(cfg.KPIs, n)
+	s.vecs = make([][]float64, n)
 	return s, nil
 }
 
 // Targets returns the configured target count (the unit's database count).
-func (s *Scraper) Targets() int { return len(s.targets) }
+func (s *Scraper) Targets() int { return len(s.dbs) }
 
-// Round runs one collection round: fan out over every target under the
+// Round runs one collection round: fan out over every endpoint under the
 // round deadline, retry transient failures with backoff, honor the
-// per-target breakers, and assemble whatever arrived into the monitor's
-// sample[kpi][db] layout (missing targets as NaN columns). The returned
+// per-endpoint breakers, and assemble whatever arrived into the monitor's
+// sample[kpi][db] layout (missing databases as NaN columns). The returned
 // sample aliases reusable storage; ingest it before the next Round.
 //
 // Round never fails on collection problems — they degrade the sample. The
@@ -327,21 +388,22 @@ func (s *Scraper) Round(ctx context.Context) ([][]float64, RoundReport, error) {
 	s.mu.Lock()
 	round := s.rounds
 	contacted := 0
-	for i, t := range s.targets {
-		switch t.state {
+	for i := range s.eps {
+		ep := &s.eps[i]
+		switch ep.state {
 		case BreakerOpen:
-			if round >= t.openUntil {
-				t.state = BreakerHalfOpen
-				s.acts[i] = actProbe
+			if round >= ep.openUntil {
+				ep.state = BreakerHalfOpen
+				ep.act = actProbe
 			} else {
-				s.acts[i] = actSkip
+				ep.act = actSkip
 			}
 		case BreakerHalfOpen:
-			s.acts[i] = actProbe
+			ep.act = actProbe
 		default:
-			s.acts[i] = actScrape
+			ep.act = actScrape
 		}
-		if s.acts[i] != actSkip {
+		if ep.act != actSkip {
 			contacted++
 		}
 	}
@@ -365,20 +427,8 @@ func (s *Scraper) Round(ctx context.Context) ([][]float64, RoundReport, error) {
 	rep := RoundReport{Round: round, Late: late}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, t := range s.targets {
-		if s.acts[i] == actSkip {
-			t.skips++
-			s.vecs[i] = nil
-			rep.Skipped++
-			rep.Missing++
-			continue
-		}
-		s.vecs[i] = s.applyResult(t, round, s.acts[i] == actProbe)
-		if s.vecs[i] == nil {
-			rep.Missing++
-		} else {
-			rep.Arrived++
-		}
+	for i := range s.eps {
+		s.applyResult(&s.eps[i], round, &rep)
 	}
 	s.rounds++
 	if late {
@@ -396,88 +446,112 @@ func (s *Scraper) Round(ctx context.Context) ([][]float64, RoundReport, error) {
 	return sample, rep, nil
 }
 
-// applyResult folds one target's round outcome into its breaker, staleness,
-// and stats (caller holds the scraper mutex), returning the vector to
-// assemble (nil = NaN column).
-func (s *Scraper) applyResult(t *targetState, round int, probe bool) []float64 {
-	r := &t.res
-	t.scrapes++
-	t.retries += r.retries
-	t.timeouts += r.timeouts
+// applyResult folds one endpoint's round outcome into its breaker and stats
+// and its databases' staleness (caller holds the scraper mutex), setting
+// each member's vector to assemble (nil = NaN column) and counting them
+// into rep.
+func (s *Scraper) applyResult(ep *endpoint, round int, rep *RoundReport) {
+	if ep.act == actSkip {
+		ep.skips++
+		s.drop(ep, rep)
+		rep.Skipped += len(ep.dbs)
+		return
+	}
+	r := &ep.res
+	ep.scrapes++
+	ep.retries += r.retries
+	ep.timeouts += r.timeouts
+	probe := ep.act == actProbe
 	if probe {
-		t.probes++
+		ep.probes++
 	}
 	if !r.ok {
-		t.failures++
-		t.consecFails++
-		t.lastErr = r.err
-		if probe || (t.state == BreakerClosed && t.consecFails >= s.cfg.BreakerFailures) {
-			if t.state != BreakerOpen {
-				t.trips++
+		ep.failures++
+		ep.consecFails++
+		ep.lastErr = r.err
+		if probe || (ep.state == BreakerClosed && ep.consecFails >= s.cfg.BreakerFailures) {
+			if ep.state != BreakerOpen {
+				ep.trips++
 			}
-			t.state = BreakerOpen
-			t.openUntil = round + 1 + s.cfg.BreakerOpenRounds
+			ep.state = BreakerOpen
+			ep.openUntil = round + 1 + s.cfg.BreakerOpenRounds
 		}
-		return nil
+		s.drop(ep, rep)
+		return
 	}
-	t.successes++
-	t.consecFails = 0
-	t.lastErr = ""
-	t.state = BreakerClosed
-	if r.tick == t.lastTick {
-		// The target answers but its clock is frozen. Re-served values are
-		// tolerated briefly (a slow publisher), then the target is treated
-		// as down so the gap budget can bench its database.
-		t.staleStreak++
-		if t.staleStreak >= s.cfg.StaleRounds {
-			t.staleDrops++
-			return nil
+	ep.successes++
+	ep.consecFails = 0
+	ep.lastErr = ""
+	ep.state = BreakerClosed
+	for i, d := range ep.dbs {
+		p, db := &ep.payloads[i], &s.dbs[d]
+		s.vecs[d] = p.Values
+		if p.Tick == db.lastTick {
+			// The database answers but its clock is frozen. Re-served
+			// values are tolerated briefly (a slow publisher), then it is
+			// treated as down so the gap budget can bench it.
+			db.staleStreak++
+			if db.staleStreak >= s.cfg.StaleRounds {
+				db.staleDrops++
+				s.vecs[d] = nil
+			}
+		} else {
+			db.lastTick = p.Tick
+			db.staleStreak = 0
 		}
-	} else {
-		t.lastTick = r.tick
-		t.staleStreak = 0
+		if s.vecs[d] == nil {
+			rep.Missing++
+		} else {
+			rep.Arrived++
+		}
 	}
-	return t.vec
 }
 
-// work is one round worker: it claims target indexes from next in order
-// until none is left and runs each contacted target's attempts into its
-// result, a half-open probe getting a single attempt. A target that no
+// drop marks every member of ep missing this round.
+func (s *Scraper) drop(ep *endpoint, rep *RoundReport) {
+	for _, d := range ep.dbs {
+		s.vecs[d] = nil
+	}
+	rep.Missing += len(ep.dbs)
+}
+
+// work is one round worker: it claims endpoint indexes from next in order
+// until none is left and runs each contacted endpoint's attempts into its
+// result, a half-open probe getting a single attempt. An endpoint that no
 // worker claims before the round deadline still gets its first attempt,
 // which fails at once on the expired context and counts a timeout.
 func (s *Scraper) work(ctx context.Context, next *atomic.Int64) {
 	for {
 		i := int(next.Add(1) - 1)
-		if i >= len(s.targets) {
+		if i >= len(s.eps) {
 			return
 		}
+		ep := &s.eps[i]
 		attempts := s.cfg.MaxAttempts
-		switch s.acts[i] {
+		switch ep.act {
 		case actSkip:
 			continue
 		case actProbe:
 			attempts = 1
 		}
-		t := s.targets[i]
-		t.res = s.scrapeTarget(ctx, t, attempts)
+		ep.res = s.scrapeEndpoint(ctx, ep, attempts)
 	}
 }
 
-// scrapeTarget runs one target's attempt loop for a round. It touches only
-// the target's round scratch.
-func (s *Scraper) scrapeTarget(ctx context.Context, t *targetState, attempts int) fetchResult {
+// scrapeEndpoint runs one endpoint's attempt loop for a round. It touches
+// only the endpoint's round scratch.
+func (s *Scraper) scrapeEndpoint(ctx context.Context, ep *endpoint, attempts int) fetchResult {
 	var res fetchResult
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			if !s.backoff(ctx, t, attempt) {
+			if !s.backoff(ctx, ep, attempt) {
 				return res // round deadline consumed the retry budget
 			}
 			res.retries++
 		}
-		err := s.fetch(ctx, t)
+		err := s.fetch(ctx, ep)
 		if err == nil {
 			res.ok = true
-			res.tick = t.payload.Tick
 			res.err = ""
 			return res
 		}
@@ -494,13 +568,13 @@ func (s *Scraper) scrapeTarget(ctx context.Context, t *targetState, attempts int
 
 // backoff sleeps the jittered exponential delay for the given retry
 // attempt; false means the round deadline expired first.
-func (s *Scraper) backoff(ctx context.Context, t *targetState, attempt int) bool {
+func (s *Scraper) backoff(ctx context.Context, ep *endpoint, attempt int) bool {
 	d := s.cfg.BackoffBase << (attempt - 1)
 	if d > s.cfg.BackoffMax || d <= 0 {
 		d = s.cfg.BackoffMax
 	}
 	half := d / 2
-	d = half + time.Duration(t.rng.Float64()*float64(half))
+	d = half + time.Duration(ep.rng.Float64()*float64(half))
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
@@ -511,46 +585,53 @@ func (s *Scraper) backoff(ctx context.Context, t *targetState, attempt int) bool
 	}
 }
 
-// fetch performs one HTTP attempt and decodes the payload into t.payload /
-// t.vec.
-func (s *Scraper) fetch(ctx context.Context, t *targetState) error {
-	if t.req == nil {
-		req, err := http.NewRequest(http.MethodGet, t.url, nil)
+// fetch performs one HTTP attempt and decodes the body into ep.payloads,
+// which must then carry exactly the endpoint's databases, in index order,
+// each with KPIs values.
+func (s *Scraper) fetch(ctx context.Context, ep *endpoint) error {
+	if ep.req == nil {
+		req, err := http.NewRequest(http.MethodGet, ep.url, nil)
 		if err != nil {
 			return err
 		}
-		req.Header.Set("Accept", t.format.accept())
-		t.req = req
+		req.Header.Set("Accept", ep.format.accept())
+		ep.req = req
 	}
 	tctx, cancel := context.WithTimeout(ctx, s.cfg.TryTimeout)
 	defer cancel()
-	resp, err := s.client.Do(t.req.WithContext(tctx))
+	resp, err := s.client.Do(ep.req.WithContext(tctx))
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodySize))
-		return fmt.Errorf("scrape: %s returned status %d", t.url, resp.StatusCode)
+		return fmt.Errorf("scrape: %s returned status %d", ep.url, resp.StatusCode)
 	}
-	t.body, err = appendReadAll(t.body[:0], io.LimitReader(resp.Body, maxBodySize))
+	ep.body, err = appendReadAll(ep.body[:0], io.LimitReader(resp.Body, maxBodySize))
 	if err != nil {
-		return fmt.Errorf("scrape: reading %s: %w", t.url, err)
+		return fmt.Errorf("scrape: reading %s: %w", ep.url, err)
 	}
-	if err = ParseBody(t.body, &t.payload, t.format); err != nil {
+	if ep.payloads, err = ParseUnit(ep.body, ep.payloads, ep.format); err != nil {
 		return err
 	}
-	if t.payload.DB != t.db {
-		return fmt.Errorf("scrape: %s identifies as db %d, want %d", t.url, t.payload.DB, t.db)
+	if len(ep.payloads) != len(ep.dbs) {
+		return fmt.Errorf("scrape: %s served %d databases, want %d", ep.url, len(ep.payloads), len(ep.dbs))
 	}
-	if len(t.payload.Values) != s.cfg.KPIs {
-		return fmt.Errorf("scrape: %s served %d KPIs, want %d", t.url, len(t.payload.Values), s.cfg.KPIs)
+	for i, d := range ep.dbs {
+		p := &ep.payloads[i]
+		if p.DB != d {
+			return fmt.Errorf("scrape: %s identifies as db %d, want %d", ep.url, p.DB, d)
+		}
+		if len(p.Values) != s.cfg.KPIs {
+			return fmt.Errorf("scrape: %s served %d KPIs, want %d", ep.url, len(p.Values), s.cfg.KPIs)
+		}
 	}
-	copy(t.vec, t.payload.Values)
 	return nil
 }
 
-// Health snapshots the scraper's state for /api/status.
+// Health snapshots the scraper's state for /api/status: one entry per
+// database, in database order.
 func (s *Scraper) Health() Health {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -559,26 +640,29 @@ func (s *Scraper) Health() Health {
 		CompleteRounds: s.full,
 		PartialRounds:  s.partial,
 		LateRounds:     s.late,
-		Targets:        make([]TargetHealth, len(s.targets)),
+		Targets:        make([]TargetHealth, len(s.dbs)),
 	}
-	for i, t := range s.targets {
-		h.Targets[i] = TargetHealth{
-			URL:                 t.url,
-			DB:                  t.db,
-			Format:              t.format.String(),
-			Breaker:             t.state.String(),
-			ConsecutiveFailures: t.consecFails,
-			Scrapes:             t.scrapes,
-			Successes:           t.successes,
-			Failures:            t.failures,
-			Retries:             t.retries,
-			Timeouts:            t.timeouts,
-			BreakerTrips:        t.trips,
-			Probes:              t.probes,
-			SkippedRounds:       t.skips,
-			StaleDrops:          t.staleDrops,
-			LastTick:            t.lastTick,
-			LastError:           t.lastErr,
+	for i := range s.eps {
+		ep := &s.eps[i]
+		for _, d := range ep.dbs {
+			h.Targets[d] = TargetHealth{
+				URL:                 ep.url,
+				DB:                  d,
+				Format:              ep.format.String(),
+				Breaker:             ep.state.String(),
+				ConsecutiveFailures: ep.consecFails,
+				Scrapes:             ep.scrapes,
+				Successes:           ep.successes,
+				Failures:            ep.failures,
+				Retries:             ep.retries,
+				Timeouts:            ep.timeouts,
+				BreakerTrips:        ep.trips,
+				Probes:              ep.probes,
+				SkippedRounds:       ep.skips,
+				StaleDrops:          s.dbs[d].staleDrops,
+				LastTick:            s.dbs[d].lastTick,
+				LastError:           ep.lastErr,
+			}
 		}
 	}
 	return h

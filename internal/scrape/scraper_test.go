@@ -3,6 +3,7 @@ package scrape
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"net/http"
@@ -15,23 +16,51 @@ import (
 	"time"
 )
 
-// testPipe wires feed → exporter → httptest server → scraper, with a
-// per-database request counter so tests can assert how often a target was
-// actually contacted.
+// testPipe wires feed → exporter → httptest server → scraper, with request
+// counters per database route and for the unit route, so tests can assert
+// how often a target was actually contacted.
 type testPipe struct {
-	feed *Feed
-	exp  *Exporter
-	ts   *httptest.Server
-	s    *Scraper
-	reqs []atomic.Int64
+	feed     *Feed
+	exp      *Exporter
+	ts       *httptest.Server
+	s        *Scraper
+	reqs     []atomic.Int64 // GET /db/{db}/kpis, per database
+	unitReqs atomic.Int64   // GET /kpis
 }
 
+// dbTargets names each database's own /db/{db}/kpis URL on the exporter at
+// base, as an explicit per-database target list does: every database is
+// its own endpoint.
+func dbTargets(base string, dbs int) []string {
+	out := make([]string, dbs)
+	for d := range out {
+		out[d] = fmt.Sprintf("%s/db/%d/kpis", base, d)
+	}
+	return out
+}
+
+// newTestPipe scrapes each database at its own URL, so tests can script
+// one database's faults, format or concurrency.
 func newTestPipe(t *testing.T, kpis, dbs int, mod func(*Config)) *testPipe {
+	t.Helper()
+	return newPipe(t, kpis, dbs, dbTargets, mod)
+}
+
+// newUnitPipe scrapes the unit as one endpoint at /kpis (SelfTargets).
+func newUnitPipe(t *testing.T, kpis, dbs int, mod func(*Config)) *testPipe {
+	t.Helper()
+	return newPipe(t, kpis, dbs, SelfTargets, mod)
+}
+
+func newPipe(t *testing.T, kpis, dbs int, targets func(string, int) []string, mod func(*Config)) *testPipe {
 	t.Helper()
 	p := &testPipe{feed: NewFeed(kpis, dbs), reqs: make([]atomic.Int64, dbs)}
 	p.exp = NewExporter(p.feed)
 	inner := p.exp.Handler()
 	p.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/kpis" {
+			p.unitReqs.Add(1)
+		}
 		if parts := strings.Split(r.URL.Path, "/"); len(parts) == 4 && parts[1] == "db" {
 			for d := 0; d < dbs; d++ {
 				if parts[2] == string(rune('0'+d)) {
@@ -43,7 +72,7 @@ func newTestPipe(t *testing.T, kpis, dbs int, mod func(*Config)) *testPipe {
 	}))
 	t.Cleanup(p.ts.Close)
 	cfg := Config{
-		Targets:           SelfTargets(p.ts.URL, dbs),
+		Targets:           targets(p.ts.URL, dbs),
 		KPIs:              kpis,
 		RoundTimeout:      2 * time.Second,
 		TryTimeout:        500 * time.Millisecond,
@@ -135,7 +164,7 @@ func TestScraperDefaultClientReusesConnections(t *testing.T) {
 	}
 	ts.Start()
 	t.Cleanup(ts.Close)
-	s, err := New(Config{Targets: SelfTargets(ts.URL, dbs), KPIs: kpis})
+	s, err := New(Config{Targets: dbTargets(ts.URL, dbs), KPIs: kpis})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +380,7 @@ func TestScraperRoundConcurrencyContract(t *testing.T) {
 			exp := NewExporter(feed)
 			g := &gateTransport{h: exp.Handler(), reqs: make([]int, dbs)}
 			s, err := New(Config{
-				Targets:           SelfTargets("http://gate", dbs),
+				Targets:           dbTargets("http://gate", dbs),
 				KPIs:              kpis,
 				Concurrency:       tc.conc,
 				RoundTimeout:      4 * gateWait,
@@ -481,7 +510,7 @@ func TestScraperConfigValidation(t *testing.T) {
 	if _, err := New(Config{Targets: []string{"http://x"}}); err == nil {
 		t.Fatal("zero KPIs accepted")
 	}
-	if got := SelfTargets("http://h:1", 2); got[1] != "http://h:1/db/1/kpis" {
+	if got := SelfTargets("http://h:1", 2); got[0] != "http://h:1/kpis" || got[1] != "http://h:1/kpis" {
 		t.Fatalf("SelfTargets = %v", got)
 	}
 }
