@@ -190,9 +190,10 @@ func main() {
 		}
 	}))
 
-	// Durable-state paths: the WAL append (per-verdict persistence cost,
-	// no fsync so the framing/encode cost is what's measured) and a full
-	// recovery of a populated data directory.
+	// Durable-state paths: the WAL append of the record every verdict
+	// writes, unit 0's RecUnitVerdict (no fsync, so the framing/encode cost
+	// is what's measured), and a full recovery of a populated data
+	// directory.
 	add(measure("wal/append", func(b *testing.B) {
 		dir, err := os.MkdirTemp("", "dbcatcher-bench-wal")
 		if err != nil {
@@ -204,15 +205,15 @@ func main() {
 			b.Fatal(err)
 		}
 		defer st.Close()
-		rec := store.VerdictRecord{
+		rec := store.UnitVerdictRecord{Verdict: store.VerdictRecord{
 			Tick: 60, Start: 0, Size: 60, AbnormalDB: -1,
 			States: []uint8{0, 0, 0, 0, 0},
-		}
+		}}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rec.Tick = i
-			if _, err := st.AppendVerdict(rec); err != nil {
+			rec.Verdict.Tick = i
+			if _, err := st.AppendUnitVerdict(rec); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -228,9 +229,9 @@ func main() {
 			b.Fatal(err)
 		}
 		for i := 0; i < 1000; i++ {
-			if _, err := st.AppendVerdict(store.VerdictRecord{
+			if _, err := st.AppendUnitVerdict(store.UnitVerdictRecord{Verdict: store.VerdictRecord{
 				Tick: i, Size: 60, AbnormalDB: -1, States: []uint8{0, 0, 0, 0, 0},
-			}); err != nil {
+			}}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"dbcatcher/internal/mathx"
 	"dbcatcher/internal/monitor"
 	"dbcatcher/internal/scrape"
+	"dbcatcher/internal/store"
 	"dbcatcher/internal/window"
 	"dbcatcher/internal/workload"
 )
@@ -239,6 +241,146 @@ func TestOneUnitResumes(t *testing.T) {
 	}
 	if want := bareJudge(t, 7, 800, 0.05, workload.FaultPlan{}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed daemon served %d verdicts, the bare judge judged %d:\n got %+v\nwant %+v", len(got), len(want), got, want)
+	}
+}
+
+// walRecords opens a stopped daemon's data dir and returns every record
+// its WAL holds.
+func walRecords(t *testing.T, dir string) []store.SeqRecord {
+	t.Helper()
+	st, rec, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Records
+}
+
+// A one-unit daemon journals each verdict as one RecUnitVerdict for unit
+// 0: no RecVerdict, no per-verdict RecCounters.
+func TestOneUnitJournalsOneRecordPerVerdict(t *testing.T) {
+	dir := t.TempDir()
+	url, stop := startDaemon(t, "-seed", "7", "-horizon", "400", "-speedup", "1e6",
+		"-anomaly-ratio", "0.05", "-data-dir", dir)
+	waitFor(t, "the 400-tick replay", func() bool {
+		var st unitStatus
+		getJSON(t, url+"/api/status", &st)
+		return st.TicksIngested == 400
+	})
+	var got []servedVerdict
+	getJSON(t, url+"/api/verdicts?limit=128", &got)
+	stop()
+	if len(got) == 0 {
+		t.Fatal("the daemon served no verdicts")
+	}
+	var journaled []int
+	for _, r := range walRecords(t, dir) {
+		switch r.Type {
+		case store.RecUnitVerdict:
+			if r.UnitVerdict.Unit != 0 {
+				t.Fatalf("record %d journals unit %d", r.Seq, r.UnitVerdict.Unit)
+			}
+			journaled = append(journaled, r.UnitVerdict.Verdict.Tick)
+		case store.RecVerdict, store.RecCounters:
+			t.Fatalf("record %d has legacy type %d", r.Seq, r.Type)
+		}
+	}
+	served := make([]int, len(got))
+	for i, v := range got {
+		served[i] = v.Tick
+	}
+	if !reflect.DeepEqual(journaled, served) {
+		t.Fatalf("journaled verdict ticks %v, served %v", journaled, served)
+	}
+}
+
+// copyDir copies the regular files of src into a new directory.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// A one-unit data dir written by an older build (RecVerdict and RecCounters
+// records, a full-ring snapshot with a "counters" key, stopped near tick
+// 400 of the run below) opens, serves its verdicts as unit 0's history and
+// resumes bit-identically: the served stream is the bare judge's, each
+// verdict once.
+func TestLegacyOneUnitDataDirResumes(t *testing.T) {
+	dir := copyDir(t, filepath.Join("testdata", "legacy-unit"))
+	var legacy int
+	for _, r := range walRecords(t, dir) {
+		if r.Type == store.RecVerdict {
+			legacy++
+		}
+	}
+	if legacy == 0 {
+		t.Fatal("the legacy data dir holds no RecVerdict records")
+	}
+	url, _ := startDaemon(t, "-seed", "7", "-horizon", "800", "-speedup", "1e6", "-anomaly-ratio", "0.05", "-data-dir", dir)
+	var st unitStatus
+	waitFor(t, "the resumed replay", func() bool {
+		getJSON(t, url+"/api/status", &st)
+		return st.TicksIngested == 800
+	})
+	if st.Persistence.ResumeTick <= 0 || st.Persistence.ResumeTick >= 800 {
+		t.Fatalf("resumeTick %d: the legacy snapshot was not resumed", st.Persistence.ResumeTick)
+	}
+	var got []servedVerdict
+	getJSON(t, url+"/api/verdicts?limit=128", &got)
+	for i := 1; i < len(got); i++ {
+		if got[i].Tick <= got[i-1].Tick {
+			t.Fatalf("verdict ticks %d then %d: served twice or out of order", got[i-1].Tick, got[i].Tick)
+		}
+	}
+	if want := bareJudge(t, 7, 800, 0.05, workload.FaultPlan{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed daemon served %d verdicts, the bare judge judged %d:\n got %+v\nwant %+v", len(got), len(want), got, want)
+	}
+}
+
+// A restarted fleet stamps the epoch it adopts at boot with the newest
+// verdict tick any unit journaled before it.
+func TestFleetEpochRecordsDurableTick(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-units", "2", "-horizon", "300", "-speedup", "1e6", "-data-dir", dir}
+	for run := 0; run < 2; run++ {
+		url, stop := startDaemon(t, args...)
+		waitFor(t, "the 300-tick replay", func() bool {
+			var st fleetStatus
+			getJSON(t, url+"/api/fleet/status", &st)
+			return st.Totals.TicksIngested == 2*300
+		})
+		stop()
+	}
+	newest, epochs := 0, 0
+	for _, r := range walRecords(t, dir) {
+		switch r.Type {
+		case store.RecUnitVerdict:
+			newest = max(newest, r.UnitVerdict.Verdict.Tick)
+		case store.RecEpoch:
+			epochs++
+			if epochs == 2 && (newest == 0 || r.Epoch.Tick != newest) {
+				t.Fatalf("the restart adopted epoch %d at tick %d; the newest journaled verdict is at tick %d", r.Epoch.Epoch, r.Epoch.Tick, newest)
+			}
+		}
+	}
+	if epochs != 2 {
+		t.Fatalf("%d epoch records, want one per boot", epochs)
 	}
 }
 

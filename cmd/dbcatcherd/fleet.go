@@ -1,8 +1,9 @@
 // The daemon's run loop: N database units behind one bounded round
-// scheduler (fleet.Monitor) and one HTTP surface (server.Fleet), for every
-// -units value. One unit is a fleet of one; only its persister differs:
-// store.Persister (snapshot resume, feedback journal, relearn records),
-// where several units journal into store.FleetPersister's multiplexed WAL.
+// scheduler (fleet.Monitor), one HTTP surface (server.Fleet) and, with
+// -data-dir, one verdict journal (store.FleetPersister), for every -units
+// value. One unit is a fleet of one; only its durable state layer differs:
+// store.Persister snapshots its judge, so it resumes at the snapshot, and
+// journals its thresholds, feedback and relearn events.
 package main
 
 import (
@@ -256,13 +257,14 @@ func runFleet(ctx context.Context, ln net.Listener, cfg *fleetConfig) (err error
 		agg = newAggregator()
 	}
 
-	// Durable state: recover whatever a previous run persisted, attach the
-	// WAL bridge, and adopt the next fencing epoch. One unit journals its
-	// judge's full state and resumes one past the last snapshot; a fleet
-	// journals judgments only, replays detection from tick 0, and its
-	// per-unit dedupe horizons suppress re-journaling (and re-publishing)
-	// verdicts that are already durable. Without -data-dir everything
-	// stays in memory and the detection path is unchanged.
+	// Durable state: recover whatever a previous run persisted, journal
+	// every unit's verdicts through one FleetPersister, and adopt the next
+	// fencing epoch. Each unit's dedupe horizon suppresses re-journaling
+	// (and re-publishing) verdicts that are already durable. One unit also
+	// snapshots its judge and journals thresholds, feedback and relearn
+	// events through store.Persister, and resumes one past the last
+	// snapshot; a fleet replays detection from tick 0. Without -data-dir
+	// everything stays in memory and the detection path is unchanged.
 	var (
 		rec   *store.Recovered
 		pers  *store.Persister
@@ -276,12 +278,17 @@ func runFleet(ctx context.Context, ln net.Listener, cfg *fleetConfig) (err error
 		if st, rec, err = store.Open(cfg.dataDir, store.Options{Fsync: cfg.fsync}); err != nil {
 			return err
 		}
+		fp = store.NewFleetPersister(st, rec)
+		for i, s := range servers {
+			s.RestoreHistory(rec.UnitVerdictHistory(i))
+			onlines[i].SetPersister(fp.Unit(i))
+		}
 	}
 	if cfg.units == 1 {
 		fb = feedback.NewStoreFrom(feedbackCap, rec.FeedbackRecords())
 		servers[0].SetFeedback(fb)
 	}
-	if st != nil && cfg.units == 1 {
+	if fp != nil && cfg.units == 1 {
 		online := onlines[0]
 		if ms := rec.MonitorState(); ms != nil {
 			if err := online.RestoreState(ms); err != nil {
@@ -294,18 +301,12 @@ func runFleet(ctx context.Context, ln net.Listener, cfg *fleetConfig) (err error
 				log.Printf("recovery: persisted thresholds rejected: %v", err)
 			}
 		}
-		servers[0].RestoreHistory(rec.VerdictHistory())
-		pers = store.NewPersister(st, rec, fb, cfg.snapEvery)
+		pers = store.NewPersister(fp, rec, fb, cfg.snapEvery)
 		online.SetPersister(pers)
 		fb.SetJournal(pers)
 		api.SetPersistence(pers.Status)
 		flush = func() error { return pers.Flush(online) }
-	} else if st != nil {
-		fp = store.NewFleetPersister(st, rec)
-		for i, s := range servers {
-			s.RestoreHistory(rec.UnitVerdictHistory(i))
-			onlines[i].SetPersister(fp.Unit(i))
-		}
+	} else if fp != nil {
 		if agg != nil {
 			// Rehydrate before any hook is attached: replayed transitions
 			// must not be re-journaled or re-reported.

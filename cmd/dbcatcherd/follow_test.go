@@ -27,7 +27,7 @@ func haPrimary(t *testing.T, epoch uint64, records int) (*store.Store, *httptest
 		t.Fatal(err)
 	}
 	for i := 0; i < records; i++ {
-		if _, err := st.AppendCounters(store.CountersRecord{GapCells: i}); err != nil {
+		if _, err := st.AppendFeedback(store.FeedbackRecord{Start: i}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -403,10 +403,6 @@ func (o *Online) Thresholds() window.Thresholds {
 func (o *Online) Health() HealthStats {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.healthLocked()
-}
-
-func (o *Online) healthLocked() HealthStats {
 	gapCells, missed := o.proc.GapStats()
 	return HealthStats{
 		GapCells:         gapCells,

@@ -37,9 +37,6 @@ type PersistContext struct{ o *Online }
 // Export captures the judge's full persistent state.
 func (c PersistContext) Export() *PersistentState { return c.o.exportLocked() }
 
-// Health snapshots the degraded-mode counters.
-func (c PersistContext) Health() HealthStats { return c.o.healthLocked() }
-
 // Tick returns the number of ingested collection ticks.
 func (c PersistContext) Tick() int { return c.o.proc.Ticks() }
 
@@ -94,7 +91,11 @@ type PersistentState struct {
 	MissedTicks      int `json:"missedTicks"`
 
 	// Rings holds the (KPI, database) tails in row-major order
-	// (k*DBs + d), each of length Tick-Oldest.
+	// (k*DBs + d), each of length Tick-Oldest. An export starts them at
+	// the round in flight (RoundStart, or the oldest retained tick if a
+	// self-healing round fell off the rings): judgment, gap repair and
+	// window growth read nothing older. A restore accepts any span up to
+	// the ring capacity.
 	Rings []RingState `json:"rings"`
 }
 
@@ -111,13 +112,14 @@ func (o *Online) exportLocked() *PersistentState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	oldest := p.oldestLocked()
-	n := p.total - oldest
+	from := max(o.roundStart, oldest)
+	n := p.total - from
 	st := &PersistentState{
 		KPIs:   p.kpis,
 		DBs:    p.dbs,
 		Flex:   o.cfg.Flex,
 		Tick:   p.total,
-		Oldest: oldest,
+		Oldest: from,
 
 		RoundStart: o.roundStart,
 		FlexSize:   o.flex.Size(),
@@ -152,15 +154,15 @@ func (o *Online) exportLocked() *PersistentState {
 		for d := 0; d < p.dbs; d++ {
 			ring := p.rings[k][d]
 			rs := RingState{Values: make([]float64, n)}
-			for i := 0; i < n; i++ {
-				if ring.IsGap(i) {
+			for i, at := 0, from-oldest; i < n; i, at = i+1, at+1 {
+				if ring.IsGap(at) {
 					if rs.Gaps == nil {
 						rs.Gaps = make([]bool, n)
 					}
 					rs.Gaps[i] = true
 					continue
 				}
-				rs.Values[i] = sanitizeForJSON(ring.At(i))
+				rs.Values[i] = sanitizeForJSON(ring.At(at))
 			}
 			st.Rings[k*p.dbs+d] = rs
 		}

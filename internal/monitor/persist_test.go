@@ -172,8 +172,13 @@ func verdictPtrsToValues(vs []*Verdict) []Verdict {
 func TestRestoreStateValidation(t *testing.T) {
 	u := persistTestUnit(t, false)
 	o := persistTestOnline(t)
-	pushRange(t, o, u, 0, 100)
+	// Export mid-round: the export carries the in-flight round's ring
+	// values, which the ring-length case cuts.
+	pushRange(t, o, u, 0, 105)
 	good := o.ExportState()
+	if len(good.Rings[0].Values) < 2 {
+		t.Fatalf("export at tick %d carries %d ring values: not mid-round", good.Tick, len(good.Rings[0].Values))
+	}
 
 	cases := []struct {
 		name   string
@@ -253,13 +258,11 @@ func (r *recordingPersister) PersistVerdict(v *Verdict, ctx PersistContext) {
 	r.verdicts = append(r.verdicts, *v)
 	r.ticks = append(r.ticks, ctx.Tick())
 	r.exports = append(r.exports, ctx.Export())
-	_ = ctx.Health()
 }
 
 func (r *recordingPersister) PersistThresholds(t window.Thresholds, ctx PersistContext) {
 	r.thresholds = append(r.thresholds, t)
 	_ = ctx.Export()
-	_ = ctx.Health()
 	_ = ctx.Tick()
 }
 
@@ -311,8 +314,11 @@ func TestPersisterHooksFireUnderLock(t *testing.T) {
 func TestExportStateIsDeepCopy(t *testing.T) {
 	u := persistTestUnit(t, false)
 	o := persistTestOnline(t)
-	pushRange(t, o, u, 0, 50)
+	pushRange(t, o, u, 0, 55) // mid-round, so the export carries ring values
 	st := o.ExportState()
+	if len(st.Rings[0].Values) == 0 {
+		t.Fatalf("export at tick %d carries no ring values: not mid-round", st.Tick)
+	}
 	st.Thresholds.Alpha[0] = -99
 	for i := range st.Rings {
 		for j := range st.Rings[i].Values {
@@ -323,7 +329,7 @@ func TestExportStateIsDeepCopy(t *testing.T) {
 		t.Fatal("export aliases live thresholds")
 	}
 	// The judge still resolves rounds identically to a fresh reference.
-	got := verdictPtrsToValues(pushRange(t, o, u, 50, 150))
+	got := verdictPtrsToValues(pushRange(t, o, u, 55, 150))
 	ref := persistTestOnline(t)
 	want := verdictPtrsToValues(pushRange(t, ref, u, 0, 150))
 	tail := want[len(want)-len(got):]

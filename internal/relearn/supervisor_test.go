@@ -394,7 +394,7 @@ func TestPromotionSurvivesCrashRecovery(t *testing.T) {
 	}
 	online := newOnline(t)
 	fb := feedback.NewStoreFrom(256, recs)
-	pers := store.NewPersister(st, rec, fb, 1)
+	pers := store.NewPersister(store.NewFleetPersister(st, rec), rec, fb, 1)
 	online.SetPersister(pers)
 
 	cand := window.DefaultThresholds(kpi.Count)

@@ -150,7 +150,7 @@ func TestKillPrimaryPromoteStandbyBitIdentical(t *testing.T) {
 	}
 	oP := haOnline(t)
 	fbP := feedback.NewStoreFrom(haFbCap, recP.FeedbackRecords())
-	pP := store.NewPersister(stP, recP, fbP, 3)
+	pP := store.NewPersister(store.NewFleetPersister(stP, recP), recP, fbP, 3)
 	oP.SetPersister(pP)
 	fbP.SetJournal(pP)
 	srv := httptest.NewServer(NewServer(stP).Handler())
@@ -209,7 +209,7 @@ func TestKillPrimaryPromoteStandbyBitIdentical(t *testing.T) {
 	if err := stP.Fence(epoch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stP.AppendCounters(store.CountersRecord{}); err == nil {
+	if _, err := stP.AppendFeedback(store.FeedbackRecord{}); err == nil {
 		t.Fatal("demoted primary accepted a write")
 	}
 
@@ -229,7 +229,7 @@ func TestKillPrimaryPromoteStandbyBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	fbF := feedback.NewStoreFrom(haFbCap, recF.FeedbackRecords())
-	pF := store.NewPersister(stF, recF, fbF, 3)
+	pF := store.NewPersister(store.NewFleetPersister(stF, recF), recF, fbF, 3)
 	oF.SetPersister(pF)
 	fbF.SetJournal(pF)
 
@@ -268,7 +268,7 @@ func TestKillPrimaryPromoteStandbyBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	if got, want := rec3.VerdictHistory(), haVerdictValues(refVerdicts); !reflect.DeepEqual(got, want) {
+	if got, want := rec3.UnitVerdictHistory(0), haVerdictValues(refVerdicts); !reflect.DeepEqual(got, want) {
 		t.Fatalf("durable verdict history diverged: %d vs %d verdicts", len(got), len(want))
 	}
 	if got, want := oF.Thresholds(), refOnline.Thresholds(); !reflect.DeepEqual(got, want) {

@@ -98,7 +98,7 @@ func TestGuardRefencesStalePeer(t *testing.T) {
 	if err != nil || done {
 		t.Fatalf("guard step: done=%v err=%v", done, err)
 	}
-	if _, err := old.AppendCounters(store.CountersRecord{}); !errors.Is(err, store.ErrFenced) {
+	if _, err := old.AppendFeedback(store.FeedbackRecord{}); !errors.Is(err, store.ErrFenced) {
 		t.Fatalf("stale peer write after guard contact: %v, want ErrFenced", err)
 	}
 	st := g.Status()
@@ -114,7 +114,7 @@ func TestGuardRefencesStalePeer(t *testing.T) {
 		t.Fatalf("re-fenced an already-fenced peer: %+v", st)
 	}
 	// The promoted node itself stays writable throughout.
-	if _, err := promoted.AppendCounters(store.CountersRecord{}); err != nil {
+	if _, err := promoted.AppendFeedback(store.FeedbackRecord{}); err != nil {
 		t.Fatalf("promoted node wrongly affected: %v", err)
 	}
 }
@@ -143,14 +143,14 @@ func TestGuardSelfFencesOnNewerPeer(t *testing.T) {
 	if fencedAt != 3 {
 		t.Fatalf("OnSelfFence epoch = %d, want 3", fencedAt)
 	}
-	if _, err := zombie.AppendCounters(store.CountersRecord{}); !errors.Is(err, store.ErrFenced) {
+	if _, err := zombie.AppendFeedback(store.FeedbackRecord{}); !errors.Is(err, store.ErrFenced) {
 		t.Fatalf("zombie write after self-fence: %v, want ErrFenced", err)
 	}
 	if st := g.Status(); !st.SelfFenced || st.PeerEpoch != 3 {
 		t.Fatalf("guard status %+v", st)
 	}
 	// The legitimate primary is untouched.
-	if _, err := newPrimary.AppendCounters(store.CountersRecord{}); err != nil {
+	if _, err := newPrimary.AppendFeedback(store.FeedbackRecord{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -169,7 +169,7 @@ func TestGuardSelfFencesOnEqualEpoch(t *testing.T) {
 	if err != nil || !done {
 		t.Fatalf("guard step: done=%v err=%v", done, err)
 	}
-	if _, err := a.AppendCounters(store.CountersRecord{}); !errors.Is(err, store.ErrFenced) {
+	if _, err := a.AppendFeedback(store.FeedbackRecord{}); !errors.Is(err, store.ErrFenced) {
 		t.Fatalf("equal-epoch write: %v, want ErrFenced", err)
 	}
 }
@@ -206,7 +206,7 @@ func TestGuardRunLoopFencesPeerThatComesBack(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, err := old.AppendCounters(store.CountersRecord{}); errors.Is(err, store.ErrFenced) {
+		if _, err := old.AppendFeedback(store.FeedbackRecord{}); errors.Is(err, store.ErrFenced) {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -32,7 +32,7 @@ func fastCfg(primary, dir string) Config {
 	}
 }
 
-// primaryWithRecords opens a primary store and appends n counter records.
+// primaryWithRecords opens a primary store and appends n feedback records.
 func primaryWithRecords(t *testing.T, opts store.Options, n int) *store.Store {
 	t.Helper()
 	st, _, err := store.Open(t.TempDir(), opts)
@@ -41,7 +41,7 @@ func primaryWithRecords(t *testing.T, opts store.Options, n int) *store.Store {
 	}
 	t.Cleanup(func() { st.Close() })
 	for i := 0; i < n; i++ {
-		if _, err := st.AppendCounters(store.CountersRecord{GapCells: i}); err != nil {
+		if _, err := st.AppendFeedback(store.FeedbackRecord{Start: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -60,6 +60,32 @@ func stepUntilCaughtUp(t *testing.T, tl *Tailer, passes int) {
 		}
 	}
 	t.Fatalf("not caught up after %d passes: %+v", passes, tl.Status())
+}
+
+// storeRecords opens dir as a store, as a promotion does, and returns the
+// records it recovers. Opening a log that ends in whole records only
+// reads it, so the primary's live directory can be read this way too.
+func storeRecords(t *testing.T, dir string) []store.SeqRecord {
+	t.Helper()
+	st, rec, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return rec.Records
+}
+
+// mirrorRecordsEqualPrimary asserts the mirror, opened as a store, holds
+// exactly the primary's records, and returns them.
+func mirrorRecordsEqualPrimary(t *testing.T, st *store.Store, mirror string) []store.SeqRecord {
+	t.Helper()
+	got, want := storeRecords(t, mirror), storeRecords(t, st.Dir())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("mirror holds %d records, the primary %d:\n got  %+v\n want %+v", len(got), len(want), got, want)
+	}
+	return got
 }
 
 // mirrorEqualsPrimary asserts every advertised segment's committed bytes
@@ -92,22 +118,21 @@ func TestTailerMirrorsByteIdentical(t *testing.T) {
 	srv := httptest.NewServer(NewServer(st).Handler())
 	defer srv.Close()
 
-	var got []store.SeqRecord
 	dir := t.TempDir()
 	cfg := fastCfg(srv.URL, dir)
 	cfg.MaxChunk = 64 // multiple chunks per segment
-	cfg.OnRecord = func(r store.SeqRecord) { got = append(got, r) }
 	tl, err := NewTailer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stepUntilCaughtUp(t, tl, 3)
 
+	got := mirrorRecordsEqualPrimary(t, st, dir)
 	if len(got) != 30 {
-		t.Fatalf("delivered %d records, want 30", len(got))
+		t.Fatalf("mirrored %d records, want 30", len(got))
 	}
 	for i, r := range got {
-		if r.Seq != uint64(i+1) || r.Counters.GapCells != i {
+		if r.Seq != uint64(i+1) || r.Feedback.Start != i {
 			t.Fatalf("record %d = %+v", i, r)
 		}
 	}
@@ -115,29 +140,30 @@ func TestTailerMirrorsByteIdentical(t *testing.T) {
 
 	// More appends on the primary: the next pass tails just the delta.
 	for i := 30; i < 45; i++ {
-		if _, err := st.AppendCounters(store.CountersRecord{GapCells: i}); err != nil {
+		if _, err := st.AppendFeedback(store.FeedbackRecord{Start: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	stepUntilCaughtUp(t, tl, 3)
-	if len(got) != 45 {
-		t.Fatalf("delivered %d records after delta, want 45", len(got))
+	if got := mirrorRecordsEqualPrimary(t, st, dir); len(got) != 45 {
+		t.Fatalf("mirrored %d records after delta, want 45", len(got))
 	}
 	mirrorEqualsPrimary(t, st, dir)
 
-	// A restarted follower resumes from its mirror: the records replay
-	// locally (no network), then tailing continues without duplicates.
-	var resumed []store.SeqRecord
-	cfg2 := fastCfg(srv.URL, dir)
-	cfg2.OnRecord = func(r store.SeqRecord) { resumed = append(resumed, r) }
-	tl2, err := NewTailer(cfg2)
+	// A restarted follower resumes from its mirror: it verifies the local
+	// records (no network), then tailing continues without duplicates.
+	tl2, err := NewTailer(fastCfg(srv.URL, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	stepUntilCaughtUp(t, tl2, 3)
-	if !reflect.DeepEqual(resumed, got) {
-		t.Fatalf("resumed replay diverged: %d vs %d records", len(resumed), len(got))
+	if a := tl2.Status().Applied; a != 45 {
+		t.Fatalf("resumed follower applied %d records, want 45", a)
 	}
+	if got := mirrorRecordsEqualPrimary(t, st, dir); len(got) != 45 {
+		t.Fatalf("resumed mirror holds %d records, want 45", len(got))
+	}
+	mirrorEqualsPrimary(t, st, dir)
 }
 
 // faultScript wraps the replication handler with deterministic injected
@@ -184,22 +210,21 @@ func TestTailerSurvivesInjectedFaults(t *testing.T) {
 	srv := httptest.NewServer(&faultScript{inner: NewServer(st).Handler()})
 	defer srv.Close()
 
-	var got []store.SeqRecord
 	dir := t.TempDir()
 	cfg := fastCfg(srv.URL, dir)
 	cfg.MaxChunk = 64
-	cfg.OnRecord = func(r store.SeqRecord) { got = append(got, r) }
 	tl, err := NewTailer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stepUntilCaughtUp(t, tl, 20)
 
+	got := mirrorRecordsEqualPrimary(t, st, dir)
 	if len(got) != 40 {
-		t.Fatalf("delivered %d records through faults, want 40", len(got))
+		t.Fatalf("mirrored %d records through faults, want 40", len(got))
 	}
 	for i, r := range got {
-		if r.Seq != uint64(i+1) || r.Counters.GapCells != i {
+		if r.Seq != uint64(i+1) || r.Feedback.Start != i {
 			t.Fatalf("record %d diverged under faults: %+v", i, r)
 		}
 	}
@@ -217,7 +242,7 @@ func TestTailerSnapshotRestartAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := st.AppendCounters(store.CountersRecord{GapCells: i}); err != nil {
+		if _, err := st.AppendFeedback(store.FeedbackRecord{Start: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -226,30 +251,22 @@ func TestTailerSnapshotRestartAfterCompaction(t *testing.T) {
 
 	// The follower catches up fully, then goes dark while the primary
 	// writes far ahead and compacts.
-	var got []store.SeqRecord
-	resets := 0
 	dirF := t.TempDir()
-	cfg := fastCfg(srv.URL, dirF)
-	cfg.OnRecord = func(r store.SeqRecord) { got = append(got, r) }
-	cfg.OnReset = func(snap *store.SnapshotState) {
-		resets++
-		got = nil // in-memory state rebuilds from the snapshot
-	}
-	tl, err := NewTailer(cfg)
+	tl, err := NewTailer(fastCfg(srv.URL, dirF))
 	if err != nil {
 		t.Fatal(err)
 	}
 	stepUntilCaughtUp(t, tl, 3)
-	if len(got) == 0 {
+	if len(mirrorRecordsEqualPrimary(t, st, dirF)) == 0 {
 		t.Fatal("no records before the dark period")
 	}
 
 	for i := 10; i < 60; i++ {
-		if _, err := st.AppendCounters(store.CountersRecord{GapCells: i}); err != nil {
+		if _, err := st.AppendFeedback(store.FeedbackRecord{Start: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.WriteSnapshot(store.SnapshotState{Seq: st.LastSeq(), Counters: store.CountersRecord{GapCells: 59}}); err != nil {
+	if err := st.WriteSnapshot(store.SnapshotState{Seq: st.LastSeq(), Feedback: []store.FeedbackRecord{{Start: 59}}}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := st.ReplicationManifest()
@@ -263,17 +280,21 @@ func TestTailerSnapshotRestartAfterCompaction(t *testing.T) {
 	// The next pass must take the clean restart-from-snapshot path.
 	stepUntilCaughtUp(t, tl, 3)
 	status := tl.Status()
-	if resets != 1 || status.SnapshotRestarts != 1 {
-		t.Fatalf("resets = %d, status %+v; want exactly one snapshot restart", resets, status)
+	if status.SnapshotRestarts != 1 {
+		t.Fatalf("status %+v; want exactly one snapshot restart", status)
 	}
 	if status.Applied != 61 || !status.CaughtUp {
 		t.Fatalf("status after restart %+v", status)
 	}
 	// Everything the snapshot does not cover arrived as records, in order.
-	for i := 1; i < len(got); i++ {
-		if got[i].Seq != got[i-1].Seq+1 {
-			t.Fatalf("gap after snapshot restart at %d: %+v -> %+v", i, got[i-1], got[i])
+	var above []store.SeqRecord
+	for _, r := range storeRecords(t, dirP) {
+		if r.Seq > store.LoadSnapshotFile(dirF).Seq {
+			above = append(above, r)
 		}
+	}
+	if got := storeRecords(t, dirF); !reflect.DeepEqual(got, above) {
+		t.Fatalf("mirror after snapshot restart holds %+v, want the primary's records above its snapshot %+v", got, above)
 	}
 
 	// The mirror is a valid store: promotion recovers snapshot + suffix
@@ -289,17 +310,17 @@ func TestTailerSnapshotRestartAfterCompaction(t *testing.T) {
 	if rec.Snapshot == nil || rec.Snapshot.Seq != 61 {
 		t.Fatalf("promoted recovery snapshot %+v", rec.Snapshot)
 	}
-	if c := rec.LastCounters(); c.GapCells != 59 {
-		t.Fatalf("promoted counters %+v", c)
+	if fb := rec.FeedbackRecords(); len(fb) != 1 || fb[0].Start != 59 {
+		t.Fatalf("promoted feedback %+v", fb)
 	}
 }
 
-// snapshotPrimary opens a primary store with n counter records and a
+// snapshotPrimary opens a primary store with n feedback records and a
 // snapshot covering them.
 func snapshotPrimary(t *testing.T, n int) *store.Store {
 	t.Helper()
 	st := primaryWithRecords(t, store.Options{Fsync: store.FsyncAlways}, n)
-	if err := st.WriteSnapshot(store.SnapshotState{Seq: st.LastSeq(), Counters: store.CountersRecord{GapCells: n - 1}}); err != nil {
+	if err := st.WriteSnapshot(store.SnapshotState{Seq: st.LastSeq(), Feedback: []store.FeedbackRecord{{Start: n - 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	return st
@@ -307,19 +328,13 @@ func snapshotPrimary(t *testing.T, n int) *store.Store {
 
 // A tailer that has caught up with a snapshotting primary holds that
 // primary's latest snapshot beside the mirrored segments, installed
-// without a reset: every record arrives exactly once and OnReset never
-// fires.
+// without a reset: every record is mirrored exactly once.
 func TestTailerMirrorsPrimarySnapshot(t *testing.T) {
 	st := snapshotPrimary(t, 20)
 	srv := httptest.NewServer(NewServer(st).Handler())
 	defer srv.Close()
-	var got []store.SeqRecord
-	resets := 0
 	dir := t.TempDir()
-	cfg := fastCfg(srv.URL, dir)
-	cfg.OnRecord = func(r store.SeqRecord) { got = append(got, r) }
-	cfg.OnReset = func(*store.SnapshotState) { resets++ }
-	tl, err := NewTailer(cfg)
+	tl, err := NewTailer(fastCfg(srv.URL, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,20 +347,20 @@ func TestTailerMirrorsPrimarySnapshot(t *testing.T) {
 		mirrorEqualsPrimary(t, st, dir)
 		// The primary moves on and snapshots again.
 		for i := 0; i < 5; i++ {
-			if _, err := st.AppendCounters(store.CountersRecord{GapCells: 20 + i}); err != nil {
+			if _, err := st.AppendFeedback(store.FeedbackRecord{Start: 20 + i}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := st.WriteSnapshot(store.SnapshotState{Seq: st.LastSeq(), Counters: store.CountersRecord{GapCells: 24}}); err != nil {
+		if err := st.WriteSnapshot(store.SnapshotState{Seq: st.LastSeq(), Feedback: []store.FeedbackRecord{{Start: 24}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if resets != 0 || tl.Status().SnapshotRestarts != 0 {
-		t.Fatalf("%d resets, %d snapshot restarts; mirroring a snapshot is not a reset", resets, tl.Status().SnapshotRestarts)
+	if n := tl.Status().SnapshotRestarts; n != 0 {
+		t.Fatalf("%d snapshot restarts; mirroring a snapshot is not a reset", n)
 	}
-	for i, r := range got {
+	for i, r := range storeRecords(t, dir) {
 		if r.Seq != uint64(i+1) {
-			t.Fatalf("record %d has seq %d: delivered out of order or twice", i, r.Seq)
+			t.Fatalf("record %d has seq %d: mirrored out of order or twice", i, r.Seq)
 		}
 	}
 }
@@ -408,7 +423,7 @@ func TestTailerRefusesStalePrimary(t *testing.T) {
 	if err := stA.AdoptEpoch(5, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stA.AppendCounters(store.CountersRecord{GapCells: 1}); err != nil {
+	if _, err := stA.AppendFeedback(store.FeedbackRecord{Start: 1}); err != nil {
 		t.Fatal(err)
 	}
 	srvA := httptest.NewServer(NewServer(stA).Handler())
@@ -463,7 +478,7 @@ func TestFenceEndpointAndPromotion(t *testing.T) {
 	if err := FenceOldPrimary(ctx, nil, srv.URL, 1); err == nil {
 		t.Fatal("stale fence accepted")
 	}
-	if _, err := stOld.AppendCounters(store.CountersRecord{}); err != nil {
+	if _, err := stOld.AppendFeedback(store.FeedbackRecord{}); err != nil {
 		t.Fatalf("primary wrongly fenced: %v", err)
 	}
 
@@ -472,7 +487,7 @@ func TestFenceEndpointAndPromotion(t *testing.T) {
 	if err := FenceOldPrimary(ctx, nil, srv.URL, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := stOld.AppendCounters(store.CountersRecord{}); !errors.Is(err, store.ErrFenced) {
+	if _, err := stOld.AppendFeedback(store.FeedbackRecord{}); !errors.Is(err, store.ErrFenced) {
 		t.Fatalf("post-demotion append: %v, want ErrFenced", err)
 	}
 
@@ -565,7 +580,7 @@ func TestReplicationLagReporting(t *testing.T) {
 	// tailer's next manifest poll reports the same gap before catch-up.
 	before := committed
 	for i := 0; i < 10; i++ {
-		if _, err := st.AppendCounters(store.CountersRecord{GapCells: 100 + i}); err != nil {
+		if _, err := st.AppendFeedback(store.FeedbackRecord{Start: 100 + i}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -43,14 +43,6 @@ type Config struct {
 	StalenessBudget time.Duration
 	// Seed keys the backoff jitter.
 	Seed uint64
-	// OnRecord receives every replicated record exactly once, in sequence
-	// order — the follower's live replay feed.
-	OnRecord func(store.SeqRecord)
-	// OnReset fires when the tailer (re)starts from a snapshot — at resume
-	// over an existing mirror, and whenever the primary compacted past us
-	// and the mirror was discarded. The receiver must rebuild its
-	// in-memory state from the snapshot; replicated records follow.
-	OnReset func(*store.SnapshotState)
 }
 
 func (c Config) withDefaults() Config {
@@ -81,7 +73,7 @@ func (c Config) withDefaults() Config {
 // Status is a point-in-time view of the tailer for probes and promotion
 // decisions.
 type Status struct {
-	// Applied is the last record sequence delivered to OnRecord.
+	// Applied is the last record sequence the mirror holds.
 	Applied uint64
 	// PrimaryLastSeq is the primary's log extent at last contact.
 	PrimaryLastSeq uint64
@@ -121,9 +113,10 @@ type segPos struct {
 	frames uint64
 }
 
-// Tailer mirrors a primary's WAL into a local directory and replays the
-// records through OnRecord. Step is single-threaded (one catch-up pass);
-// Run loops it. Status is safe to read concurrently.
+// Tailer mirrors a primary's WAL and snapshot into a local directory; it
+// never replays them — a promotion opens the mirror as a store. Step is
+// single-threaded (one catch-up pass); Run loops it. Status is safe to
+// read concurrently.
 type Tailer struct {
 	cfg Config
 	rng *mathx.RNG
@@ -172,8 +165,8 @@ func (t *Tailer) StalenessBudget() time.Duration { return t.cfg.StalenessBudget 
 
 // Step performs one catch-up pass: resume local state (first call only),
 // fetch the manifest, bootstrap from snapshot if the primary compacted
-// past us, tail every segment to its committed size, delivering new
-// records in order, then mirror the primary's newer snapshot. It returns
+// past us, tail every segment to its committed size, applying new records
+// in order, then mirror the primary's newer snapshot. It returns
 // the first error; failures are also counted in Status for the promotion
 // budget.
 func (t *Tailer) Step(ctx context.Context) error {
@@ -263,9 +256,8 @@ func (t *Tailer) Run(ctx context.Context) {
 }
 
 // resume reconstructs the tailer's position from a previous follower
-// process: load the mirrored snapshot, verify every local segment
-// (truncating torn tails a follower crash can leave), and replay the
-// mirrored records through OnRecord so the in-memory state catches up
+// process: load the mirrored snapshot, and verify every local segment
+// (truncating torn tails a follower crash can leave), applying its records
 // before any network traffic.
 func (t *Tailer) resume() error {
 	if snap := store.LoadSnapshotFile(t.cfg.Dir); snap != nil {
@@ -275,9 +267,6 @@ func (t *Tailer) resume() error {
 			t.st.Epoch = snap.Epoch
 		}
 		t.mu.Unlock()
-		if t.cfg.OnReset != nil {
-			t.cfg.OnReset(snap)
-		}
 	}
 	segs, err := t.localSegments()
 	if err != nil {
@@ -300,7 +289,7 @@ func (t *Tailer) resume() error {
 		name := filepath.Base(s.path)
 		t.pos[name] = segPos{bytes: int64(consumed), frames: uint64(len(recs))}
 		for _, r := range recs {
-			t.deliver(r)
+			t.apply(r)
 		}
 		if consumed < len(data) {
 			// A torn or corrupt local tail is follower crash damage: keep
@@ -340,9 +329,9 @@ func (t *Tailer) localSegments() ([]localSeg, error) {
 	return segs, nil
 }
 
-// deliver hands one record to the sink exactly once, in order, and tracks
-// observed epochs.
-func (t *Tailer) deliver(r store.SeqRecord) {
+// apply advances the applied position past one mirrored record, once and
+// in order, and tracks observed epochs.
+func (t *Tailer) apply(r store.SeqRecord) {
 	if r.Seq <= t.applied {
 		return
 	}
@@ -352,9 +341,6 @@ func (t *Tailer) deliver(r store.SeqRecord) {
 			t.st.Epoch = r.Epoch.Epoch
 		}
 		t.mu.Unlock()
-	}
-	if t.cfg.OnRecord != nil {
-		t.cfg.OnRecord(r)
 	}
 	t.applied = r.Seq
 }
@@ -403,7 +389,7 @@ func (t *Tailer) startIndex(m *store.Manifest) int {
 }
 
 // tailSegment fetches one segment from the local mirror offset up to its
-// advertised committed size, verifying, persisting, and delivering each
+// advertised committed size, verifying, persisting, and applying each
 // chunk. restarted reports that a mid-tail compaction forced a snapshot
 // bootstrap (the pass must re-poll).
 func (t *Tailer) tailSegment(ctx context.Context, m *store.Manifest, seg store.SegmentInfo) (restarted bool, err error) {
@@ -439,7 +425,7 @@ func (t *Tailer) tailSegment(ctx context.Context, m *store.Manifest, seg store.S
 			return false, err
 		}
 		for _, r := range recs {
-			t.deliver(r)
+			t.apply(r)
 		}
 		pos.bytes += int64(consumed)
 		pos.frames += uint64(len(recs))
@@ -478,8 +464,7 @@ func (t *Tailer) appendLocal(name string, off int64, b []byte) error {
 }
 
 // bootstrap discards the local mirror and restarts from the primary's
-// snapshot: fetch, install atomically, wipe segments, reset positions,
-// and hand the snapshot to OnReset for in-memory rebuild.
+// snapshot: fetch, install atomically, wipe segments, reset positions.
 func (t *Tailer) bootstrap(ctx context.Context, m *store.Manifest) error {
 	if !m.HasSnapshot {
 		return errors.New("replicate: lagging past primary's segments and it has no snapshot")
@@ -516,19 +501,15 @@ func (t *Tailer) bootstrap(ctx context.Context, m *store.Manifest) error {
 		t.st.Epoch = snap.Epoch
 	}
 	t.mu.Unlock()
-	if t.cfg.OnReset != nil {
-		t.cfg.OnReset(snap)
-	}
 	return nil
 }
 
 // mirrorSnapshot installs the primary's snapshot beside the mirrored
 // segments when the manifest advertises one newer than the mirror's, so a
 // promoted mirror resumes at it instead of re-judging the whole log. It is
-// not a reset: no segment is wiped, no record is delivered again, and
-// OnReset does not fire. Only a snapshot whose records the mirror has
-// already applied is installed; one the primary wrote past them after the
-// manifest waits for a later pass.
+// not a reset: no segment is wiped and no record is applied again. Only a
+// snapshot whose records the mirror has already applied is installed; one
+// the primary wrote past them after the manifest waits for a later pass.
 func (t *Tailer) mirrorSnapshot(ctx context.Context, m *store.Manifest) error {
 	if !m.HasSnapshot || m.SnapshotSeq <= t.snapSeq || m.SnapshotSeq > t.applied {
 		return nil

@@ -31,15 +31,15 @@ func seedHealthyDir(t *testing.T, dir string) {
 	t.Helper()
 	st, _ := openClean(t, dir, Options{Fsync: FsyncAlways})
 	for i := 1; i <= 3; i++ {
-		if _, err := st.AppendCounters(CountersRecord{GapCells: i}); err != nil {
+		if _, err := st.AppendFeedback(FeedbackRecord{Start: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := st.WriteSnapshot(SnapshotState{Seq: 3, Counters: CountersRecord{GapCells: 3}}); err != nil {
+	if err := st.WriteSnapshot(SnapshotState{Seq: 3, Feedback: []FeedbackRecord{{Start: 3}}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 4; i <= 6; i++ {
-		if _, err := st.AppendCounters(CountersRecord{GapCells: i}); err != nil {
+		if _, err := st.AppendFeedback(FeedbackRecord{Start: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func TestCrashMatrix(t *testing.T) {
 					t.Error("orphaned segment not dropped")
 				}
 				for _, r := range rec.Records {
-					if r.Counters.GapCells > 2 {
+					if r.Feedback.Start > 2 {
 						t.Errorf("record %d survived past the corruption point", r.Seq)
 					}
 				}
@@ -275,15 +275,15 @@ func TestCrashMatrix(t *testing.T) {
 			seedSmall := Options{Fsync: FsyncAlways, SegmentBytes: 40, RetainSegments: 100}
 			st, _ := openClean(t, dir, seedSmall)
 			for i := 1; i <= 3; i++ {
-				if _, err := st.AppendCounters(CountersRecord{GapCells: i}); err != nil {
+				if _, err := st.AppendFeedback(FeedbackRecord{Start: i}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if err := st.WriteSnapshot(SnapshotState{Seq: 3, Counters: CountersRecord{GapCells: 3}}); err != nil {
+			if err := st.WriteSnapshot(SnapshotState{Seq: 3, Feedback: []FeedbackRecord{{Start: 3}}}); err != nil {
 				t.Fatal(err)
 			}
 			for i := 4; i <= 6; i++ {
-				if _, err := st.AppendCounters(CountersRecord{GapCells: i}); err != nil {
+				if _, err := st.AppendFeedback(FeedbackRecord{Start: i}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -317,7 +317,7 @@ func TestCrashMatrix(t *testing.T) {
 
 			// The recovered store accepts appends and a clean reopen sees
 			// them: damage never leaves the directory wedged.
-			seq, err := st2.AppendCounters(CountersRecord{GapCells: 99})
+			seq, err := st2.AppendFeedback(FeedbackRecord{Start: 99})
 			if err != nil {
 				t.Fatalf("post-recovery append: %v", err)
 			}
@@ -334,7 +334,7 @@ func TestCrashMatrix(t *testing.T) {
 			}
 			found := false
 			for _, r := range rec3.Records {
-				if r.Type == RecCounters && r.Counters.GapCells == 99 && r.Seq == seq {
+				if r.Type == RecFeedback && r.Feedback.Start == 99 && r.Seq == seq {
 					found = true
 				}
 			}

@@ -154,7 +154,7 @@ func TestCrashRecoveryResumesBitIdentical(t *testing.T) {
 			}
 			o1 := e2eOnline(t)
 			fb1 := feedback.NewStoreFrom(e2eFbCap, rec.FeedbackRecords())
-			p1 := NewPersister(st, rec, fb1, 3)
+			p1 := NewPersister(NewFleetPersister(st, rec), rec, fb1, 3)
 			o1.SetPersister(p1)
 			fb1.SetJournal(p1)
 			count := 0
@@ -195,7 +195,7 @@ func TestCrashRecoveryResumesBitIdentical(t *testing.T) {
 				t.Fatalf("restore: %v", err)
 			}
 			fb2 := feedback.NewStoreFrom(e2eFbCap, rec2.FeedbackRecords())
-			p2 := NewPersister(st2, rec2, fb2, 3)
+			p2 := NewPersister(NewFleetPersister(st2, rec2), rec2, fb2, 3)
 			o2.SetPersister(p2)
 			fb2.SetJournal(p2)
 
@@ -253,7 +253,7 @@ func TestCrashRecoveryResumesBitIdentical(t *testing.T) {
 			}
 			defer st3.Close()
 
-			gotVerdicts := rec3.VerdictHistory()
+			gotVerdicts := rec3.UnitVerdictHistory(0)
 			wantVerdicts := verdictValues(refVerdicts)
 			if len(gotVerdicts) != len(wantVerdicts) {
 				t.Fatalf("durable history holds %d verdicts, reference published %d", len(gotVerdicts), len(wantVerdicts))
@@ -304,7 +304,7 @@ func TestPersisterSuppressesRegeneratedVerdicts(t *testing.T) {
 	o := e2eOnline(t)
 	// A lagging snapshot cadence leaves verdicts in the WAL beyond the
 	// snapshot position, so the restart has rounds to regenerate.
-	p := NewPersister(st, rec, nil, 7)
+	p := NewPersister(NewFleetPersister(st, rec), rec, nil, 7)
 	o.SetPersister(p)
 	count := 0
 	pre := e2eDrive(t, o, nil, samples, 0, e2eCrashTick, &count, -1)
@@ -319,7 +319,7 @@ func TestPersisterSuppressesRegeneratedVerdicts(t *testing.T) {
 	if err := o2.RestoreState(rec2.MonitorState()); err != nil {
 		t.Fatal(err)
 	}
-	p2 := NewPersister(st2, rec2, nil, 1)
+	p2 := NewPersister(NewFleetPersister(st2, rec2), rec2, nil, 1)
 	o2.SetPersister(p2)
 	count2 := 6
 	post := e2eDrive(t, o2, nil, samples, rec2.ResumeTick(), e2eTicks, &count2, 0)

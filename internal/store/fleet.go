@@ -1,24 +1,36 @@
-// FleetPersister multiplexes many units' verdict streams into one Store:
-// each unit gets a monitor.Persister adapter keyed by its index, appends
-// land as RecUnitVerdict records in a single WAL, and recovery hands each
-// unit back its own verdict history and dedupe horizon. The fleet WAL is a
-// verdict journal, not a full-state resume: per-unit snapshots and
-// threshold swaps are deliberately not persisted (a restarted fleet
-// re-derives detection state deterministically from the workload replay,
-// and the dedupe horizon suppresses re-journaling the catch-up verdicts —
-// the same mechanism the single-unit Persister uses).
+// FleetPersister is the verdict journal for every unit count: each unit
+// gets a monitor.Persister adapter keyed by its index, appends land as
+// RecUnitVerdict records in a single WAL, and recovery hands each unit back
+// its own verdict history and dedupe horizon. The journal holds judgments,
+// not judge state: a fleet re-derives detection state deterministically
+// from the workload replay, and the dedupe horizon suppresses re-journaling
+// the catch-up verdicts. One unit layers Persister on top, which snapshots
+// its judge so it resumes at the snapshot instead.
 package store
 
 import (
 	"fmt"
 	"sync"
 
+	"dbcatcher/internal/detect"
 	"dbcatcher/internal/incident"
 	"dbcatcher/internal/monitor"
 	"dbcatcher/internal/window"
 )
 
 // ----- Recovered interpretation: unit-keyed records -----
+
+// unitVerdict returns the unit and verdict a verdict record carries; ok is
+// false for every other record type. A legacy RecVerdict is unit 0's.
+func (r *Record) unitVerdict() (unit int, v *VerdictRecord, ok bool) {
+	switch r.Type {
+	case RecUnitVerdict:
+		return r.UnitVerdict.Unit, &r.UnitVerdict.Verdict, true
+	case RecVerdict:
+		return 0, &r.Verdict, true
+	}
+	return 0, nil, false
+}
 
 // UnitVerdictHistory returns unit's persisted verdicts in sequence order,
 // for re-seeding that unit's API verdict buffer. How far back it reaches
@@ -28,29 +40,29 @@ func (r *Recovered) UnitVerdictHistory(unit int) []monitor.Verdict {
 		return nil
 	}
 	var out []monitor.Verdict
-	for _, rec := range r.Records {
-		if rec.Type == RecUnitVerdict && rec.UnitVerdict.Unit == unit {
-			out = append(out, recordVerdict(rec.UnitVerdict.Verdict))
+	for i := range r.Records {
+		if u, v, ok := r.Records[i].unitVerdict(); ok && u == unit {
+			out = append(out, recordVerdict(*v))
 		}
 	}
 	return out
 }
 
 // UnitDurableTicks returns, per unit, the newest tick any persisted
-// unit-keyed verdict covers — the dedupe horizon below which regenerated
-// catch-up verdicts are suppressed. Units with no records are absent.
+// verdict covers — the dedupe horizon below which regenerated catch-up
+// verdicts are suppressed. Units with no records are absent.
 func (r *Recovered) UnitDurableTicks() map[int]int {
 	if r == nil {
 		return nil
 	}
 	out := make(map[int]int)
-	for _, rec := range r.Records {
-		if rec.Type != RecUnitVerdict {
+	for i := range r.Records {
+		u, v, ok := r.Records[i].unitVerdict()
+		if !ok {
 			continue
 		}
-		u, t := rec.UnitVerdict.Unit, rec.UnitVerdict.Verdict.Tick
-		if cur, ok := out[u]; !ok || t > cur {
-			out[u] = t
+		if cur, seen := out[u]; !seen || v.Tick > cur {
+			out[u] = v.Tick
 		}
 	}
 	return out
@@ -81,11 +93,51 @@ func (r *Recovered) IncidentTransitions() []incident.Transition {
 	return out
 }
 
-// ----- the fleet bridge -----
+// ----- record <-> domain conversions -----
 
-// FleetPersister journals a whole fleet's verdict streams into one Store.
-// Like Persister, its hooks are durability best-effort: append failures are
-// counted and surfaced via Status, never propagated into detection.
+func verdictRecord(v *monitor.Verdict) VerdictRecord {
+	states := make([]uint8, len(v.States))
+	for i, s := range v.States {
+		states[i] = uint8(s)
+	}
+	return VerdictRecord{
+		Tick:       v.Tick,
+		Start:      v.Start,
+		Size:       v.Size,
+		AbnormalDB: v.AbnormalDB,
+		Expansions: v.Expansions,
+		GapCells:   v.GapCells,
+		Abnormal:   v.Abnormal,
+		Health:     uint8(v.Health),
+		States:     states,
+	}
+}
+
+func recordVerdict(r VerdictRecord) monitor.Verdict {
+	var v monitor.Verdict
+	v.Tick = r.Tick
+	v.Start = r.Start
+	v.Size = r.Size
+	v.AbnormalDB = r.AbnormalDB
+	v.Expansions = r.Expansions
+	v.GapCells = r.GapCells
+	v.Abnormal = r.Abnormal
+	v.Health = detect.Health(r.Health)
+	if len(r.States) > 0 {
+		v.States = make([]window.State, len(r.States))
+		for i, s := range r.States {
+			v.States[i] = window.State(s)
+		}
+	}
+	return v
+}
+
+// ----- the verdict journal -----
+
+// FleetPersister journals every unit's verdict stream into one Store. Its
+// hooks are durability best-effort: append failures (and those of a
+// Persister layered on it) are counted and surfaced via Status, never
+// propagated into detection.
 type FleetPersister struct {
 	mu      sync.Mutex
 	st      *Store
@@ -117,8 +169,8 @@ func (p *FleetPersister) DurableTick(unit int) int {
 }
 
 // Unit returns unit i's monitor.Persister adapter. The adapter journals
-// verdicts under the unit key and intentionally drops threshold swaps: the
-// fleet WAL records judgment streams, not per-unit tuning state.
+// verdicts under the unit key and drops threshold swaps: the journal
+// records judgment streams, and one unit's tuning state is its Persister's.
 func (p *FleetPersister) Unit(i int) monitor.Persister {
 	return unitPersister{p: p, unit: i}
 }
@@ -144,12 +196,27 @@ func (p *FleetPersister) persistVerdict(unit int, v *monitor.Verdict) {
 	}
 	_, err := p.st.AppendUnitVerdict(UnitVerdictRecord{Unit: unit, Verdict: verdictRecord(v)})
 	if err != nil {
-		p.errors++
-		p.lastErr = err.Error()
+		p.noteErrLocked(err)
 		return
 	}
 	p.verdicts++
 	p.durable[unit] = v.Tick
+}
+
+// noteErrLocked counts one failed durable write; p.mu is held.
+func (p *FleetPersister) noteErrLocked(err error) {
+	p.errors++
+	p.lastErr = err.Error()
+}
+
+// noteErr counts err, if it is one, among the journal's failed writes.
+func (p *FleetPersister) noteErr(err error) {
+	if err == nil {
+		return
+	}
+	p.mu.Lock()
+	p.noteErrLocked(err)
+	p.mu.Unlock()
 }
 
 // RecordIncidentRound journals one fleet round's incident transitions as
@@ -175,27 +242,24 @@ func (p *FleetPersister) RecordIncidentRound(tick int, ts []incident.Transition)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, err := p.st.AppendIncident(rec); err != nil {
-		p.errors++
-		p.lastErr = err.Error()
+		p.noteErrLocked(err)
 		return
 	}
 	p.incidentRounds++
 	p.incidentTrans += uint64(len(ts))
 }
 
-// Flush syncs the WAL — the fleet daemon's graceful-shutdown path.
+// Flush syncs the WAL — the daemon's graceful-shutdown path — and reports
+// the last durable write that failed, if any did.
 func (p *FleetPersister) Flush() error {
 	if err := p.st.Sync(); err != nil {
-		p.mu.Lock()
-		p.errors++
-		p.lastErr = err.Error()
-		p.mu.Unlock()
+		p.noteErr(err)
 		return err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.lastErr != "" {
-		return fmt.Errorf("store: fleet persistence degraded: %s", p.lastErr)
+		return fmt.Errorf("store: persistence degraded: %s", p.lastErr)
 	}
 	return nil
 }
@@ -217,7 +281,9 @@ type FleetStatus struct {
 }
 
 // Status implements the server's persistence provider.
-func (p *FleetPersister) Status() interface{} {
+func (p *FleetPersister) Status() interface{} { return p.status() }
+
+func (p *FleetPersister) status() FleetStatus {
 	p.mu.Lock()
 	st := FleetStatus{
 		Dir:                 p.st.Dir(),

@@ -173,3 +173,74 @@ func TestFleetPersisterDedupe(t *testing.T) {
 		t.Fatalf("flush: %v", err)
 	}
 }
+
+// A data dir written by a build that journaled one unit as RecVerdict
+// beside a RecCounters sample per verdict still opens: each RecVerdict is
+// unit 0's verdict, each RecCounters is skipped, and the journal's dedupe
+// horizon for unit 0 covers them.
+func TestLegacyVerdictRecordsAreUnitZero(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := openClean(t, dir, Options{Fsync: FsyncNever})
+	legacy := []Record{
+		{Type: RecVerdict, Verdict: unitVerdict(0, 20, false).Verdict},
+		{Type: RecCounters, Counters: CountersRecord{GapCells: 3}},
+		{Type: RecVerdict, Verdict: unitVerdict(0, 40, true).Verdict},
+		{Type: RecCounters, Counters: CountersRecord{GapCells: 5}},
+	}
+	for i := range legacy {
+		if _, err := st.append(&legacy[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.AppendUnitVerdict(unitVerdict(1, 40, false)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, rec := openClean(t, dir, Options{Fsync: FsyncNever})
+	defer st2.Close()
+	hist := rec.UnitVerdictHistory(0)
+	if len(hist) != 2 || hist[0].Tick != 20 || hist[1].Tick != 40 || !hist[1].Abnormal {
+		t.Fatalf("unit 0 history %+v, want the two legacy verdicts", hist)
+	}
+	if hist := rec.UnitVerdictHistory(1); len(hist) != 1 || hist[0].Tick != 40 {
+		t.Fatalf("unit 1 history %+v", hist)
+	}
+	if got := rec.UnitDurableTicks(); !reflect.DeepEqual(got, map[int]int{0: 40, 1: 40}) {
+		t.Fatalf("durable ticks %v", got)
+	}
+	fp := NewFleetPersister(st2, rec)
+	for _, tick := range []int{40, 60} {
+		var v monitor.Verdict
+		v.Tick, v.Start, v.Size, v.AbnormalDB = tick, tick-19, 20, -1
+		fp.Unit(0).PersistVerdict(&v, monitor.PersistContext{})
+	}
+	if s := fp.Status().(FleetStatus); s.Suppressed != 1 || s.Verdicts != 1 {
+		t.Fatalf("status %+v: want the legacy tick suppressed and the new one journaled", s)
+	}
+}
+
+// DurableTick is the newest tick over every unit's verdicts and the
+// snapshot: the tick a node stamps into the epoch record it adopts.
+func TestRecoveredDurableTickCoversEveryUnit(t *testing.T) {
+	dir := t.TempDir()
+	st, _ := openClean(t, dir, Options{Fsync: FsyncNever})
+	for _, uv := range []UnitVerdictRecord{unitVerdict(0, 40, false), unitVerdict(3, 80, false), unitVerdict(0, 60, false)} {
+		if _, err := st.AppendUnitVerdict(uv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, rec := openCleanAndClose(t, dir)
+	if got := rec.DurableTick(); got != 80 {
+		t.Fatalf("durable tick %d, want unit 3's 80", got)
+	}
+	rec.Snapshot = &SnapshotState{Monitor: &monitor.PersistentState{Tick: 95}}
+	if got := rec.DurableTick(); got != 95 {
+		t.Fatalf("durable tick %d, want the snapshot's 95", got)
+	}
+}

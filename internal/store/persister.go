@@ -1,15 +1,15 @@
-// Persister bridges the detector stack onto the store: it implements
-// monitor.Persister (verdict + threshold hooks) and feedback.Journal
-// (judgment-record journaling), decides the snapshot cadence, and dedupes
-// verdicts the detector regenerates while catching up after a restart.
+// Persister is the one-unit state layer over the verdict journal: it
+// implements monitor.Persister (verdict + threshold hooks), feedback.Journal
+// (judgment-record journaling) and relearn.Recorder, and decides the
+// snapshot cadence of the judge's state. Each verdict goes to unit 0's
+// journal adapter (FleetPersister.Unit(0)), which appends it and dedupes
+// the verdicts the detector regenerates while catching up after a restart.
 package store
 
 import (
-	"fmt"
 	"math"
 	"sync"
 
-	"dbcatcher/internal/detect"
 	"dbcatcher/internal/feedback"
 	"dbcatcher/internal/monitor"
 	"dbcatcher/internal/relearn"
@@ -90,22 +90,6 @@ func (r *Recovered) FeedbackRecords() []feedback.Record {
 	return out
 }
 
-// VerdictHistory converts every verdict record still on disk (sequence
-// order) back to monitor verdicts, for re-seeding the API's verdict
-// buffer. How far back it reaches is bounded by segment retention.
-func (r *Recovered) VerdictHistory() []monitor.Verdict {
-	if r == nil {
-		return nil
-	}
-	var out []monitor.Verdict
-	for _, rec := range r.Records {
-		if rec.Type == RecVerdict {
-			out = append(out, recordVerdict(rec.Verdict))
-		}
-	}
-	return out
-}
-
 // ResumeTick is the collection tick the detector resumes ingesting at (the
 // snapshot's position; 0 means start from scratch).
 func (r *Recovered) ResumeTick() int {
@@ -115,18 +99,14 @@ func (r *Recovered) ResumeTick() int {
 	return r.Snapshot.Monitor.Tick
 }
 
-// DurableTick is the newest tick any persisted verdict covers. While the
-// resumed detector catches up from ResumeTick to DurableTick it regenerates
-// verdicts that are already durable; the Persister suppresses re-appending
-// them and callers should suppress re-publishing them.
+// DurableTick is the newest collection tick the recovered state covers:
+// the snapshot's position or any unit's newest persisted verdict,
+// whichever is later. A node adopting a fencing epoch stamps it into the
+// epoch record.
 func (r *Recovered) DurableTick() int {
 	t := r.ResumeTick()
-	if r != nil {
-		for _, rec := range r.Records {
-			if rec.Type == RecVerdict && rec.Verdict.Tick > t {
-				t = rec.Verdict.Tick
-			}
-		}
+	for _, d := range r.UnitDurableTicks() {
+		t = max(t, d)
 	}
 	return t
 }
@@ -165,141 +145,55 @@ func (r *Recovered) RelearnEvents() []RelearnRecord {
 	return out
 }
 
-// LastCounters returns the newest persisted health-counter sample.
-func (r *Recovered) LastCounters() CountersRecord {
-	var c CountersRecord
-	if r == nil {
-		return c
-	}
-	if r.Snapshot != nil {
-		c = r.Snapshot.Counters
-	}
-	for _, rec := range r.Records {
-		if rec.Seq > r.snapshotSeq() && rec.Type == RecCounters {
-			c = rec.Counters
-		}
-	}
-	return c
-}
+// ----- the one-unit state layer -----
 
-// ----- record <-> domain conversions -----
-
-func verdictRecord(v *monitor.Verdict) VerdictRecord {
-	states := make([]uint8, len(v.States))
-	for i, s := range v.States {
-		states[i] = uint8(s)
-	}
-	return VerdictRecord{
-		Tick:       v.Tick,
-		Start:      v.Start,
-		Size:       v.Size,
-		AbnormalDB: v.AbnormalDB,
-		Expansions: v.Expansions,
-		GapCells:   v.GapCells,
-		Abnormal:   v.Abnormal,
-		Health:     uint8(v.Health),
-		States:     states,
-	}
-}
-
-func recordVerdict(r VerdictRecord) monitor.Verdict {
-	var v monitor.Verdict
-	v.Tick = r.Tick
-	v.Start = r.Start
-	v.Size = r.Size
-	v.AbnormalDB = r.AbnormalDB
-	v.Expansions = r.Expansions
-	v.GapCells = r.GapCells
-	v.Abnormal = r.Abnormal
-	v.Health = detect.Health(r.Health)
-	if len(r.States) > 0 {
-		v.States = make([]window.State, len(r.States))
-		for i, s := range r.States {
-			v.States[i] = window.State(s)
-		}
-	}
-	return v
-}
-
-func countersRecord(h monitor.HealthStats) CountersRecord {
-	return CountersRecord{
-		GapCells:         h.GapCells,
-		MissedTicks:      h.MissedTicks,
-		Deactivations:    h.Deactivations,
-		Reactivations:    h.Reactivations,
-		DegradedVerdicts: h.DegradedVerdicts,
-		SkippedRounds:    h.SkippedRounds,
-	}
-}
-
-// ----- the Persister bridge -----
-
-// Persister wires a Store into the online judge and the feedback ring. Its
-// hooks are durability best-effort: append or snapshot failures are
-// counted and surfaced via Status, never propagated into the detection
-// path (detection keeps running on a full disk; durability degrades).
+// Persister wires one unit's judge state and feedback ring into the store
+// beside its verdict journal. Its hooks are durability best-effort: append
+// or snapshot failures are counted with the journal's and surfaced via
+// Status, never propagated into the detection path (detection keeps
+// running on a full disk; durability degrades).
 type Persister struct {
-	mu sync.Mutex
-	st *Store
-	fb *feedback.Store // optional: feedback ring captured into snapshots
+	mu      sync.Mutex
+	journal *FleetPersister
+	unit    monitor.Persister // journal.Unit(0)
+	fb      *feedback.Store   // optional: feedback ring captured into snapshots
 
 	every     int // verdicts between snapshots
 	sinceSnap int
 
-	resumeTick  int
-	durableTick int
+	resumeTick int
+	// replayTo is unit 0's recovered dedupe horizon: a verdict at or below
+	// it is a catch-up replay and does not advance the snapshot cadence.
+	replayTo int
 
-	verdicts         uint64
-	suppressed       uint64
 	feedbackRecs     uint64
 	thresholdUpdates uint64
 	relearnEvents    uint64
-	errors           uint64
-	lastErr          string
 }
 
-// NewPersister builds the bridge. rec (from Open) seeds the regeneration
-// dedupe horizon; snapshotEvery is the number of verdicts between
-// snapshots (minimum 1 — every verdict; threshold swaps always snapshot
-// immediately so a catch-up window never spans one). fb may be nil.
-func NewPersister(st *Store, rec *Recovered, fb *feedback.Store, snapshotEvery int) *Persister {
-	if snapshotEvery < 1 {
-		snapshotEvery = 1
-	}
+// NewPersister builds the state layer over journal, the store's verdict
+// journal. rec (from Open) gives the resume position; snapshotEvery is the
+// number of verdicts between snapshots (minimum 1 — every verdict;
+// threshold swaps always snapshot immediately so a catch-up window never
+// spans one). fb may be nil.
+func NewPersister(journal *FleetPersister, rec *Recovered, fb *feedback.Store, snapshotEvery int) *Persister {
 	return &Persister{
-		st:          st,
-		fb:          fb,
-		every:       snapshotEvery,
-		resumeTick:  rec.ResumeTick(),
-		durableTick: rec.DurableTick(),
+		journal:    journal,
+		unit:       journal.Unit(0),
+		fb:         fb,
+		every:      max(snapshotEvery, 1),
+		resumeTick: rec.ResumeTick(),
+		replayTo:   journal.DurableTick(0),
 	}
-}
-
-func (p *Persister) noteErr(err error) {
-	if err == nil {
-		return
-	}
-	p.errors++
-	p.lastErr = err.Error()
 }
 
 // PersistVerdict implements monitor.Persister.
 func (p *Persister) PersistVerdict(v *monitor.Verdict, ctx monitor.PersistContext) {
-	p.mu.Lock()
-	if v.Tick <= p.durableTick {
-		// Regenerated during post-restart catch-up; already on disk.
-		p.suppressed++
-		p.mu.Unlock()
+	p.unit.PersistVerdict(v, ctx)
+	if v.Tick <= p.replayTo {
 		return
 	}
-	_, err := p.st.AppendVerdict(verdictRecord(v))
-	p.noteErr(err)
-	if err == nil {
-		p.verdicts++
-		p.durableTick = v.Tick
-	}
-	_, err = p.st.AppendCounters(countersRecord(ctx.Health()))
-	p.noteErr(err)
+	p.mu.Lock()
 	p.sinceSnap++
 	snap := p.sinceSnap >= p.every
 	if snap {
@@ -307,7 +201,7 @@ func (p *Persister) PersistVerdict(v *monitor.Verdict, ctx monitor.PersistContex
 	}
 	p.mu.Unlock()
 	if snap {
-		p.snapshot(ctx.Export(), ctx.Health())
+		p.snapshot(ctx.Export())
 	}
 }
 
@@ -317,19 +211,19 @@ func (p *Persister) PersistVerdict(v *monitor.Verdict, ctx monitor.PersistContex
 // catch-up window never replays rounds across a threshold change.
 func (p *Persister) PersistThresholds(t window.Thresholds, ctx monitor.PersistContext) {
 	p.mu.Lock()
-	_, err := p.st.AppendThresholds(ThresholdsRecord{
+	_, err := p.journal.st.AppendThresholds(ThresholdsRecord{
 		Tick:         ctx.Tick(),
 		Alpha:        append([]float64(nil), t.Alpha...),
 		Theta:        t.Theta,
 		MaxTolerance: t.MaxTolerance,
 	})
-	p.noteErr(err)
 	if err == nil {
 		p.thresholdUpdates++
 	}
 	p.sinceSnap = 0
 	p.mu.Unlock()
-	p.snapshot(ctx.Export(), ctx.Health())
+	p.journal.noteErr(err)
+	p.snapshot(ctx.Export())
 }
 
 // RecordRelearn implements relearn.Recorder: lifecycle transitions are
@@ -338,8 +232,7 @@ func (p *Persister) PersistThresholds(t window.Thresholds, ctx monitor.PersistCo
 // every valid score is non-negative, so the sentinel is unambiguous.
 func (p *Persister) RecordRelearn(ev relearn.Event) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, err := p.st.AppendRelearn(RelearnRecord{
+	_, err := p.journal.st.AppendRelearn(RelearnRecord{
 		Tick:           ev.Tick,
 		Attempt:        ev.Attempt,
 		TrainRecords:   ev.TrainRecords,
@@ -349,10 +242,11 @@ func (p *Persister) RecordRelearn(ev relearn.Event) {
 		Baseline:       sanitizeScore(ev.Baseline),
 		FlipRate:       sanitizeScore(ev.FlipRate),
 	})
-	p.noteErr(err)
 	if err == nil {
 		p.relearnEvents++
 	}
+	p.mu.Unlock()
+	p.journal.noteErr(err)
 }
 
 func sanitizeScore(v float64) float64 {
@@ -365,56 +259,38 @@ func sanitizeScore(v float64) float64 {
 // JournalRecord implements feedback.Journal.
 func (p *Persister) JournalRecord(r feedback.Record) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, err := p.st.AppendFeedback(FeedbackRecord{Start: r.Start, Size: r.Size, Predicted: r.Predicted, Actual: r.Actual})
-	p.noteErr(err)
+	_, err := p.journal.st.AppendFeedback(FeedbackRecord{Start: r.Start, Size: r.Size, Predicted: r.Predicted, Actual: r.Actual})
 	if err == nil {
 		p.feedbackRecs++
 	}
+	p.mu.Unlock()
+	p.journal.noteErr(err)
 }
 
 // snapshot captures seq before gathering state so a record journaled
 // concurrently is never silently dropped from recovery — at worst it is
 // both inside the snapshot and replayed on top (at-least-once; the
 // feedback ring tolerates a duplicate mark, losing one does real harm).
-func (p *Persister) snapshot(st *monitor.PersistentState, h monitor.HealthStats) {
-	seq := p.st.LastSeq()
+func (p *Persister) snapshot(st *monitor.PersistentState) {
+	seq := p.journal.st.LastSeq()
 	var fbRecs []FeedbackRecord
 	if p.fb != nil {
 		for _, r := range p.fb.Snapshot() {
 			fbRecs = append(fbRecs, FeedbackRecord{Start: r.Start, Size: r.Size, Predicted: r.Predicted, Actual: r.Actual})
 		}
 	}
-	err := p.st.WriteSnapshot(SnapshotState{
-		Seq:      seq,
-		Monitor:  st,
-		Feedback: fbRecs,
-		Counters: countersRecord(h),
-	})
-	p.mu.Lock()
-	p.noteErr(err)
-	p.mu.Unlock()
+	p.journal.noteErr(p.journal.st.WriteSnapshot(SnapshotState{Seq: seq, Monitor: st, Feedback: fbRecs}))
 }
 
-// Flush writes a final snapshot of the judge's current state and syncs the
-// WAL — the graceful-shutdown path (SIGTERM).
+// Flush writes a final snapshot of the judge's current state and flushes
+// the journal — the graceful-shutdown path (SIGTERM). Like the journal's
+// Flush it reports any write that failed, snapshots included.
 func (p *Persister) Flush(o *monitor.Online) error {
-	p.snapshot(o.ExportState(), o.Health())
-	if err := p.st.Sync(); err != nil {
-		p.mu.Lock()
-		p.noteErr(err)
-		p.mu.Unlock()
-		return err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.lastErr != "" {
-		return fmt.Errorf("store: persistence degraded: %s", p.lastErr)
-	}
-	return nil
+	p.snapshot(o.ExportState())
+	return p.journal.Flush()
 }
 
-// Status summarizes persistence for operator endpoints.
+// Status summarizes one unit's persistence for operator endpoints.
 type Status struct {
 	Dir              string  `json:"dir"`
 	FsyncPolicy      string  `json:"fsyncPolicy"`
@@ -430,23 +306,25 @@ type Status struct {
 	Store            Metrics `json:"store"`
 }
 
-// Status implements the server's persistence provider.
+// Status implements the server's persistence provider: the journal's
+// verdict and error counts beside the state layer's own.
 func (p *Persister) Status() interface{} {
+	j := p.journal.status()
+	durable := max(p.resumeTick, p.journal.DurableTick(0))
 	p.mu.Lock()
-	st := Status{
-		Dir:              p.st.Dir(),
-		FsyncPolicy:      p.st.Policy().String(),
+	defer p.mu.Unlock()
+	return Status{
+		Dir:              j.Dir,
+		FsyncPolicy:      j.FsyncPolicy,
 		ResumeTick:       p.resumeTick,
-		DurableTick:      p.durableTick,
-		Verdicts:         p.verdicts,
-		Suppressed:       p.suppressed,
+		DurableTick:      durable,
+		Verdicts:         j.Verdicts,
+		Suppressed:       j.Suppressed,
 		FeedbackRecords:  p.feedbackRecs,
 		ThresholdUpdates: p.thresholdUpdates,
 		RelearnEvents:    p.relearnEvents,
-		Errors:           p.errors,
-		LastError:        p.lastErr,
+		Errors:           j.Errors,
+		LastError:        j.LastError,
+		Store:            j.Store,
 	}
-	p.mu.Unlock()
-	st.Store = p.st.Metrics()
-	return st
 }

@@ -1,8 +1,12 @@
 // Package store is DBCatcher's embedded durable state subsystem: an
 // append-only, CRC32-checked, segmented write-ahead log for high-rate
-// records (verdicts, DBA feedback, ingestion counters, threshold swaps)
-// plus atomic point-in-time snapshots for the online judge's low-rate
-// state (learned thresholds, flexible-window position, ring tails).
+// records (unit-keyed verdicts, DBA feedback, threshold swaps, relearn
+// events, incident rounds, fencing epochs) plus atomic point-in-time
+// snapshots for the online judge's low-rate state (learned thresholds,
+// flexible-window position, the in-flight round's ring tails). RecVerdict
+// and RecCounters are legacy and read-only: older builds wrote them, this
+// one still decodes them (a RecVerdict as unit 0's verdict) and writes
+// neither.
 //
 // The subsystem is dependency-free (standard library only) and built for
 // crash recovery over refusal: a torn final record, a bad checksum, an
@@ -20,19 +24,24 @@ import (
 type RecordType uint8
 
 const (
-	// RecVerdict is one emitted judgment verdict (with Health).
+	// RecVerdict is legacy and read-only: one unit's verdict as builds
+	// before RecUnitVerdict served every unit count wrote it. Recovery reads
+	// it as unit 0's verdict.
 	RecVerdict RecordType = 1
 	// RecFeedback is one DBA-marked judgment record.
 	RecFeedback RecordType = 2
-	// RecCounters is a cumulative ingestion/self-healing counter sample.
+	// RecCounters is legacy and read-only: a cumulative health-counter
+	// sample older builds wrote beside each verdict. Recovery skips it; the
+	// snapshot's judge state carries the counters.
 	RecCounters RecordType = 3
 	// RecThresholds is an applied judgment-threshold swap.
 	RecThresholds RecordType = 4
 	// RecRelearn is a relearning-supervisor lifecycle transition.
 	RecRelearn RecordType = 5
-	// RecUnitVerdict is one fleet unit's emitted verdict: the RecVerdict
-	// payload prefixed with the unit index, so a single multiplexed WAL
-	// persists every unit's verdict stream in one data directory.
+	// RecUnitVerdict is one unit's emitted verdict: the RecVerdict payload
+	// prefixed with the unit index, so a single multiplexed WAL persists
+	// every unit's verdict stream in one data directory, for every unit
+	// count.
 	RecUnitVerdict RecordType = 6
 	// RecIncident is one fleet round's batch of incident-lifecycle
 	// transitions (open/update/close) from the incident aggregator. Batching
@@ -78,7 +87,8 @@ type FeedbackRecord struct {
 	Actual    bool
 }
 
-// CountersRecord is a cumulative sample of the judge's health counters.
+// CountersRecord is a legacy RecCounters payload: a cumulative sample of
+// the judge's health counters.
 type CountersRecord struct {
 	GapCells         int
 	MissedTicks      int

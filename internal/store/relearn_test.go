@@ -62,7 +62,7 @@ func TestPersisterSanitizesRelearnScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPersister(st, rec, nil, 1)
+	p := NewPersister(NewFleetPersister(st, rec), rec, nil, 1)
 	p.RecordRelearn(relearn.Event{
 		Kind: relearn.EventFailed, Tick: 7, Attempt: 3,
 		Fitness: math.NaN(), Baseline: math.Inf(-1), FlipRate: math.Inf(1),

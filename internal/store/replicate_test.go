@@ -56,7 +56,7 @@ func TestEpochSurvivesCompactionViaSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if _, err := st.AppendCounters(CountersRecord{GapCells: i}); err != nil {
+		if _, err := st.AppendFeedback(FeedbackRecord{Start: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,13 +92,13 @@ func TestFenceRejectsWrites(t *testing.T) {
 	if err := st.Fence(2); err == nil {
 		t.Fatal("stale fence must be rejected")
 	}
-	if _, err := st.AppendCounters(CountersRecord{}); err != nil {
+	if _, err := st.AppendFeedback(FeedbackRecord{}); err != nil {
 		t.Fatalf("store wrongly fenced by stale epoch: %v", err)
 	}
 	if err := st.Fence(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AppendCounters(CountersRecord{}); !errors.Is(err, ErrFenced) {
+	if _, err := st.AppendFeedback(FeedbackRecord{}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("append on fenced store: %v, want ErrFenced", err)
 	}
 	if err := st.WriteSnapshot(SnapshotState{Seq: st.LastSeq()}); !errors.Is(err, ErrFenced) {
@@ -124,7 +124,7 @@ func TestSelfFenceAcceptsEqualEpoch(t *testing.T) {
 	if err := st.SelfFence(1); err == nil {
 		t.Fatal("self-fence on a lower peer epoch must be rejected")
 	}
-	if _, err := st.AppendCounters(CountersRecord{}); err != nil {
+	if _, err := st.AppendFeedback(FeedbackRecord{}); err != nil {
 		t.Fatalf("store wrongly self-fenced: %v", err)
 	}
 	// Equal epoch is a fork (two primaries adopted the same epoch): unlike
@@ -132,7 +132,7 @@ func TestSelfFenceAcceptsEqualEpoch(t *testing.T) {
 	if err := st.SelfFence(2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AppendCounters(CountersRecord{}); !errors.Is(err, ErrFenced) {
+	if _, err := st.AppendFeedback(FeedbackRecord{}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("append after self-fence: %v, want ErrFenced", err)
 	}
 	if e, fenced := st.Epoch(); e != 2 || !fenced {
@@ -145,7 +145,7 @@ func TestReplicationManifestAndReadSegmentAt(t *testing.T) {
 	st, _ := openClean(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 128})
 	defer st.Close()
 	for i := 0; i < 20; i++ {
-		if _, err := st.AppendCounters(CountersRecord{GapCells: i}); err != nil {
+		if _, err := st.AppendFeedback(FeedbackRecord{Start: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +198,7 @@ func TestReplicationManifestAndReadSegmentAt(t *testing.T) {
 		t.Fatalf("replicated %d records, want 20", len(all))
 	}
 	for i, r := range all {
-		if r.Seq != uint64(i+1) || r.Type != RecCounters || r.Counters.GapCells != i {
+		if r.Seq != uint64(i+1) || r.Type != RecFeedback || r.Feedback.Start != i {
 			t.Fatalf("record %d = %+v", i, r)
 		}
 	}
@@ -266,7 +266,7 @@ func TestSlowReaderRetentionBoundaries(t *testing.T) {
 			st, _ := openClean(t, dir, Options{Fsync: FsyncAlways, SegmentBytes: 64, RetainSegments: tc.retain})
 			defer st.Close()
 			for i := 0; i < 40; i++ {
-				if _, err := st.AppendCounters(CountersRecord{GapCells: i}); err != nil {
+				if _, err := st.AppendFeedback(FeedbackRecord{Start: i}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -352,7 +352,7 @@ func TestSnapshotBlobRoundTrip(t *testing.T) {
 	if err := st.AdoptEpoch(4, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshot(SnapshotState{Seq: 1, Counters: CountersRecord{GapCells: 3}}); err != nil {
+	if err := st.WriteSnapshot(SnapshotState{Seq: 1, Feedback: []FeedbackRecord{{Start: 3}}}); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := st.SnapshotBlob()
@@ -366,7 +366,7 @@ func TestSnapshotBlobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Seq != 1 || snap.Epoch != 4 || snap.Counters.GapCells != 3 {
+	if snap.Seq != 1 || snap.Epoch != 4 || len(snap.Feedback) != 1 || snap.Feedback[0].Start != 3 {
 		t.Fatalf("installed snapshot %+v", snap)
 	}
 	fst, rec := openClean(t, follower, Options{})

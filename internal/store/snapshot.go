@@ -18,17 +18,17 @@ const (
 )
 
 // SnapshotState is the point-in-time capture written atomically alongside
-// the WAL: the judge's full resumable state, the feedback ring, and the
-// health counters. Seq marks the WAL position the capture reflects —
+// the WAL: the judge's resumable state (its health counters included) and
+// the feedback ring. Seq marks the WAL position the capture reflects —
 // records at or below it are already folded in, records above it must be
-// replayed on top.
+// replayed on top. Snapshots from older builds also carry a "counters" key,
+// a copy of the judge's health counters, which decoding ignores.
 type SnapshotState struct {
 	Schema   string                   `json:"schema"`
 	Seq      uint64                   `json:"seq"`
 	Epoch    uint64                   `json:"epoch,omitempty"`
 	Monitor  *monitor.PersistentState `json:"monitor,omitempty"`
 	Feedback []FeedbackRecord         `json:"feedback,omitempty"`
-	Counters CountersRecord           `json:"counters"`
 }
 
 // writeSnapshot persists st atomically: write to a temp file, fsync,

@@ -183,19 +183,9 @@ func (s *Store) append(r *Record) (uint64, error) {
 	return s.wal.append(r)
 }
 
-// AppendVerdict logs one judgment verdict.
-func (s *Store) AppendVerdict(v VerdictRecord) (uint64, error) {
-	return s.append(&Record{Type: RecVerdict, Verdict: v})
-}
-
 // AppendFeedback logs one DBA-marked judgment record.
 func (s *Store) AppendFeedback(f FeedbackRecord) (uint64, error) {
 	return s.append(&Record{Type: RecFeedback, Feedback: f})
-}
-
-// AppendCounters logs a cumulative health-counter sample.
-func (s *Store) AppendCounters(c CountersRecord) (uint64, error) {
-	return s.append(&Record{Type: RecCounters, Counters: c})
 }
 
 // AppendThresholds logs an applied threshold swap.
@@ -203,8 +193,8 @@ func (s *Store) AppendThresholds(t ThresholdsRecord) (uint64, error) {
 	return s.append(&Record{Type: RecThresholds, Thresholds: t})
 }
 
-// AppendUnitVerdict logs one fleet unit's judgment verdict into the
-// multiplexed fleet WAL.
+// AppendUnitVerdict logs one unit's judgment verdict into the verdict
+// journal.
 func (s *Store) AppendUnitVerdict(u UnitVerdictRecord) (uint64, error) {
 	return s.append(&Record{Type: RecUnitVerdict, UnitVerdict: u})
 }

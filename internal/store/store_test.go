@@ -36,21 +36,12 @@ func sampleRecords() []Record {
 	}
 }
 
+// appendAll writes recs through the store's one append path, the legacy
+// RecVerdict and RecCounters types (which only older builds wrote) too.
 func appendAll(t *testing.T, st *Store, recs []Record) {
 	t.Helper()
 	for i := range recs {
-		var err error
-		switch recs[i].Type {
-		case RecVerdict:
-			_, err = st.AppendVerdict(recs[i].Verdict)
-		case RecFeedback:
-			_, err = st.AppendFeedback(recs[i].Feedback)
-		case RecCounters:
-			_, err = st.AppendCounters(recs[i].Counters)
-		case RecThresholds:
-			_, err = st.AppendThresholds(recs[i].Thresholds)
-		}
-		if err != nil {
+		if _, err := st.append(&recs[i]); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -70,7 +61,7 @@ func TestStoreRoundTripAllRecordTypes(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.AppendCounters(CountersRecord{}); err == nil {
+	if _, err := st.AppendFeedback(FeedbackRecord{}); err == nil {
 		t.Fatal("append after Close must fail")
 	}
 
@@ -88,7 +79,7 @@ func TestStoreRoundTripAllRecordTypes(t *testing.T) {
 		}
 	}
 	// Appends continue the sequence, they don't restart it.
-	seq, err := st2.AppendCounters(CountersRecord{GapCells: 1})
+	seq, err := st2.AppendFeedback(FeedbackRecord{Start: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +93,7 @@ func TestStoreRotationAndCompaction(t *testing.T) {
 	// Tiny segments force rotation every couple of records.
 	st, _ := openClean(t, dir, Options{Fsync: FsyncNever, SegmentBytes: 64, RetainSegments: 1})
 	for i := 0; i < 40; i++ {
-		if _, err := st.AppendCounters(CountersRecord{GapCells: i}); err != nil {
+		if _, err := st.AppendFeedback(FeedbackRecord{Start: i}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +131,7 @@ func TestStoreRotationAndCompaction(t *testing.T) {
 		t.Fatalf("retained records = %d, want a proper suffix", len(rec.Records))
 	}
 	last := rec.Records[len(rec.Records)-1]
-	if last.Seq != 40 || last.Counters.GapCells != 39 {
+	if last.Seq != 40 || last.Feedback.Start != 39 {
 		t.Fatalf("suffix ends at %+v", last)
 	}
 	// The suffix is contiguous.
@@ -154,10 +145,10 @@ func TestStoreRotationAndCompaction(t *testing.T) {
 func TestStoreSnapshotReplacedAtomically(t *testing.T) {
 	dir := t.TempDir()
 	st, _ := openClean(t, dir, Options{})
-	if err := st.WriteSnapshot(SnapshotState{Seq: 0, Counters: CountersRecord{GapCells: 1}}); err != nil {
+	if err := st.WriteSnapshot(SnapshotState{Seq: 0, Feedback: []FeedbackRecord{{Start: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshot(SnapshotState{Seq: 0, Counters: CountersRecord{GapCells: 2}}); err != nil {
+	if err := st.WriteSnapshot(SnapshotState{Seq: 0, Feedback: []FeedbackRecord{{Start: 2}}}); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -165,7 +156,7 @@ func TestStoreSnapshotReplacedAtomically(t *testing.T) {
 		t.Fatal("temp snapshot left behind")
 	}
 	_, rec := openCleanAndClose(t, dir)
-	if rec.Snapshot == nil || rec.Snapshot.Counters.GapCells != 2 {
+	if rec.Snapshot == nil || len(rec.Snapshot.Feedback) != 1 || rec.Snapshot.Feedback[0].Start != 2 {
 		t.Fatalf("latest snapshot not recovered: %+v", rec.Snapshot)
 	}
 }
@@ -217,7 +208,7 @@ func TestStoreOversizedRecordRejected(t *testing.T) {
 		t.Fatal("oversized record must be rejected")
 	}
 	// The store is still usable: size rejection is not a write failure.
-	if _, err := st.AppendCounters(CountersRecord{}); err != nil {
+	if _, err := st.AppendFeedback(FeedbackRecord{}); err != nil {
 		t.Fatalf("store poisoned by an oversized record: %v", err)
 	}
 }

@@ -31,8 +31,6 @@ var reachAllowlist = map[string]string{
 	"internal/metrics.Confusion.Total":           "the baselines' end-to-end tests assert through it that every method scored windows",
 	"internal/monitor.Processor.WindowWithStats": "the reference read of TestOnlineReusedWindowMatchesFresh",
 	"internal/replicate.Guard.Status":            "the fencing guard tests read the guard's state through it",
-	"internal/store.FleetPersister.DurableTick":  "TestFleetPersisterDedupe reads each unit's dedupe horizon through it",
-	"internal/store.Recovered.LastCounters":      "TestTailerSnapshotRestartAfterCompaction checks the mirrored health counters through it",
 	"internal/store.Recovered.RelearnEvents":     "TestRelearnRecordRoundTrip, TestPersisterSanitizesRelearnScores and TestPromotionSurvivesCrashRecovery read the journaled relearn records through it",
 	"internal/timeseries.FromValues":             "fixture constructor of TestWindow and TestSlice",
 	"internal/timeseries.Ring.GapCount":          "TestRingGapMarking, TestRingGapEvictionAccounting and TestRingEmpty check the ring's gap accounting through it",
