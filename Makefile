@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build fmt test race vet bench bench-baseline bench-diff check e2ebench-check fuzz
+.PHONY: build fmt test race vet reach bench bench-baseline bench-diff check e2ebench-check fuzz
 
 # Per-target budget for `make fuzz` (the CI smoke job uses the default).
 FUZZTIME ?= 30s
@@ -33,6 +33,11 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# The reachability guards alone: production code that no program reaches,
+# and config fields that no program sets (reachability_test.go).
+reach:
+	$(GO) test -count=1 -run '^(TestProductionCodeIsReachable|TestConfigFieldsAreSet)$$' .
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .

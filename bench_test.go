@@ -122,7 +122,7 @@ func BenchmarkGAThresholdSearch(b *testing.B) {
 	}, window.DefaultFlexConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		thresholds.GA{Seed: uint64(i + 1), Population: 16, Generations: 10}.Search(kpi.Count, fitness)
+		thresholds.GA{Seed: uint64(i + 1)}.Search(kpi.Count, fitness)
 	}
 }
 

@@ -446,7 +446,7 @@ func main() {
 		for i := range units {
 			o, err := monitor.NewOnline(detect.Config{
 				Thresholds: window.DefaultThresholds(kpi.Count),
-				Flex:       window.FlexConfig{Initial: fleetWin, Max: fleetWin, ExhaustState: window.Abnormal},
+				Flex:       window.FlexConfig{Initial: fleetWin, Max: fleetWin},
 				Workers:    1,
 			}, kpi.Count, dbs)
 			if err != nil {
@@ -487,7 +487,7 @@ func main() {
 	// re-marshal an actual state change pays.
 	statusOnline, err := monitor.NewOnline(detect.Config{
 		Thresholds: window.DefaultThresholds(kpi.Count),
-		Flex:       window.FlexConfig{Initial: fleetWin, Max: fleetWin, ExhaustState: window.Abnormal},
+		Flex:       window.FlexConfig{Initial: fleetWin, Max: fleetWin},
 		Workers:    1,
 	}, kpi.Count, dbs)
 	if err != nil {
@@ -547,7 +547,7 @@ func main() {
 	// variant is the dashboard's limit=16 page.
 	verdictOnline, err := monitor.NewOnline(detect.Config{
 		Thresholds: window.DefaultThresholds(kpi.Count),
-		Flex:       window.FlexConfig{Initial: fleetWin, Max: fleetWin, ExhaustState: window.Abnormal},
+		Flex:       window.FlexConfig{Initial: fleetWin, Max: fleetWin},
 		Workers:    1,
 	}, kpi.Count, dbs)
 	if err != nil {

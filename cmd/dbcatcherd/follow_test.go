@@ -40,7 +40,6 @@ func followerTailer(t *testing.T, primary, dir string) *replicate.Tailer {
 	tl, err := replicate.NewTailer(replicate.Config{
 		Primary: primary, Dir: dir,
 		Poll: 10 * time.Millisecond, StalenessBudget: 150 * time.Millisecond,
-		Attempts: 1, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
 		Seed: 11,
 	})
 	if err != nil {
@@ -180,7 +179,6 @@ func TestFollowerProbeSurface(t *testing.T) {
 	tl, err := replicate.NewTailer(replicate.Config{
 		Primary: srv.URL, Dir: t.TempDir(),
 		Poll: 10 * time.Millisecond, StalenessBudget: budget,
-		Attempts: 1, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
 		Seed: 11,
 	})
 	if err != nil {

@@ -15,73 +15,64 @@ type ScheduleConfig struct {
 	// TargetRatio is the desired fraction of abnormal ticks (Table III
 	// reports 3.11-4.21%).
 	TargetRatio float64
-	// MinLength/MaxLength bound episode durations in ticks. Defaults 6
-	// and 40 (30 s to ~3.3 min at 5 s ticks).
-	MinLength, MaxLength int
-	// Types restricts the drawn anomaly classes; nil means all.
-	Types []Type
-	// GapTicks keeps episodes separated so each is individually
-	// observable. Default 30.
-	GapTicks int
 }
 
-func (c ScheduleConfig) withDefaults() ScheduleConfig {
-	if c.MinLength == 0 {
-		c.MinLength = 6
-	}
-	if c.MaxLength == 0 {
-		c.MaxLength = 40
-	}
-	if c.GapTicks == 0 {
-		c.GapTicks = 30
-	}
-	if c.Types == nil {
-		// The paper's evaluation assumes a single abnormal database per
-		// episode (§II-C); UnitOutage is excluded unless requested.
-		for i := 0; i < NumTypes; i++ {
-			if Type(i) != UnitOutage {
-				c.Types = append(c.Types, Type(i))
-			}
+const (
+	// minLength and maxLength bound episode durations in ticks (30 s to
+	// ~3.3 min at 5 s ticks).
+	minLength, maxLength = 6, 40
+	// gapTicks keeps episodes separated so each is individually
+	// observable.
+	gapTicks = 30
+)
+
+// scheduledTypes are the anomaly classes GenerateSchedule draws, in Type
+// order. The paper's evaluation assumes a single abnormal database per
+// episode (§II-C), so UnitOutage is left out.
+var scheduledTypes = func() []Type {
+	var types []Type
+	for i := 0; i < NumTypes; i++ {
+		if Type(i) != UnitOutage {
+			types = append(types, Type(i))
 		}
 	}
-	return c
-}
+	return types
+}()
 
 // GenerateSchedule draws a random non-overlapping set of events reaching
 // approximately TargetRatio abnormal ticks. Events never touch the first
-// MaxLength ticks so that detectors always have a clean warmup.
+// maxLength ticks so that detectors always have a clean warmup.
 func GenerateSchedule(cfg ScheduleConfig, rng *mathx.RNG) []Event {
-	cfg = cfg.withDefaults()
 	if cfg.Ticks <= 0 || cfg.Databases <= 0 || cfg.TargetRatio <= 0 {
 		return nil
 	}
 	budget := int(cfg.TargetRatio * float64(cfg.Ticks))
 	var events []Event
 	occupied := make([]bool, cfg.Ticks)
-	warmup := cfg.MaxLength
+	warmup := maxLength
 	attempts := 0
 	used := 0
 	for used < budget && attempts < 50*cfg.Ticks {
 		attempts++
-		length := cfg.MinLength + rng.Intn(cfg.MaxLength-cfg.MinLength+1)
-		if length > budget-used && budget-used >= cfg.MinLength {
+		length := minLength + rng.Intn(maxLength-minLength+1)
+		if length > budget-used && budget-used >= minLength {
 			length = budget - used
 		}
 		if cfg.Ticks-warmup-length <= 0 {
 			break
 		}
 		start := warmup + rng.Intn(cfg.Ticks-warmup-length)
-		if overlaps(occupied, start-cfg.GapTicks, start+length+cfg.GapTicks) {
+		if overlaps(occupied, start-gapTicks, start+length+gapTicks) {
 			continue
 		}
 		e := Event{
-			Type:      cfg.Types[rng.Intn(len(cfg.Types))],
+			Type:      scheduledTypes[rng.Intn(len(scheduledTypes))],
 			DB:        rng.Intn(cfg.Databases),
 			Start:     start,
 			Length:    length,
 			Magnitude: rng.Range(0.8, 2.5),
 		}
-		if e.Type == Stall || e.Type == UnitOutage {
+		if e.Type == Stall {
 			e.Magnitude = rng.Range(0.6, 0.95)
 		}
 		events = append(events, e)

@@ -13,20 +13,11 @@ package cluster
 
 import "dbcatcher/internal/mathx"
 
-// Balancer decides each database's share of the unit's read traffic at
-// every tick. Shares are non-negative and sum to 1.
-type Balancer interface {
-	// Shares returns the read-traffic fraction per database for tick t.
-	// The returned slice may be reused between calls.
-	Shares(t int) []float64
-}
-
 // UniformBalancer spreads reads evenly with small per-tick jitter,
 // modelling a healthy load-balancing module ("the number of SQLs processed
 // by each database is similar", §II-B).
 type UniformBalancer struct {
 	rng    *mathx.RNG
-	n      int
 	jitter float64
 	buf    []float64
 }
@@ -34,11 +25,13 @@ type UniformBalancer struct {
 // NewUniformBalancer returns a balancer over n databases whose per-tick
 // shares deviate from 1/n by a relative jitter (e.g. 0.05 for ±5%).
 func NewUniformBalancer(n int, jitter float64, rng *mathx.RNG) *UniformBalancer {
-	return &UniformBalancer{rng: rng, n: n, jitter: jitter, buf: make([]float64, n)}
+	return &UniformBalancer{rng: rng, jitter: jitter, buf: make([]float64, n)}
 }
 
-// Shares implements Balancer.
-func (b *UniformBalancer) Shares(int) []float64 {
+// Shares returns the next tick's read-traffic fraction per database: each
+// share is positive and they sum to 1. The returned slice is reused by the
+// next call.
+func (b *UniformBalancer) Shares() []float64 {
 	var sum float64
 	for i := range b.buf {
 		w := 1 + b.rng.NormMeanStd(0, b.jitter)

@@ -41,17 +41,10 @@ type Config struct {
 	Profile workload.Profile
 	// Seed makes the unit reproducible.
 	Seed uint64
-	// MaxCollectDelay is the largest per-database collection delay, in
-	// ticks. Each database draws a fixed delay in [0, MaxCollectDelay],
-	// modelling the point-in-time delays of §II-D. Default 2.
-	MaxCollectDelay int
 	// FluctuationRate is the per-tick probability that a database starts a
 	// benign temporal fluctuation (§II-D): a 1-3 point blip on a few KPIs
 	// that is NOT an anomaly. Default 0.004.
 	FluctuationRate float64
-	// Balancer overrides the read-traffic balancer; nil means a healthy
-	// UniformBalancer with 2% jitter.
-	Balancer Balancer
 	// Failover, when non-nil, promotes a replica to primary mid-run
 	// (§II-A: "a replica instance is selected as the new primary instance
 	// and request processing continues as before").
@@ -66,6 +59,11 @@ type Failover struct {
 	NewPrimary int
 }
 
+// maxCollectDelay is the largest per-database collection delay, in ticks.
+// Each database draws a fixed delay in [0, maxCollectDelay], modelling the
+// point-in-time delays of §II-D.
+const maxCollectDelay = 2
+
 // withDefaults fills zero values.
 func (c Config) withDefaults() Config {
 	if c.Name == "" {
@@ -73,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Databases == 0 {
 		c.Databases = 5
-	}
-	if c.MaxCollectDelay == 0 {
-		c.MaxCollectDelay = 2
 	}
 	if c.FluctuationRate == 0 {
 		c.FluctuationRate = 0.004
@@ -117,10 +112,8 @@ func Simulate(cfg Config) (*Unit, error) {
 	}
 	rng := mathx.NewRNG(cfg.Seed)
 	gen := workload.New(cfg.Profile, rng.Split(1))
-	bal := cfg.Balancer
-	if bal == nil {
-		bal = NewUniformBalancer(cfg.Databases, 0.02, rng.Split(2))
-	}
+	// Read traffic splits through a healthy balancer with 2% jitter.
+	bal := NewUniformBalancer(cfg.Databases, 0.02, rng.Split(2))
 
 	u := &Unit{
 		Config: cfg,
@@ -135,16 +128,16 @@ func Simulate(cfg Config) (*Unit, error) {
 			role = Primary
 		}
 		u.Roles[d] = role
-		delay := rng.Intn(cfg.MaxCollectDelay + 1)
+		delay := rng.Intn(maxCollectDelay + 1)
 		u.Delays[d] = delay
 		dbs[d] = newDBSynth(role, delay, rng.Split(uint64(10+d)))
 	}
 
 	// History of demands so delayed databases observe past ticks. Warm it
 	// up so tick 0 has history to look back into.
-	hist := newDemandHistory(cfg.MaxCollectDelay + 1)
-	for i := 0; i <= cfg.MaxCollectDelay; i++ {
-		hist.push(gen.Next(), bal.Shares(0))
+	hist := newDemandHistory(maxCollectDelay + 1)
+	for i := 0; i <= maxCollectDelay; i++ {
+		hist.push(gen.Next(), bal.Shares())
 	}
 
 	for t := 0; t < cfg.Ticks; t++ {
@@ -155,7 +148,7 @@ func Simulate(cfg Config) (*Unit, error) {
 			dbs[0].ownStmt = 0
 			dbs[f.NewPrimary].role = Primary
 		}
-		hist.push(gen.Next(), bal.Shares(t))
+		hist.push(gen.Next(), bal.Shares())
 		for d, db := range dbs {
 			demand, shares := hist.lookback(db.delay)
 			row := db.tick(demand, shares[d], cfg.FluctuationRate)

@@ -143,10 +143,10 @@ func TestRealCapacityMonotoneTrend(t *testing.T) {
 }
 
 func TestDelaysWithinBound(t *testing.T) {
-	u := simulateTest(t, Config{Name: "u", Ticks: 50, Seed: 5, MaxCollectDelay: 2})
+	u := simulateTest(t, Config{Name: "u", Ticks: 50, Seed: 5})
 	for d, delay := range u.Delays {
-		if delay < 0 || delay > 2 {
-			t.Fatalf("db %d delay %d out of [0,2]", d, delay)
+		if delay < 0 || delay > maxCollectDelay {
+			t.Fatalf("db %d delay %d out of [0,%d]", d, delay, maxCollectDelay)
 		}
 	}
 }
@@ -154,7 +154,7 @@ func TestDelaysWithinBound(t *testing.T) {
 func TestUniformBalancerShares(t *testing.T) {
 	b := NewUniformBalancer(4, 0.05, mathx.NewRNG(1))
 	for t0 := 0; t0 < 100; t0++ {
-		s := b.Shares(t0)
+		s := b.Shares()
 		var sum float64
 		for _, v := range s {
 			if v <= 0 {

@@ -89,11 +89,6 @@ type Config struct {
 	// 5 s, the per-database point count implied by Table III's Sysbench
 	// row: 50 units x 5 DBs x 2592 = 648000).
 	Ticks int
-	// Databases per unit; 0 means 5 (one primary + four replicas, §IV-A5).
-	Databases int
-	// PeriodicFraction of units driven by the periodic profile; 0 uses
-	// the paper's 40%.
-	PeriodicFraction float64
 	// AnomalyRatio of abnormal ticks; 0 uses the Table III family ratio.
 	AnomalyRatio float64
 	// Seed makes the dataset reproducible.
@@ -111,12 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Ticks == 0 {
 		c.Ticks = 2592
-	}
-	if c.Databases == 0 {
-		c.Databases = 5
-	}
-	if c.PeriodicFraction == 0 {
-		c.PeriodicFraction = 0.4
 	}
 	if c.AnomalyRatio == 0 {
 		c.AnomalyRatio = c.Family.anomalyRatio()
@@ -138,8 +127,16 @@ type Dataset struct {
 	Units  []*UnitData
 }
 
+const (
+	// databases per unit: one primary and four replicas (§IV-A5).
+	databases = 5
+	// periodicFraction of units is driven by the periodic profile, the
+	// paper's 40%.
+	periodicFraction = 0.4
+)
+
 // Generate builds the dataset described by cfg. Unit i uses the periodic
-// profile iff i falls into the leading PeriodicFraction of units; the
+// profile iff i falls into the leading periodicFraction of units; the
 // abnormal schedule is drawn per unit.
 func Generate(cfg Config) (*Dataset, error) {
 	cfg = cfg.withDefaults()
@@ -148,7 +145,7 @@ func Generate(cfg Config) (*Dataset, error) {
 	}
 	irr, per := cfg.Family.profiles()
 	ds := &Dataset{Name: cfg.Family.String(), Family: cfg.Family}
-	nPeriodic := int(cfg.PeriodicFraction * float64(cfg.Units))
+	nPeriodic := int(periodicFraction * float64(cfg.Units))
 	// Derive every unit's RNG from the root serially first: Split advances
 	// the root state, so the derivation order must not depend on
 	// scheduling. After this loop each unit owns an independent stream and
@@ -167,7 +164,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		unitRNG := rngs[i]
 		u, err := cluster.Simulate(cluster.Config{
 			Name:      fmt.Sprintf("%s-unit%03d", cfg.Family, i),
-			Databases: cfg.Databases,
+			Databases: databases,
 			Ticks:     cfg.Ticks,
 			Profile:   profile,
 			Seed:      unitRNG.Uint64(),
@@ -177,7 +174,7 @@ func Generate(cfg Config) (*Dataset, error) {
 		}
 		events := anomaly.GenerateSchedule(anomaly.ScheduleConfig{
 			Ticks:       cfg.Ticks,
-			Databases:   cfg.Databases,
+			Databases:   databases,
 			TargetRatio: cfg.AnomalyRatio,
 		}, unitRNG)
 		labels, err := anomaly.Inject(u, events, unitRNG)

@@ -1,8 +1,11 @@
 package dataset
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"dbcatcher/internal/kpi"
@@ -51,9 +54,9 @@ func TestGenerateDefaultsMatchTableIII(t *testing.T) {
 		t.Errorf("TPCC defaults wrong: %+v", cfg)
 	}
 	// Table III Sysbench: 50 units x 5 DBs x 2592 ticks = 648000 points.
-	if cfg.Units*cfg.Databases*cfg.Ticks != 648000 {
+	if cfg.Units*databases*cfg.Ticks != 648000 {
 		t.Errorf("default TPCC/Sysbench total points = %d, want 648000",
-			cfg.Units*cfg.Databases*cfg.Ticks)
+			cfg.Units*databases*cfg.Ticks)
 	}
 }
 
@@ -73,6 +76,37 @@ func TestGenerateDeterministic(t *testing.T) {
 			if av[j] != bv[j] {
 				t.Fatalf("unit %d differs at %d", i, j)
 			}
+		}
+	}
+}
+
+// TestGeneratePinned pins a small dataset of each family at the default
+// database count and periodic fraction: a SHA-256 digest of every value
+// and label. Floats are pinned on amd64 only, as in TestVerdictDigests.
+func TestGeneratePinned(t *testing.T) {
+	want := map[Family]string{
+		Tencent:  "9ef065ef55d3d3d2e66ee1ff2590fe1a348c721bdb02525f7c8181ffbbd28b7d",
+		Sysbench: "9c649baa2c84de8589a2c472d81093085799e1a9f6654464e4127ac918932f3d",
+		TPCC:     "23cb33bd4c0bb423389a23272f5e1095c09c2a27a931af87aed4f2cd960e17a7",
+	}
+	for _, f := range []Family{Tencent, Sysbench, TPCC} {
+		ds, err := Generate(Config{Family: f, Units: 5, Ticks: 300, Seed: 3, Concurrency: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, u := range ds.Units {
+			fmt.Fprintf(h, "%s %d\n", u.Profile, u.Unit.Series.Databases)
+			for _, row := range u.Unit.Series.Data {
+				for _, s := range row {
+					fmt.Fprintln(h, s.Values)
+				}
+			}
+			fmt.Fprintln(h, u.Labels.Point, u.Labels.DB)
+		}
+		got := fmt.Sprintf("%x", h.Sum(nil))
+		if runtime.GOARCH == "amd64" && got != want[f] {
+			t.Errorf("%s: dataset digest %s, pinned %s", f, got, want[f])
 		}
 	}
 }
@@ -137,7 +171,6 @@ func TestSplit(t *testing.T) {
 func TestSplitByProfile(t *testing.T) {
 	cfg := smallConfig(Sysbench)
 	cfg.Units = 10
-	cfg.PeriodicFraction = 0.4
 	ds, err := Generate(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -305,7 +305,7 @@ func judgeRound(p MatrixProvider, cfg Config, cursor, ticks, kpis, dbs int, timi
 		if cursor+size > ticks {
 			// Not enough data to expand further: re-judge at the previous
 			// size and resolve as if the window budget were exhausted.
-			size = flex.Size() - flexDelta(cfg.Flex)
+			size = flex.Size() - cfg.Flex.Initial
 			return finalizeAtSize(p, cfg, cursor, size, expansions, timing, js)
 		}
 		t0 := time.Now()
@@ -318,24 +318,16 @@ func judgeRound(p MatrixProvider, cfg Config, cursor, ticks, kpis, dbs int, timi
 		t1 := time.Now()
 		states := js.Judge(mats, cfg, kpis, dbs)
 		round := roundState(states)
-		final, done := flex.Resolve(round)
+		_, done := flex.Resolve(round)
 		timing.Window += time.Since(t1)
 		if done {
-			// Exhaustion is the only path where the flex policy converts
-			// a still-observable round into a terminal verdict.
-			exhausted := round == window.Observable && final == cfg.Flex.ExhaustState && !cfg.Flex.Disabled
-			return BuildVerdict(cursor, size, states, cfg, expansions, exhausted), nil
+			// A round that ends still observable exhausted its window
+			// budget, unless expansion is disabled, which
+			// finalizeStates resolves Healthy.
+			return BuildVerdict(cursor, size, states, cfg, expansions, round == window.Observable), nil
 		}
 		expansions++
 	}
-}
-
-// flexDelta mirrors FlexConfig's private delta default.
-func flexDelta(c window.FlexConfig) int {
-	if c.Delta == 0 {
-		return c.Initial
-	}
-	return c.Delta
 }
 
 // finalizeAtSize re-computes the judgment at the given size and forces a
@@ -478,15 +470,15 @@ func roundState(states []window.State) window.State {
 
 // finalizeStates resolves any lingering Observable database states into
 // terminals. Only when the window budget was exhausted does Observable
-// escalate to the configured exhaust state; when the round ended because
-// another database turned Abnormal (or expansion is disabled), an
-// unconfirmed Observable resolves to Healthy.
+// escalate to Abnormal; when the round ended because another database
+// turned Abnormal (or expansion is disabled), an unconfirmed Observable
+// resolves to Healthy.
 func finalizeStates(states []window.State, cfg window.FlexConfig, exhausted bool) []window.State {
 	out := make([]window.State, len(states))
 	for i, s := range states {
 		if s == window.Observable {
 			if exhausted && !cfg.Disabled {
-				out[i] = cfg.ExhaustState
+				out[i] = window.Abnormal
 			} else {
 				out[i] = window.Healthy
 			}

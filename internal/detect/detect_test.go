@@ -286,7 +286,7 @@ func TestRunValidatesConfig(t *testing.T) {
 		t.Fatal("invalid thresholds should error")
 	}
 	cfg = defaultConfig()
-	cfg.Flex = window.FlexConfig{Initial: 30, Max: 10, ExhaustState: window.Abnormal}
+	cfg.Flex = window.FlexConfig{Initial: 30, Max: 10}
 	if _, _, err := Run(u.Series, cfg); err == nil {
 		t.Fatal("invalid flex config should error")
 	}
@@ -316,6 +316,30 @@ func TestObservablePeersNotDraggedAbnormal(t *testing.T) {
 		}
 		if flagged > 2 {
 			t.Fatalf("too many databases flagged in one verdict: %v", v.States)
+		}
+	}
+}
+
+// Once the window budget is exhausted, a database still observable
+// resolves Abnormal under a config built field by field; without
+// exhaustion it resolves Healthy.
+func TestFinalizeStatesExhaustedIsAbnormal(t *testing.T) {
+	flex := window.FlexConfig{Initial: 4, Max: 8}
+	states := []window.State{window.Healthy, window.Observable, window.Abnormal}
+	cases := []struct {
+		exhausted bool
+		want      []window.State
+	}{
+		{true, []window.State{window.Healthy, window.Abnormal, window.Abnormal}},
+		{false, []window.State{window.Healthy, window.Healthy, window.Abnormal}},
+	}
+	for _, c := range cases {
+		got := FinalizeStates(states, flex, c.exhausted)
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("exhausted=%v: states %v, want %v", c.exhausted, got, c.want)
+				break
+			}
 		}
 	}
 }

@@ -120,7 +120,7 @@ func TestLearnerRelearn(t *testing.T) {
 		Provider: detect.NewCachedProvider(detect.NewProvider(u.Series, nil, nil)),
 		Labels:   labels,
 	}}
-	l := Learner{Searcher: thresholds.GA{Seed: 23, Population: 8, Generations: 4}}
+	l := Learner{Searcher: thresholds.GA{Seed: 23}}
 	th, fit, err := l.Relearn(14, samples)
 	if err != nil {
 		t.Fatal(err)

@@ -205,7 +205,7 @@ func TestMonitorPushErrors(t *testing.T) {
 // its own circuit breaker opens without disturbing its siblings.
 func TestMonitorScrapeRound(t *testing.T) {
 	const units, ticks = 3, 50
-	cfgFlex := window.FlexConfig{Initial: 10, Max: 10, ExhaustState: window.Abnormal}
+	cfgFlex := window.FlexConfig{Initial: 10, Max: 10}
 	newOnline := func() *monitor.Online {
 		o, err := monitor.NewOnline(detect.Config{
 			Thresholds: window.DefaultThresholds(kpi.Count),

@@ -54,7 +54,7 @@ func FuzzRestore(f *testing.F) {
 			})
 			data = data[61:]
 		}
-		cfg := Config{ProximityTicks: 8, CloseAfter: 16, MaxLag: 8, MaxHistory: 32, MaxOpen: 128}
+		cfg := Config{ProximityTicks: 8, CloseAfter: 16, MaxHistory: 32, MaxOpen: 128}
 		a := New(cfg)
 		if err := a.Restore(ts); err != nil {
 			return

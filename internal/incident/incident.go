@@ -152,9 +152,6 @@ type Config struct {
 	// verdict cadence (one verdict per judged window) or every incident
 	// degenerates to a single window. Default 64.
 	CloseAfter int
-	// MaxLag bounds the lead-lag histograms to ±MaxLag ticks; onsets
-	// further apart clamp to the edge bins. Default 16.
-	MaxLag int
 	// MaxHistory bounds the closed-incident and closed-cluster rings.
 	// Default 256.
 	MaxHistory int
@@ -169,9 +166,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CloseAfter <= 0 {
 		c.CloseAfter = 64
-	}
-	if c.MaxLag <= 0 {
-		c.MaxLag = 16
 	}
 	if c.MaxHistory <= 0 {
 		c.MaxHistory = 256
@@ -297,7 +291,7 @@ func New(cfg Config) *Aggregator {
 	}
 	a.closedInc.init(cfg.MaxHistory)
 	a.closedClus.init(cfg.MaxHistory)
-	a.leadlag.init(cfg.MaxLag)
+	a.leadlag.init()
 	return a
 }
 

@@ -13,7 +13,7 @@ type round struct {
 }
 
 func testConfig() Config {
-	return Config{ProximityTicks: 16, CloseAfter: 30, MaxLag: 16, MaxHistory: 64}
+	return Config{ProximityTicks: 16, CloseAfter: 30, MaxHistory: 64}
 }
 
 // correlatedScenario builds the deterministic 32-unit verdict stream the

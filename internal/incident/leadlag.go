@@ -2,6 +2,10 @@ package incident
 
 import "fmt"
 
+// maxLag bounds the lead-lag histograms to ±maxLag ticks; onsets further
+// apart clamp to the edge bins.
+const maxLag = 16
+
 // pairKey identifies an unordered KPI pair; a < b always.
 type pairKey struct{ a, b uint8 }
 
@@ -12,12 +16,10 @@ type pairKey struct{ a, b uint8 }
 // "KPI A leads KPI B by ~k ticks" hint with its observed share as
 // confidence.
 type leadLag struct {
-	maxLag int
-	hist   map[pairKey][]uint32
+	hist map[pairKey][]uint32
 }
 
-func (l *leadLag) init(maxLag int) {
-	l.maxLag = maxLag
+func (l *leadLag) init() {
 	l.hist = make(map[pairKey][]uint32)
 }
 
@@ -33,19 +35,19 @@ func (l *leadLag) fold(onsets *[MaxKPIs]int) {
 				continue
 			}
 			delta := onsets[b] - onsets[a]
-			if delta > l.maxLag {
-				delta = l.maxLag
+			if delta > maxLag {
+				delta = maxLag
 			}
-			if delta < -l.maxLag {
-				delta = -l.maxLag
+			if delta < -maxLag {
+				delta = -maxLag
 			}
 			k := pairKey{a: uint8(a), b: uint8(b)}
 			h, ok := l.hist[k]
 			if !ok {
-				h = make([]uint32, 2*l.maxLag+1)
+				h = make([]uint32, 2*maxLag+1)
 				l.hist[k] = h
 			}
-			h[delta+l.maxLag]++
+			h[delta+maxLag]++
 		}
 	}
 }
@@ -69,7 +71,7 @@ func (l *leadLag) hint(a, b int) (lag int, share float64, samples int) {
 	if total == 0 {
 		return 0, 0, 0
 	}
-	return bestAt - l.maxLag, float64(best) / float64(total), int(total)
+	return bestAt - maxLag, float64(best) / float64(total), int(total)
 }
 
 // CascadeHint is one oriented lead-lag finding: the Lead KPI's deviation

@@ -71,9 +71,9 @@ func TestOnlineEndToEndCollectorFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := newDegradedOnline(t)
-	// Default budget: BudgetWindow 60, GapBudget 0.5 -> a database silent
-	// for more than 30 of the last 60 ticks is benched; 20 clean ticks
-	// re-activate it. db3 goes silent for 120 ticks (4x the budget).
+	// The budget, 0.5 over W_M = 60 ticks: a database silent for more
+	// than 30 of the last 60 ticks is benched; 20 clean ticks re-activate
+	// it. db3 goes silent for 120 ticks (4x the budget).
 	plan := workload.FaultPlan{
 		Seed:         13,
 		DropTickRate: 0.02,

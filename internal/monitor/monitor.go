@@ -237,32 +237,11 @@ type Verdict struct {
 	MeanCorr float64
 }
 
-// DegradedConfig tunes the self-healing behaviour of the online judge.
-type DegradedConfig struct {
-	// GapBudget is the fraction of silent ticks within BudgetWindow beyond
-	// which a database is auto-deactivated. Default 0.5.
-	GapBudget float64
-	// BudgetWindow is the number of recent ticks over which the gap ratio
-	// is evaluated. Default: the flex config's maximum window.
-	BudgetWindow int
-	// RecoverTicks is the number of consecutive ticks with usable data a
-	// deactivated database must deliver before it is re-activated.
-	// Default: the flex config's initial window.
-	RecoverTicks int
-}
-
-func (c DegradedConfig) withDefaults(flex window.FlexConfig) DegradedConfig {
-	if c.GapBudget <= 0 {
-		c.GapBudget = 0.5
-	}
-	if c.BudgetWindow <= 0 {
-		c.BudgetWindow = flex.MaxWindow()
-	}
-	if c.RecoverTicks <= 0 {
-		c.RecoverTicks = flex.Initial
-	}
-	return c
-}
+// gapBudget is the fraction of silent ticks, over the flex config's
+// maximum window of recent ticks, beyond which the online judge
+// auto-deactivates a database. A deactivated database comes back after an
+// initial window's worth of consecutive usable ticks.
+const gapBudget = 0.5
 
 // HealthStats is a snapshot of the degraded-mode bookkeeping.
 type HealthStats struct {
@@ -292,7 +271,6 @@ type HealthStats struct {
 type Online struct {
 	mu         sync.Mutex
 	cfg        detect.Config
-	dcfg       DegradedConfig
 	engine     *correlate.Engine
 	proc       *Processor
 	flex       *window.Flex
@@ -304,7 +282,7 @@ type Online struct {
 	// per-database silent-tick accounting behind it.
 	userActive  []bool
 	autoDown    []bool
-	silentHist  [][]bool // ring of per-tick silent flags, BudgetWindow deep
+	silentHist  [][]bool // ring of per-tick silent flags, MaxWindow deep
 	histIdx     int
 	histFilled  int
 	silentCount []int // silent ticks per database within silentHist
@@ -353,10 +331,8 @@ func NewOnline(cfg detect.Config, kpis, dbs int) (*Online, error) {
 	if err != nil {
 		return nil, err
 	}
-	dcfg := DegradedConfig{}.withDefaults(cfg.Flex)
 	o := &Online{
-		cfg:  cfg,
-		dcfg: dcfg,
+		cfg: cfg,
 		// One engine for the judge's lifetime: its scratch free list makes the
 		// steady-state per-tick correlation pass allocation-lean.
 		engine:   cfg.Engine(),
@@ -377,7 +353,7 @@ func NewOnline(cfg detect.Config, kpis, dbs int) (*Online, error) {
 
 func (o *Online) initDegraded(dbs int) {
 	o.autoDown = make([]bool, dbs)
-	o.silentHist = make([][]bool, o.dcfg.BudgetWindow)
+	o.silentHist = make([][]bool, o.cfg.Flex.MaxWindow())
 	for i := range o.silentHist {
 		o.silentHist[i] = make([]bool, dbs)
 	}
@@ -488,7 +464,7 @@ func (o *Online) recordTick(silent []bool) {
 	if o.histFilled < len(o.silentHist) {
 		o.histFilled++
 	}
-	budget := o.dcfg.GapBudget * float64(o.dcfg.BudgetWindow)
+	budget := gapBudget * float64(len(o.silentHist))
 	for d := 0; d < dbs; d++ {
 		switch {
 		case !o.autoDown[d] && float64(o.silentCount[d]) > budget:
@@ -498,7 +474,7 @@ func (o *Online) recordTick(silent []bool) {
 		// after an outage the rolling window still holds the old silent
 		// ticks, and a clean streak alone would flap deactivate/reactivate
 		// until they age out.
-		case o.autoDown[d] && o.cleanStreak[d] >= o.dcfg.RecoverTicks &&
+		case o.autoDown[d] && o.cleanStreak[d] >= o.cfg.Flex.Initial &&
 			float64(o.silentCount[d]) <= budget:
 			o.autoDown[d] = false
 			o.reactivations++
@@ -615,14 +591,13 @@ func (o *Online) pushLocked(sample [][]float64) (*Verdict, error) {
 	cfg.Active = active
 	states := o.judge.Judge(mats, cfg, kpis, dbs)
 	round := detect.RoundState(states)
-	final, done := o.flex.Resolve(round)
+	_, done := o.flex.Resolve(round)
 	if !done {
 		o.expansions++
 		return nil, nil // window expanded; wait for Δ more points
 	}
-	exhausted := round == window.Observable && final == o.cfg.Flex.ExhaustState && !o.cfg.Flex.Disabled
 	v := &Verdict{
-		Verdict:  detect.BuildVerdict(o.roundStart, size, states, cfg, o.expansions, exhausted),
+		Verdict:  detect.BuildVerdict(o.roundStart, size, states, cfg, o.expansions, round == window.Observable),
 		Tick:     o.proc.Ticks(),
 		GapCells: gaps,
 		MeanCorr: meanPairScore(mats, active),

@@ -374,7 +374,7 @@ func scriptedMeasure(x, _ []float64) float64 {
 // The ring capacity derived from the flex config must survive a round that
 // expands all the way to the maximum window, with no eviction and no slack.
 func TestOnlineCapacityCoversMaxExpansion(t *testing.T) {
-	flex := window.FlexConfig{Initial: 4, Delta: 3, Max: 10, ExhaustState: window.Abnormal}
+	flex := window.FlexConfig{Initial: 4, Max: 12}
 	o, err := NewOnline(detect.Config{
 		Thresholds: window.DefaultThresholds(2),
 		Flex:       flex,
@@ -388,10 +388,10 @@ func TestOnlineCapacityCoversMaxExpansion(t *testing.T) {
 		t.Fatalf("ring capacity = %d, want MaxWindow %d", got, flex.MaxWindow())
 	}
 	// KPI 0 windows start at 0 (level-2 scores) -> every db observable ->
-	// the window expands 4 -> 7 -> 10 and exhausts at the derived maximum.
+	// the window expands 4 -> 8 -> 12 and exhausts at the derived maximum.
 	sample := [][]float64{{0, 0, 0}, {1, 1, 1}}
 	var verdicts []*Verdict
-	for tick := 0; tick < 20; tick++ {
+	for tick := 0; tick < 24; tick++ {
 		v, err := o.Push(sample)
 		if err != nil {
 			t.Fatalf("tick %d: %v", tick, err)
@@ -401,7 +401,7 @@ func TestOnlineCapacityCoversMaxExpansion(t *testing.T) {
 		}
 	}
 	if len(verdicts) != 2 {
-		t.Fatalf("verdicts = %d, want 2 full-expansion rounds in 20 ticks", len(verdicts))
+		t.Fatalf("verdicts = %d, want 2 full-expansion rounds in 24 ticks", len(verdicts))
 	}
 	for i, v := range verdicts {
 		if v.Size != flex.MaxWindow() || v.Expansions != 2 {

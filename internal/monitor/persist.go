@@ -263,8 +263,9 @@ func (o *Online) RestoreState(st *PersistentState) error {
 }
 
 // degradedShapeMatches reports whether the exported rolling accounting fits
-// the judge's current DegradedConfig (a state written by a build with a
-// different budget window, or a damaged one, does not).
+// the judge's current budget window, the flex config's maximum window (a
+// state written under a different flex config, or a damaged one, does
+// not).
 func (o *Online) degradedShapeMatches(st *PersistentState, dbs int) bool {
 	if len(st.SilentHist) != len(o.silentHist) ||
 		len(st.AutoDown) != dbs || len(st.SilentCount) != dbs || len(st.CleanStreak) != dbs {

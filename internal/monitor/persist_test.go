@@ -37,7 +37,7 @@ func persistTestOnline(t *testing.T) *Online {
 	t.Helper()
 	o, err := NewOnline(detect.Config{
 		Thresholds: window.DefaultThresholds(kpi.Count),
-		Flex:       window.FlexConfig{Initial: 10, Max: 30, ExhaustState: window.Abnormal},
+		Flex:       window.FlexConfig{Initial: 10, Max: 30},
 		Workers:    1,
 	}, kpi.Count, 5)
 	if err != nil {

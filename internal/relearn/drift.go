@@ -12,35 +12,32 @@ import "math"
 // DriftConfig tunes the Page-Hinkley change test on the correlation
 // distance stream (1 - mean pairwise correlation per resolved round).
 type DriftConfig struct {
-	// Delta is the magnitude tolerance: deviations below it do not
-	// accumulate (default 0.005).
-	Delta float64
 	// Lambda is the alarm threshold on the accumulated deviation
 	// (default 0.15).
 	Lambda float64
-	// Warmup is the number of observations consumed before the test may
-	// alarm, letting the running mean settle (default 30).
-	Warmup int
 }
 
 func (c DriftConfig) withDefaults() DriftConfig {
-	if c.Delta == 0 {
-		c.Delta = 0.005
-	}
 	if c.Lambda == 0 {
 		c.Lambda = 0.15
-	}
-	if c.Warmup == 0 {
-		c.Warmup = 30
 	}
 	return c
 }
 
+const (
+	// driftDelta is the magnitude tolerance: deviations below it do not
+	// accumulate.
+	driftDelta = 0.005
+	// driftWarmup is the number of observations consumed before the test
+	// may alarm, letting the running mean settle.
+	driftWarmup = 30
+)
+
 // PageHinkley detects a sustained upward shift in a stream's mean — here,
 // the correlation distance rising as workload drift decouples previously
 // correlated databases. It maintains the cumulative deviation of each
-// observation from the running mean (minus the tolerance Delta) and alarms
-// when the cumulation climbs more than Lambda above its historical
+// observation from the running mean (minus the tolerance driftDelta) and
+// alarms when the cumulation climbs more than Lambda above its historical
 // minimum. Not safe for concurrent use; the Supervisor serializes access.
 type PageHinkley struct {
 	cfg  DriftConfig
@@ -64,11 +61,11 @@ func (p *PageHinkley) Observe(x float64) bool {
 	}
 	p.n++
 	p.mean += (x - p.mean) / float64(p.n)
-	p.cum += x - p.mean - p.cfg.Delta
+	p.cum += x - p.mean - driftDelta
 	if p.cum < p.min {
 		p.min = p.cum
 	}
-	if p.n <= p.cfg.Warmup {
+	if p.n <= driftWarmup {
 		return false
 	}
 	if p.cum-p.min > p.cfg.Lambda {

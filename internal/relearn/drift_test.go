@@ -48,9 +48,9 @@ func TestPageHinkleyAlarmsOnMeanShift(t *testing.T) {
 }
 
 func TestPageHinkleyWarmupSuppressesAlarms(t *testing.T) {
-	p := NewPageHinkley(DriftConfig{Warmup: 50, Lambda: 0.01})
+	p := NewPageHinkley(DriftConfig{})
 	// A violent oscillation would alarm instantly without the warm-up gate.
-	for i := 0; i < 50; i++ {
+	for i := 0; i < driftWarmup; i++ {
 		if p.Observe(float64(i % 2)) {
 			t.Fatalf("alarm during warmup at observation %d", i)
 		}
@@ -58,7 +58,7 @@ func TestPageHinkleyWarmupSuppressesAlarms(t *testing.T) {
 }
 
 func TestPageHinkleyIgnoresNaN(t *testing.T) {
-	p := NewPageHinkley(DriftConfig{Warmup: 5})
+	p := NewPageHinkley(DriftConfig{})
 	for i := 0; i < 100; i++ {
 		if p.Observe(math.NaN()) {
 			t.Fatal("NaN observation alarmed")
@@ -67,9 +67,9 @@ func TestPageHinkleyIgnoresNaN(t *testing.T) {
 	if p.Stat() != 0 {
 		t.Fatalf("NaN observations moved the statistic: %v", p.Stat())
 	}
-	// NaNs must not count toward the warm-up either: five real values after
-	// a NaN flood are still inside the warm-up window.
-	for i := 0; i < 5; i++ {
+	// NaNs must not count toward the warm-up either: a warm-up's worth of
+	// real values after a NaN flood is still inside the warm-up window.
+	for i := 0; i < driftWarmup; i++ {
 		if p.Observe(10) {
 			t.Fatal("alarm inside warmup after NaN flood")
 		}

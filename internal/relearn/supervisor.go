@@ -111,9 +111,6 @@ type Recorder interface {
 type Config struct {
 	// Q is the KPI count of the judged unit (required).
 	Q int
-	// Flex is the window configuration for fitness evaluation; zero value
-	// means the default.
-	Flex window.FlexConfig
 	// Searcher runs the optimization; nil means the default GA (whose
 	// population/generation budget bounds the work per attempt even
 	// without the deadline).
@@ -127,25 +124,11 @@ type Config struct {
 	// ShadowTicks is how many live ticks a validated candidate is
 	// shadow-judged before promotion (default 100).
 	ShadowTicks int
-	// FlipBudget is the maximum tolerated verdict-flip rate during
-	// shadowing (default 0.2); above it the candidate is rolled back.
-	FlipBudget float64
-	// Epsilon is the tolerated holdout-fitness regression (default 0.02):
-	// candidates scoring below baseline-Epsilon are rejected.
-	Epsilon float64
-	// HoldoutRatio is the fraction of judgment records held out for
-	// validation (default 0.3).
-	HoldoutRatio float64
-	// MinRecords gates any attempt (default: the feedback policy's 50).
-	MinRecords int
-	// MinCorrections is the accumulated-DBA-corrections trigger: retrain
-	// when at least this many corrections arrived since the last attempt
-	// (default 10).
-	MinCorrections int
 	// Drift tunes the Page-Hinkley test on the correlation distance.
 	Drift DriftConfig
 	// Policy is the F-Measure activation criterion (zero value means the
-	// paper's 75%-over-200-records default).
+	// paper's 75%-over-200-records default). Its MinRecords also gates
+	// every attempt.
 	Policy feedback.Policy
 	// Seed drives the holdout split and the default searcher.
 	Seed uint64
@@ -161,32 +144,29 @@ func (c Config) withDefaults() Config {
 	if c.ShadowTicks <= 0 {
 		c.ShadowTicks = 100
 	}
-	if c.FlipBudget <= 0 {
-		c.FlipBudget = 0.2
-	}
-	if c.Epsilon <= 0 {
-		c.Epsilon = 0.02
-	}
-	if c.HoldoutRatio <= 0 {
-		c.HoldoutRatio = 0.3
-	}
 	if c.Policy == (feedback.Policy{}) {
 		c.Policy = feedback.DefaultPolicy()
-	}
-	if c.MinRecords <= 0 {
-		c.MinRecords = c.Policy.MinRecords
-	}
-	if c.MinCorrections <= 0 {
-		c.MinCorrections = 10
 	}
 	if c.Searcher == nil {
 		c.Searcher = thresholds.GA{Seed: c.Seed}
 	}
-	if c.Flex == (window.FlexConfig{}) {
-		c.Flex = window.DefaultFlexConfig()
-	}
 	return c
 }
+
+const (
+	// flipBudget is the maximum tolerated verdict-flip rate during
+	// shadowing; above it the candidate is rolled back.
+	flipBudget = 0.2
+	// epsilon is the tolerated holdout-fitness regression: candidates
+	// scoring below baseline-epsilon are rejected.
+	epsilon = 0.02
+	// holdoutRatio is the fraction of judgment records held out for
+	// validation.
+	holdoutRatio = 0.3
+	// minCorrections is the accumulated-DBA-corrections trigger: retrain
+	// when at least this many corrections arrived since the last attempt.
+	minCorrections = 10
+)
 
 // Supervisor is the drift-triggered relearning loop. It is driven entirely
 // by ObserveVerdict — one call per verdict the online judge emits — plus
@@ -294,9 +274,9 @@ func (s *Supervisor) TriggerManual() error {
 		s.mu.Unlock()
 		return fmt.Errorf("relearn: attempt %d already in flight (%s)", s.attempt, s.state)
 	}
-	if n := s.fb.Len(); n < s.cfg.MinRecords {
+	if n := s.fb.Len(); n < s.cfg.Policy.MinRecords {
 		s.mu.Unlock()
-		return fmt.Errorf("relearn: %d judgment records, need %d", n, s.cfg.MinRecords)
+		return fmt.Errorf("relearn: %d judgment records, need %d", n, s.cfg.Policy.MinRecords)
 	}
 	ev := s.startLocked(s.online.Processor().Ticks(), "manual")
 	s.mu.Unlock()
@@ -381,7 +361,7 @@ func (s *Supervisor) nextEligibleLocked() int {
 }
 
 func (s *Supervisor) eligibleLocked(tick int) bool {
-	return s.fb.Len() >= s.cfg.MinRecords && tick >= s.nextEligibleLocked()
+	return s.fb.Len() >= s.cfg.Policy.MinRecords && tick >= s.nextEligibleLocked()
 }
 
 // triggerLocked names the trigger condition that holds, or "" when none
@@ -395,7 +375,7 @@ func (s *Supervisor) triggerLocked() string {
 	if s.driftAlarm {
 		return "drift"
 	}
-	if n := s.fb.Appended() - s.lastAppended; n > 0 && s.fb.Corrections(n) >= s.cfg.MinCorrections {
+	if n := s.fb.Appended() - s.lastAppended; n > 0 && s.fb.Corrections(n) >= minCorrections {
 		return "corrections"
 	}
 	if s.cfg.Policy.ShouldRetrain(s.fb) {
@@ -436,7 +416,7 @@ func (s *Supervisor) runSearch(ctx context.Context, attempt int) (ev Event, cand
 		}
 	}()
 
-	train, holdout := s.fb.Split(s.cfg.HoldoutRatio, s.cfg.Seed+uint64(attempt))
+	train, holdout := s.fb.Split(holdoutRatio, s.cfg.Seed+uint64(attempt))
 	trainSamples, trainDropped := Materialize(s.src, train)
 	holdSamples, holdDropped := Materialize(s.src, holdout)
 	ev.TrainRecords, ev.HoldoutRecords = len(trainSamples), len(holdSamples)
@@ -444,8 +424,8 @@ func (s *Supervisor) runSearch(ctx context.Context, attempt int) (ev Event, cand
 		ev.Reason = fmt.Sprintf("no materializable samples (%d train / %d holdout dropped)", trainDropped, holdDropped)
 		return ev, window.Thresholds{}
 	}
-	searchFit := thresholds.DetectorFitness(trainSamples, s.cfg.Flex)
-	holdFit := thresholds.DetectorFitness(holdSamples, s.cfg.Flex)
+	searchFit := thresholds.DetectorFitness(trainSamples, window.DefaultFlexConfig())
+	holdFit := thresholds.DetectorFitness(holdSamples, window.DefaultFlexConfig())
 	ev.Baseline = holdFit(s.online.Thresholds())
 
 	sctx, scancel := context.WithTimeout(ctx, s.cfg.Deadline)
@@ -467,9 +447,9 @@ func (s *Supervisor) runSearch(ctx context.Context, attempt int) (ev Event, cand
 		return ev, window.Thresholds{}
 	}
 	ev.Fitness = holdFit(cand)
-	if math.IsNaN(ev.Fitness) || ev.Fitness < ev.Baseline-s.cfg.Epsilon {
+	if math.IsNaN(ev.Fitness) || ev.Fitness < ev.Baseline-epsilon {
 		ev.Kind = EventRejected
-		ev.Reason = fmt.Sprintf("holdout fitness %.4f regresses baseline %.4f beyond epsilon %.4f", ev.Fitness, ev.Baseline, s.cfg.Epsilon)
+		ev.Reason = fmt.Sprintf("holdout fitness %.4f regresses baseline %.4f beyond epsilon %.4f", ev.Fitness, ev.Baseline, epsilon)
 		return ev, window.Thresholds{}
 	}
 	ev.Kind = EventShadowing
@@ -536,7 +516,7 @@ func (s *Supervisor) decideShadowLocked(tick int) (Event, bool) {
 		return Event{}, false
 	}
 	ev := Event{Tick: tick, Attempt: s.attempt, FlipRate: sh.FlipRate()}
-	if sh.FlipRate() <= s.cfg.FlipBudget {
+	if sh.FlipRate() <= flipBudget {
 		if err := s.online.PromoteShadow(); err != nil {
 			ev.Kind = EventFailed
 			ev.Reason = fmt.Sprintf("promote: %v", err)
@@ -554,7 +534,7 @@ func (s *Supervisor) decideShadowLocked(tick int) (Event, bool) {
 	}
 	s.online.StopShadow()
 	ev.Kind = EventRolledBack
-	ev.Reason = fmt.Sprintf("flip rate %.3f over budget %.3f", sh.FlipRate(), s.cfg.FlipBudget)
+	ev.Reason = fmt.Sprintf("flip rate %.3f over budget %.3f", sh.FlipRate(), flipBudget)
 	s.rollbacks++
 	s.failLocked(ev)
 	return ev, true

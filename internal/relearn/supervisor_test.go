@@ -211,12 +211,13 @@ func neverFire() window.Thresholds {
 func testConfig(s thresholds.ContextSearcher) relearn.Config {
 	return relearn.Config{
 		Q: kpi.Count, Searcher: s, Deadline: 5 * time.Second,
-		CooldownTicks: 1, ShadowTicks: 30, MinRecords: 10,
-		HoldoutRatio: 0.4, Seed: 99,
+		CooldownTicks: 1, ShadowTicks: 30, Seed: 99,
 		// Auto triggers are off unless a test turns one on: each test
-		// drives exactly one attempt so the assertions stay exact.
+		// drives exactly one attempt so the assertions stay exact. The
+		// drift alarm's threshold is out of reach and no F-Measure falls
+		// below -1; an attempt still needs 10 records.
 		Drift:  relearn.DriftConfig{Lambda: 1e9},
-		Policy: feedback.Policy{Criterion: 0.75, MinRecords: 1 << 30, Window: 200},
+		Policy: feedback.Policy{Criterion: -1, MinRecords: 10, Window: 200},
 	}
 }
 
@@ -403,7 +404,6 @@ func TestPromotionSurvivesCrashRecovery(t *testing.T) {
 		return thresholds.Result{Best: cand.Clone(), Fitness: 1}, nil
 	}}
 	cfg := testConfig(searcher)
-	cfg.Epsilon = 0.2 // the candidate is a near-identical set; promotion is the subject here
 	sup := relearn.NewSupervisor(cfg, online, fb, relearn.SeriesSource{U: u.Series})
 	sup.SetRecorder(pers)
 
@@ -511,14 +511,20 @@ func TestStopDuringActiveRetrain(t *testing.T) {
 // start an attempt on its own.
 func TestDriftTriggerStartsAttempt(t *testing.T) {
 	u, recs := fixture(t)
+	// Every record agrees with its verdict, so the corrections trigger
+	// stays quiet and only the drift alarm can start the attempt.
+	agreed := make([]feedback.Record, len(recs))
+	for i, r := range recs {
+		r.Actual = r.Predicted
+		agreed[i] = r
+	}
 	online := newOnline(t)
-	fb := feedback.NewStoreFrom(256, recs)
+	fb := feedback.NewStoreFrom(256, agreed)
 	searcher := fakeSearcher{name: "instant", fn: func(context.Context, int, thresholds.Fitness) (thresholds.Result, error) {
 		return thresholds.Result{Best: neverFire()}, nil
 	}}
 	cfg := testConfig(searcher)
-	cfg.Drift = relearn.DriftConfig{Delta: 0.005, Lambda: 0.05, Warmup: 5}
-	cfg.MinCorrections = 1000 // isolate the drift trigger
+	cfg.Drift = relearn.DriftConfig{} // the default test; its warm-up ends inside the shifted stream below
 	sup := relearn.NewSupervisor(cfg, online, fb, relearn.SeriesSource{U: u.Series})
 	defer sup.Stop()
 	log := &eventLog{}
@@ -555,7 +561,6 @@ func TestCorrectionsTriggerStartsAttempt(t *testing.T) {
 		return thresholds.Result{Best: neverFire()}, nil
 	}}
 	cfg := testConfig(searcher)
-	cfg.MinCorrections = 5
 	sup := relearn.NewSupervisor(cfg, online, fb, relearn.SeriesSource{U: u.Series})
 	defer sup.Stop()
 	log := &eventLog{}

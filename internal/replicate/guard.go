@@ -17,8 +17,6 @@ type GuardConfig struct {
 	Peer string
 	// Client issues the probes (default: 2s-timeout client).
 	Client *http.Client
-	// Interval is the probe cadence (default 2s, jittered).
-	Interval time.Duration
 	// Seed keys the probe jitter.
 	Seed uint64
 	// OnSelfFence fires once when the guard demotes the local store after
@@ -26,6 +24,17 @@ type GuardConfig struct {
 	// to flip readiness and log; the store is already fenced when it runs.
 	OnSelfFence func(peerEpoch uint64)
 }
+
+func (c GuardConfig) withDefaults() GuardConfig {
+	if c.Client == nil {
+		c.Client = &http.Client{Timeout: 2 * time.Second}
+	}
+	return c
+}
+
+// guardInterval is the probe cadence, jittered into [interval/2,
+// interval).
+const guardInterval = 2 * time.Second
 
 // GuardStatus is a point-in-time view of the guard for status reporting.
 type GuardStatus struct {
@@ -70,13 +79,7 @@ type Guard struct {
 
 // NewGuard wraps an open primary store with an epoch guard against peer.
 func NewGuard(st *store.Store, cfg GuardConfig) *Guard {
-	if cfg.Client == nil {
-		cfg.Client = &http.Client{Timeout: 2 * time.Second}
-	}
-	if cfg.Interval <= 0 {
-		cfg.Interval = 2 * time.Second
-	}
-	return &Guard{cfg: cfg, st: st, rng: mathx.NewRNG(cfg.Seed).Split(0x9a2d)}
+	return &Guard{cfg: cfg.withDefaults(), st: st, rng: mathx.NewRNG(cfg.Seed).Split(0x9a2d)}
 }
 
 // Status returns a copy of the guard's current state.
@@ -149,7 +152,7 @@ func (g *Guard) Step(ctx context.Context) (done bool, err error) {
 	return false, nil
 }
 
-// Run loops Step at the configured interval (jittered) until ctx is done
+// Run loops Step every guardInterval (jittered) until ctx is done
 // or the guard has nothing left to watch. Probe failures are absorbed
 // into Status — an unreachable peer is the normal case after a clean
 // failover, and the loop keeps watching for it to come back.
@@ -159,7 +162,7 @@ func (g *Guard) Run(ctx context.Context) {
 		if done {
 			return
 		}
-		half := g.cfg.Interval / 2
+		half := guardInterval / 2
 		d := half + time.Duration(g.rng.Float64()*float64(half))
 		select {
 		case <-ctx.Done():

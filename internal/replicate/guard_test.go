@@ -40,10 +40,9 @@ func epochStore(t *testing.T, epoch uint64) *store.Store {
 
 func testGuard(st *store.Store, peer string) *Guard {
 	return NewGuard(st, GuardConfig{
-		Peer:     peer,
-		Client:   &http.Client{Timeout: 300 * time.Millisecond},
-		Interval: 5 * time.Millisecond,
-		Seed:     7,
+		Peer:   peer,
+		Client: &http.Client{Timeout: 300 * time.Millisecond},
+		Seed:   7,
 	})
 }
 
@@ -133,7 +132,6 @@ func TestGuardSelfFencesOnNewerPeer(t *testing.T) {
 	g := NewGuard(zombie, GuardConfig{
 		Peer:        srv.URL,
 		Client:      &http.Client{Timeout: 300 * time.Millisecond},
-		Interval:    5 * time.Millisecond,
 		OnSelfFence: func(e uint64) { fencedAt = e },
 	})
 	done, err := g.Step(context.Background())

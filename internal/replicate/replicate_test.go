@@ -18,17 +18,14 @@ import (
 	"dbcatcher/internal/store"
 )
 
-// fastCfg returns a tailer config tuned for tests: tiny backoffs, a short
-// client timeout so hang faults resolve quickly.
+// fastCfg returns a tailer config tuned for tests: a short client timeout
+// so hang faults resolve quickly.
 func fastCfg(primary, dir string) Config {
 	return Config{
-		Primary:     primary,
-		Dir:         dir,
-		Client:      &http.Client{Timeout: 300 * time.Millisecond},
-		Attempts:    5,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  5 * time.Millisecond,
-		Seed:        42,
+		Primary: primary,
+		Dir:     dir,
+		Client:  &http.Client{Timeout: 300 * time.Millisecond},
+		Seed:    42,
 	}
 }
 

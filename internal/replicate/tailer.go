@@ -30,12 +30,6 @@ type Config struct {
 	Client *http.Client
 	// MaxChunk caps one segment fetch (default DefaultMaxChunk).
 	MaxChunk int
-	// Attempts bounds per-fetch retries before the step fails (default 4).
-	Attempts int
-	// BackoffBase/BackoffMax shape the jittered exponential retry backoff
-	// (defaults 50ms / 2s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Poll is the Run loop's manifest cadence (default 500ms).
 	Poll time.Duration
 	// StalenessBudget is how long without primary contact before Status
@@ -51,15 +45,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxChunk <= 0 {
 		c.MaxChunk = DefaultMaxChunk
-	}
-	if c.Attempts <= 0 {
-		c.Attempts = 4
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 50 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
 	}
 	if c.Poll <= 0 {
 		c.Poll = 500 * time.Millisecond
@@ -542,17 +527,22 @@ func (t *Tailer) mirrorSnapshot(ctx context.Context, m *store.Manifest) error {
 // response can exceed the chunk cap by up to the record size limit.
 const chunkOverhead = (1 << 20) + (1 << 10)
 
+// getAttempts bounds the attempts of one fetch before the step fails.
+// Each retry sleeps a jittered duration in [d/2, d), where d doubles from
+// retryBase: at most 200ms before the last attempt.
+const (
+	getAttempts = 4
+	retryBase   = 50 * time.Millisecond
+)
+
 // get fetches one replication path with bounded retries and jittered
 // exponential backoff. Network errors and 5xx responses retry; semantic
 // statuses (404, 410, ...) return immediately for the caller to interpret.
 func (t *Tailer) get(ctx context.Context, path string, limit int64) ([]byte, int, error) {
 	var lastErr error
-	for attempt := 0; attempt < t.cfg.Attempts; attempt++ {
+	for attempt := 0; attempt < getAttempts; attempt++ {
 		if attempt > 0 {
-			d := t.cfg.BackoffBase << (attempt - 1)
-			if d > t.cfg.BackoffMax {
-				d = t.cfg.BackoffMax
-			}
+			d := retryBase << (attempt - 1)
 			d = d/2 + time.Duration(t.rng.Float64()*float64(d/2))
 			select {
 			case <-ctx.Done():
@@ -584,5 +574,5 @@ func (t *Tailer) get(ctx context.Context, path string, limit int64) ([]byte, int
 		}
 		return body, resp.StatusCode, nil
 	}
-	return nil, 0, fmt.Errorf("replicate: %s failed after %d attempts: %w", path, t.cfg.Attempts, lastErr)
+	return nil, 0, fmt.Errorf("replicate: %s failed after %d attempts: %w", path, getAttempts, lastErr)
 }

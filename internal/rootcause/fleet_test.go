@@ -12,7 +12,7 @@ import (
 // finalized cluster report.
 func buildClusterReport(t *testing.T) *incident.ClusterReport {
 	t.Helper()
-	a := incident.New(incident.Config{ProximityTicks: 16, CloseAfter: 30, MaxLag: 16})
+	a := incident.New(incident.Config{ProximityTicks: 16, CloseAfter: 30})
 	a.ObserveRound(120, []incident.Event{
 		{Unit: 0, DB: 2, KPIs: incident.KPISet(0).With(2), Start: 100, End: 120},
 	})

@@ -27,8 +27,6 @@ import (
 
 // Config shapes a scenario run. Zero fields take the documented defaults.
 type Config struct {
-	// Databases is the unit width. Default 5.
-	Databases int
 	// Ticks is the stream length. Default 800; scenarios place their
 	// episodes at fixed fractions of it, so any length from minTicks up
 	// tells the same story.
@@ -38,14 +36,15 @@ type Config struct {
 	Workers int
 }
 
-// minTicks keeps every scripted episode longer than the judge's minimum
-// window even at smoke scale.
-const minTicks = 400
+const (
+	// minTicks keeps every scripted episode longer than the judge's
+	// minimum window even at smoke scale.
+	minTicks = 400
+	// databases is the unit width; the matrix scripts need at least 4.
+	databases = 5
+)
 
 func (c Config) withDefaults() Config {
-	if c.Databases <= 0 {
-		c.Databases = 5
-	}
 	if c.Ticks <= 0 {
 		c.Ticks = 800
 	}
@@ -58,9 +57,6 @@ func (c Config) withDefaults() Config {
 func (c Config) validate() error {
 	if c.Ticks < minTicks {
 		return fmt.Errorf("scenario: %d ticks; episodes need at least %d", c.Ticks, minTicks)
-	}
-	if c.Databases < 4 {
-		return fmt.Errorf("scenario: %d databases; the matrix scripts need at least 4", c.Databases)
 	}
 	return nil
 }
@@ -205,7 +201,7 @@ func (s Scenario) Run(cfg Config, seed uint64) (Result, error) {
 func simulate(cfg Config, seed uint64, fo *cluster.Failover) (*cluster.Unit, error) {
 	return cluster.Simulate(cluster.Config{
 		Name:      "scenario",
-		Databases: cfg.Databases,
+		Databases: databases,
 		Ticks:     cfg.Ticks,
 		Seed:      seed,
 		Profile:   workload.TencentIrregular,

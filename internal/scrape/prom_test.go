@@ -222,32 +222,6 @@ func TestScraperFormatSwitchDegradesTarget(t *testing.T) {
 	}
 }
 
-// The exporter answers each request in its negotiated format, so mixed
-// fleets (some targets JSON, some Prometheus) scrape one exporter
-// concurrently.
-func TestScraperPerTargetFormats(t *testing.T) {
-	p := newTestPipe(t, 2, 2, func(cfg *Config) {
-		cfg.Formats = []Format{FormatJSON, FormatProm}
-	})
-	want := sampleFor(2, 2, 0)
-	p.publish(t, 0, want)
-	got, rep := p.round(t)
-	if rep.Arrived != 2 || rep.Missing != 0 {
-		t.Fatalf("report %+v", rep)
-	}
-	for k := range want {
-		for d := range want[k] {
-			if !sameCell(want[k][d], got[k][d]) {
-				t.Fatalf("cell [%d][%d] = %v, want %v", k, d, got[k][d], want[k][d])
-			}
-		}
-	}
-	h := p.s.Health()
-	if h.Targets[0].Format != "json" || h.Targets[1].Format != "prom" {
-		t.Fatalf("health formats %q, %q", h.Targets[0].Format, h.Targets[1].Format)
-	}
-}
-
 // A stale fault installed under one format must serve the frozen sample in
 // whatever format each request negotiates (the freeze captures values, not
 // rendered bytes), and the staleness mark-down must fire identically.
@@ -282,20 +256,9 @@ func TestPromStaleFault(t *testing.T) {
 }
 
 func TestScraperConfigRejectsBadFormats(t *testing.T) {
-	base := Config{Targets: []string{"http://a", "http://b"}, KPIs: 2}
-	bad := base
-	bad.Format = Format(7)
-	if _, err := New(bad); err == nil {
-		t.Fatal("New accepted an invalid Format")
-	}
-	bad = base
-	bad.Formats = []Format{FormatProm}
-	if _, err := New(bad); err == nil {
-		t.Fatal("New accepted a short Formats list")
-	}
-	bad = base
-	bad.Formats = []Format{FormatProm, Format(-1)}
-	if _, err := New(bad); err == nil {
-		t.Fatal("New accepted an invalid per-target format")
+	for _, f := range []Format{Format(-1), Format(7)} {
+		if _, err := New(Config{Targets: []string{"http://a", "http://b"}, KPIs: 2, Format: f}); err == nil {
+			t.Errorf("New accepted format %d", int(f))
+		}
 	}
 }

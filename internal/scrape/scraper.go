@@ -58,10 +58,6 @@ type Config struct {
 	// (default FormatJSON). The scraper negotiates it via the Accept
 	// header and parses the response with the matching strict parser.
 	Format Format
-	// Formats optionally overrides the format per database; when non-nil it
-	// must name one format per Targets entry, the same for every database
-	// of one endpoint.
-	Formats []Format
 
 	// RoundTimeout is the collection deadline per tick: whatever has not
 	// arrived when it expires is assembled as NaN gaps. Default 2s.
@@ -71,11 +67,6 @@ type Config struct {
 	// MaxAttempts bounds attempts per endpoint per round (first try plus
 	// retries). Default 3.
 	MaxAttempts int
-	// BackoffBase and BackoffMax shape the exponential retry backoff;
-	// each retry sleeps a jittered duration in [d/2, d) where d doubles
-	// from BackoffBase up to BackoffMax. Defaults 10ms and 250ms.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// JitterSeed makes the backoff jitter deterministic for tests.
 	JitterSeed uint64
 	// Concurrency bounds the endpoints fetched at once (default: every
@@ -112,12 +103,6 @@ func (c Config) withDefaults(endpoints int) Config {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 10 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 250 * time.Millisecond
 	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = min(endpoints, 16)
@@ -163,9 +148,8 @@ const (
 // guarded by the scraper mutex; scratch fields are owned by the round
 // worker that claimed the endpoint.
 type endpoint struct {
-	url    string
-	format Format
-	dbs    []int // member databases, ascending
+	url string
+	dbs []int // member databases, ascending
 
 	state       BreakerState
 	consecFails int
@@ -290,21 +274,6 @@ func New(cfg Config) (*Scraper, error) {
 	if cfg.Format < FormatJSON || cfg.Format > FormatProm {
 		return nil, fmt.Errorf("scrape: invalid format %d", int(cfg.Format))
 	}
-	if cfg.Formats != nil && len(cfg.Formats) != n {
-		return nil, fmt.Errorf("scrape: %d per-target formats for %d targets",
-			len(cfg.Formats), n)
-	}
-	for _, f := range cfg.Formats {
-		if f < FormatJSON || f > FormatProm {
-			return nil, fmt.Errorf("scrape: invalid format %d", int(f))
-		}
-	}
-	formatOf := func(d int) Format {
-		if cfg.Formats != nil {
-			return cfg.Formats[d]
-		}
-		return cfg.Format
-	}
 
 	// Number the endpoints by first appearance, then lay the members out
 	// endpoint by endpoint, each endpoint's ascending.
@@ -345,13 +314,6 @@ func New(cfg Config) (*Scraper, error) {
 		ep := &s.eps[epOf[order[lo]]]
 		ep.dbs = order[lo:hi:hi]
 		ep.url = cfg.Targets[ep.dbs[0]]
-		ep.format = formatOf(ep.dbs[0])
-		for _, d := range ep.dbs[1:] {
-			if formatOf(d) != ep.format {
-				return nil, fmt.Errorf("scrape: databases %d and %d share %s but not a format (%v, %v)",
-					ep.dbs[0], d, ep.url, ep.format, formatOf(d))
-			}
-		}
 		// Jitter from the first member's split keeps a one-database
 		// endpoint's backoff sequence that of its database.
 		ep.rng = root.Split(uint64(ep.dbs[0]))
@@ -566,12 +528,20 @@ func (s *Scraper) scrapeEndpoint(ctx context.Context, ep *endpoint, attempts int
 	return res
 }
 
+// backoffBase and backoffMax shape the exponential retry backoff: each
+// retry sleeps a jittered duration in [d/2, d) where d doubles from
+// backoffBase up to backoffMax.
+const (
+	backoffBase = 10 * time.Millisecond
+	backoffMax  = 250 * time.Millisecond
+)
+
 // backoff sleeps the jittered exponential delay for the given retry
 // attempt; false means the round deadline expired first.
 func (s *Scraper) backoff(ctx context.Context, ep *endpoint, attempt int) bool {
-	d := s.cfg.BackoffBase << (attempt - 1)
-	if d > s.cfg.BackoffMax || d <= 0 {
-		d = s.cfg.BackoffMax
+	d := backoffBase << (attempt - 1)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	half := d / 2
 	d = half + time.Duration(ep.rng.Float64()*float64(half))
@@ -594,7 +564,7 @@ func (s *Scraper) fetch(ctx context.Context, ep *endpoint) error {
 		if err != nil {
 			return err
 		}
-		req.Header.Set("Accept", ep.format.accept())
+		req.Header.Set("Accept", s.cfg.Format.accept())
 		ep.req = req
 	}
 	tctx, cancel := context.WithTimeout(ctx, s.cfg.TryTimeout)
@@ -612,7 +582,7 @@ func (s *Scraper) fetch(ctx context.Context, ep *endpoint) error {
 	if err != nil {
 		return fmt.Errorf("scrape: reading %s: %w", ep.url, err)
 	}
-	if ep.payloads, err = ParseUnit(ep.body, ep.payloads, ep.format); err != nil {
+	if ep.payloads, err = ParseUnit(ep.body, ep.payloads, s.cfg.Format); err != nil {
 		return err
 	}
 	if len(ep.payloads) != len(ep.dbs) {
@@ -648,7 +618,7 @@ func (s *Scraper) Health() Health {
 			h.Targets[d] = TargetHealth{
 				URL:                 ep.url,
 				DB:                  d,
-				Format:              ep.format.String(),
+				Format:              s.cfg.Format.String(),
 				Breaker:             ep.state.String(),
 				ConsecutiveFailures: ep.consecFails,
 				Scrapes:             ep.scrapes,

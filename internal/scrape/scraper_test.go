@@ -77,8 +77,6 @@ func newPipe(t *testing.T, kpis, dbs int, targets func(string, int) []string, mo
 		RoundTimeout:      2 * time.Second,
 		TryTimeout:        500 * time.Millisecond,
 		MaxAttempts:       3,
-		BackoffBase:       time.Millisecond,
-		BackoffMax:        4 * time.Millisecond,
 		BreakerFailures:   2,
 		BreakerOpenRounds: 3,
 		StaleRounds:       2,

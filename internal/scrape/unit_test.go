@@ -479,12 +479,4 @@ func TestScraperGroupsTargetsByURL(t *testing.T) {
 			t.Fatalf("db %d jitter draw %d, want %d", d, got, want)
 		}
 	}
-
-	if _, err := New(Config{
-		Targets: []string{"http://h/a", "http://h/a"},
-		KPIs:    kpis,
-		Formats: []Format{FormatJSON, FormatProm},
-	}); err == nil {
-		t.Fatal("New accepted two formats on one URL")
-	}
 }

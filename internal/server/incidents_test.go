@@ -24,7 +24,7 @@ import (
 // seedAggregator drives a small correlated fault through a real
 // aggregator: one closed two-member cluster plus one still-open incident.
 func seedAggregator() *incident.Aggregator {
-	a := incident.New(incident.Config{ProximityTicks: 16, CloseAfter: 30, MaxLag: 16})
+	a := incident.New(incident.Config{ProximityTicks: 16, CloseAfter: 30})
 	a.ObserveRound(120, []incident.Event{
 		{Unit: 0, DB: 2, KPIs: incident.KPISet(0).With(2), Start: 100, End: 120},
 		{Unit: 1, DB: 2, KPIs: incident.KPISet(0).With(12), Start: 104, End: 120},

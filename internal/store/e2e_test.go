@@ -24,7 +24,7 @@ const (
 )
 
 func e2eFlex() window.FlexConfig {
-	return window.FlexConfig{Initial: 10, Max: 30, ExhaustState: window.Abnormal}
+	return window.FlexConfig{Initial: 10, Max: 30}
 }
 
 // e2eSamples builds the deterministic replay stream: a simulated unit with

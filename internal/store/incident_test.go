@@ -95,7 +95,7 @@ func incidentScenario() []incidentRound {
 }
 
 func incidentCfg() incident.Config {
-	return incident.Config{ProximityTicks: 16, CloseAfter: 30, MaxLag: 16, MaxHistory: 64}
+	return incident.Config{ProximityTicks: 16, CloseAfter: 30, MaxHistory: 64}
 }
 
 // feedJournaled drives rounds through the aggregator, batching each

@@ -272,8 +272,8 @@ func LoadSnapshotFile(dir string) *SnapshotState {
 }
 
 // InstallSnapshotBlob validates a fetched snapshot document and writes it
-// atomically into dir (tmp + fsync + rename), byte-for-byte as served by
-// the primary. The follower calls this when bootstrapping past a
+// atomically into dir (writeSnapshotFile), byte-for-byte as served by the
+// primary. The follower calls this when bootstrapping past a
 // compaction gap.
 func InstallSnapshotBlob(dir string, blob []byte) (*SnapshotState, error) {
 	var st SnapshotState
@@ -286,25 +286,8 @@ func InstallSnapshotBlob(dir string, blob []byte) (*SnapshotState, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	tmp := filepath.Join(dir, snapshotTmp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+	if err := writeSnapshotFile(dir, blob); err != nil {
+		return nil, err
 	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: snapshot write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: snapshot fsync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapshotFile)); err != nil {
-		return nil, fmt.Errorf("store: snapshot rename: %w", err)
-	}
-	syncDir(dir)
 	return &st, nil
 }

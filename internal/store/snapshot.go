@@ -31,21 +31,27 @@ type SnapshotState struct {
 	Feedback []FeedbackRecord         `json:"feedback,omitempty"`
 }
 
-// writeSnapshot persists st atomically: write to a temp file, fsync,
-// rename over the live snapshot, fsync the directory. A crash at any point
-// leaves either the old snapshot or the new one, never a torn mix.
+// writeSnapshot persists st atomically through writeSnapshotFile.
 func writeSnapshot(dir string, st *SnapshotState) error {
 	st.Schema = SnapshotSchema
 	buf, err := json.Marshal(st)
 	if err != nil {
 		return fmt.Errorf("store: snapshot encode: %w", err)
 	}
+	return writeSnapshotFile(dir, buf)
+}
+
+// writeSnapshotFile replaces dir's live snapshot with data atomically:
+// write a temp file, fsync it, rename it over the live snapshot, fsync the
+// directory. A crash at any point leaves either the old snapshot or the
+// new one, never a torn mix.
+func writeSnapshotFile(dir string, data []byte) error {
 	tmp := filepath.Join(dir, snapshotTmp)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := f.Write(buf); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return fmt.Errorf("store: snapshot write: %w", err)
 	}

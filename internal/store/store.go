@@ -19,9 +19,9 @@ var ErrFenced = errors.New("store: fenced by a newer primary epoch")
 type Policy int
 
 const (
-	// FsyncEveryInterval (the default) syncs at most once per SyncEvery
-	// of wall time, amortizing fsync cost over a burst of appends; a
-	// crash can lose up to SyncEvery of the newest records.
+	// FsyncEveryInterval (the default) syncs at most once per syncEvery
+	// (100ms) of wall time, amortizing fsync cost over a burst of
+	// appends; a crash can lose up to syncEvery of the newest records.
 	FsyncEveryInterval Policy = iota
 	// FsyncAlways syncs after every append: nothing acknowledged is ever
 	// lost, at one fsync per record.
@@ -64,8 +64,6 @@ func (p Policy) String() string {
 type Options struct {
 	// Fsync is the WAL durability policy.
 	Fsync Policy
-	// SyncEvery is the FsyncEveryInterval period (default 100ms).
-	SyncEvery time.Duration
 	// SegmentBytes caps a segment before rotation (default 1MiB).
 	SegmentBytes int64
 	// RetainSegments closed segments are kept even when fully covered by
@@ -73,10 +71,10 @@ type Options struct {
 	RetainSegments int
 }
 
+// syncEvery is the FsyncEveryInterval period.
+const syncEvery = 100 * time.Millisecond
+
 func (o Options) withDefaults() Options {
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
-	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 1 << 20
 	}

@@ -231,7 +231,7 @@ func (w *wal) append(r *Record) (uint64, error) {
 			return seq, err
 		}
 	case FsyncEveryInterval:
-		if time.Since(w.lastSync) >= w.opts.SyncEvery {
+		if time.Since(w.lastSync) >= syncEvery {
 			if err := w.sync(); err != nil {
 				return seq, err
 			}

@@ -16,32 +16,17 @@ import (
 // instead (ParallelDetectorFitness fans one evaluation out across its
 // labelled units).
 type SAA struct {
-	// Steps is the number of annealing steps (default 300).
-	Steps int
-	// InitialTemp and FinalTemp bound the geometric cooling schedule
-	// (defaults 0.2 and 0.005, in fitness units).
-	InitialTemp, FinalTemp float64
-	// Ranges bounds the genome; zero value means DefaultRanges.
-	Ranges Ranges
 	// Seed drives the search's randomness.
 	Seed uint64
 }
 
-func (s SAA) withDefaults() SAA {
-	if s.Steps == 0 {
-		s.Steps = 300
-	}
-	if s.InitialTemp == 0 {
-		s.InitialTemp = 0.2
-	}
-	if s.FinalTemp == 0 {
-		s.FinalTemp = 0.005
-	}
-	if s.Ranges == (Ranges{}) {
-		s.Ranges = DefaultRanges()
-	}
-	return s
-}
+const (
+	// annealSteps is the number of annealing steps.
+	annealSteps = 300
+	// initialTemp and finalTemp bound the geometric cooling schedule, in
+	// fitness units.
+	initialTemp, finalTemp = 0.2, 0.005
+)
 
 // Name implements Searcher.
 func (SAA) Name() string { return "SAA" }
@@ -56,20 +41,19 @@ func (s SAA) Search(q int, fitness Fitness) Result {
 // before every step and returns the best candidate found so far on
 // cancellation.
 func (s SAA) SearchContext(ctx context.Context, q int, fitness Fitness) (Result, error) {
-	s = s.withDefaults()
 	rng := mathx.NewRNG(s.Seed)
 	ec := &evalCounter{fn: fitness}
 
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	cur := s.Ranges.random(q, rng)
+	cur := searchRanges.random(q, rng)
 	curF := ec.eval(cur)
 	best := scored{t: cur.Clone(), f: curF}
 
-	cooling := math.Pow(s.FinalTemp/s.InitialTemp, 1/float64(s.Steps))
-	temp := s.InitialTemp
-	for step := 0; step < s.Steps; step++ {
+	cooling := math.Pow(finalTemp/initialTemp, 1/float64(annealSteps))
+	temp := initialTemp
+	for step := 0; step < annealSteps; step++ {
 		if err := ctx.Err(); err != nil {
 			return Result{Best: best.t.Clone(), Fitness: best.f, Evaluations: ec.calls}, err
 		}
@@ -90,24 +74,24 @@ func (s SAA) neighbour(t window.Thresholds, rng *mathx.RNG) window.Thresholds {
 	switch rng.Intn(3) {
 	case 0: // step one alpha
 		i := rng.Intn(len(out.Alpha))
-		step := s.Ranges.LearningRate * rng.Range(0.25, 1)
+		step := searchRanges.LearningRate * rng.Range(0.25, 1)
 		if rng.Bool(0.5) {
 			step = -step
 		}
-		out.Alpha[i] = s.Ranges.clampAlpha(out.Alpha[i] + step)
+		out.Alpha[i] = searchRanges.clampAlpha(out.Alpha[i] + step)
 	case 1: // jitter theta
-		out.Theta = mathx.Clamp(out.Theta+rng.Range(-0.05, 0.05), s.Ranges.ThetaMin, s.Ranges.ThetaMax)
+		out.Theta = mathx.Clamp(out.Theta+rng.Range(-0.05, 0.05), searchRanges.ThetaMin, searchRanges.ThetaMax)
 	default: // bump tolerance
 		delta := 1
 		if rng.Bool(0.5) {
 			delta = -1
 		}
 		tol := out.MaxTolerance + delta
-		if tol < s.Ranges.TolMin {
-			tol = s.Ranges.TolMin
+		if tol < searchRanges.TolMin {
+			tol = searchRanges.TolMin
 		}
-		if tol > s.Ranges.TolMax {
-			tol = s.Ranges.TolMax
+		if tol > searchRanges.TolMax {
+			tol = searchRanges.TolMax
 		}
 		out.MaxTolerance = tol
 	}
@@ -128,23 +112,12 @@ func accept(curF, candF, temp float64, rng *mathx.RNG) bool {
 // Random is the random search baseline of Fig. 11 (also the protocol every
 // compared method uses for threshold selection in §IV-B).
 type Random struct {
-	// Trials is the number of random genomes evaluated (default 300).
-	Trials int
-	// Ranges bounds the genome; zero value means DefaultRanges.
-	Ranges Ranges
 	// Seed drives the search's randomness.
 	Seed uint64
 }
 
-func (r Random) withDefaults() Random {
-	if r.Trials == 0 {
-		r.Trials = 300
-	}
-	if r.Ranges == (Ranges{}) {
-		r.Ranges = DefaultRanges()
-	}
-	return r
-}
+// randomTrials is the number of random genomes evaluated.
+const randomTrials = 300
 
 // Name implements Searcher.
 func (Random) Name() string { return "Random" }
@@ -159,12 +132,11 @@ func (r Random) Search(q int, fitness Fitness) Result {
 // between trial evaluations; completed trials still compete for the
 // returned best.
 func (r Random) SearchContext(ctx context.Context, q int, fitness Fitness) (Result, error) {
-	r = r.withDefaults()
 	rng := mathx.NewRNG(r.Seed)
 	ec := &evalCounter{fn: fitness}
-	trials := make([]window.Thresholds, r.Trials)
+	trials := make([]window.Thresholds, randomTrials)
 	for i := range trials {
-		trials[i] = r.Ranges.random(q, rng)
+		trials[i] = searchRanges.random(q, rng)
 	}
 	fs, err := ec.evalAllCtx(ctx, trials)
 	if err != nil {

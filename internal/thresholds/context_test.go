@@ -14,9 +14,9 @@ import (
 // small budgets so the full-search comparison stays fast.
 func contextSearchers() []ContextSearcher {
 	return []ContextSearcher{
-		GA{Seed: 7, Generations: 8, Population: 12},
-		SAA{Seed: 7, Steps: 120},
-		Random{Seed: 7, Trials: 120},
+		GA{Seed: 7},
+		SAA{Seed: 7},
+		Random{Seed: 7},
 	}
 }
 

@@ -10,39 +10,21 @@ import (
 
 // GA is the genetic algorithm of Algorithm 2.
 type GA struct {
-	// Population is the number of individuals M (default 20).
-	Population int
-	// Generations is the iteration count N (default 15).
-	Generations int
-	// MutationProb is the mutation probability β (default 0.2).
-	MutationProb float64
-	// EvictFraction of the worst individuals is replaced each generation
-	// by offspring (default 0.5).
-	EvictFraction float64
-	// Ranges bounds the genome; zero value means DefaultRanges.
-	Ranges Ranges
 	// Seed drives the search's randomness.
 	Seed uint64
 }
 
-func (g GA) withDefaults() GA {
-	if g.Population == 0 {
-		g.Population = 24
-	}
-	if g.Generations == 0 {
-		g.Generations = 20
-	}
-	if g.MutationProb == 0 {
-		g.MutationProb = 0.2
-	}
-	if g.EvictFraction == 0 {
-		g.EvictFraction = 0.5
-	}
-	if g.Ranges == (Ranges{}) {
-		g.Ranges = DefaultRanges()
-	}
-	return g
-}
+const (
+	// population is the number of individuals M.
+	population = 24
+	// generations is the iteration count N.
+	generations = 20
+	// mutationProb is the mutation probability β.
+	mutationProb = 0.2
+	// evictFraction of the worst individuals is replaced each generation
+	// by offspring.
+	evictFraction = 0.5
+)
 
 // Name implements Searcher.
 func (GA) Name() string { return "GA" }
@@ -60,13 +42,12 @@ func (g GA) Search(q int, fitness Fitness) Result {
 // observed before the initial scoring, at each generation boundary, and
 // between individual fitness evaluations inside a batch.
 func (g GA) SearchContext(ctx context.Context, q int, fitness Fitness) (Result, error) {
-	g = g.withDefaults()
 	rng := mathx.NewRNG(g.Seed)
 	ec := &evalCounter{fn: fitness}
 
-	genomes := make([]window.Thresholds, g.Population)
+	genomes := make([]window.Thresholds, population)
 	for i := range genomes {
-		genomes[i] = g.Ranges.random(q, rng)
+		genomes[i] = searchRanges.random(q, rng)
 	}
 	pop, err := scoreAllCtx(ctx, genomes, ec)
 	if err != nil {
@@ -77,7 +58,7 @@ func (g GA) SearchContext(ctx context.Context, q int, fitness Fitness) (Result, 
 		best = betterOf(best, s)
 	}
 
-	for gen := 0; gen < g.Generations; gen++ {
+	for gen := 0; gen < generations; gen++ {
 		// Retain the historically best genes (Algorithm 2 lines 5-8).
 		for _, s := range pop {
 			best = betterOf(best, s)
@@ -87,7 +68,7 @@ func (g GA) SearchContext(ctx context.Context, q int, fitness Fitness) (Result, 
 		}
 		// Evict poor performers (line 9).
 		sort.Slice(pop, func(i, j int) bool { return pop[i].f > pop[j].f })
-		survivors := g.Population - int(g.EvictFraction*float64(g.Population))
+		survivors := population - int(evictFraction*float64(population))
 		if survivors < 2 {
 			survivors = 2
 		}
@@ -104,14 +85,14 @@ func (g GA) SearchContext(ctx context.Context, q int, fitness Fitness) (Result, 
 		// stream) but dropped unevaluated when the population is full,
 		// exactly as the incremental loop did.
 		brood := genomes[:0]
-		for len(pop)+len(brood) < g.Population {
+		for len(pop)+len(brood) < population {
 			pa := pop[pick(probs, rng)].t
 			pb := pop[pick(probs, rng)].t
 			ca, cb := g.crossover(pa, pb, rng)
 			g.mutate(&ca, rng)
 			g.mutate(&cb, rng)
 			brood = append(brood, ca)
-			if len(pop)+len(brood) < g.Population {
+			if len(pop)+len(brood) < population {
 				brood = append(brood, cb)
 			}
 		}
@@ -168,18 +149,18 @@ func (g GA) crossover(a, b window.Thresholds, rng *mathx.RNG) (window.Thresholds
 // steps ±Δ, and θ and the tolerance are regenerated within their ranges
 // (§III-D mutation strategy).
 func (g GA) mutate(t *window.Thresholds, rng *mathx.RNG) {
-	if !rng.Bool(g.MutationProb) {
+	if !rng.Bool(mutationProb) {
 		return
 	}
 	for i := range t.Alpha {
 		if rng.Bool(0.5) {
-			step := g.Ranges.LearningRate
+			step := searchRanges.LearningRate
 			if rng.Bool(0.5) {
 				step = -step
 			}
-			t.Alpha[i] = g.Ranges.clampAlpha(t.Alpha[i] + step)
+			t.Alpha[i] = searchRanges.clampAlpha(t.Alpha[i] + step)
 		}
 	}
-	t.Theta = rng.Range(g.Ranges.ThetaMin, g.Ranges.ThetaMax)
-	t.MaxTolerance = g.Ranges.TolMin + rng.Intn(g.Ranges.TolMax-g.Ranges.TolMin+1)
+	t.Theta = rng.Range(searchRanges.ThetaMin, searchRanges.ThetaMax)
+	t.MaxTolerance = searchRanges.TolMin + rng.Intn(searchRanges.TolMax-searchRanges.TolMin+1)
 }

@@ -19,14 +19,14 @@ func TestSerialEvalOrderPreserved(t *testing.T) {
 		calls++
 		return float64(calls)
 	}
-	res := Random{Seed: 1, Trials: 25}.Search(3, counting)
-	if res.Evaluations != 25 || calls != 25 {
-		t.Fatalf("evaluations = %d, calls = %d, want 25", res.Evaluations, calls)
+	res := Random{Seed: 1}.Search(3, counting)
+	if res.Evaluations != randomTrials || calls != randomTrials {
+		t.Fatalf("evaluations = %d, calls = %d, want %d", res.Evaluations, calls, randomTrials)
 	}
 	// Later trials score strictly higher under this closure, so the best
 	// must be the last trial's fitness — only true if order is preserved.
-	if res.Fitness != 25 {
-		t.Fatalf("best fitness = %v, want 25 (order-dependent closure)", res.Fitness)
+	if res.Fitness != randomTrials {
+		t.Fatalf("best fitness = %v, want %d (order-dependent closure)", res.Fitness, randomTrials)
 	}
 }
 

@@ -47,6 +47,9 @@ func DefaultRanges() Ranges {
 	}
 }
 
+// searchRanges bounds the genome every searcher explores.
+var searchRanges = DefaultRanges()
+
 // random draws a uniform genome within the ranges.
 func (r Ranges) random(q int, rng *mathx.RNG) window.Thresholds {
 	t := window.Thresholds{Alpha: make([]float64, q)}

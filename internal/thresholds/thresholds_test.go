@@ -1,7 +1,10 @@
 package thresholds
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"dbcatcher/internal/anomaly"
@@ -70,9 +73,9 @@ func TestRandomGenomeWithinRanges(t *testing.T) {
 func TestSearchersFindQuadraticOptimum(t *testing.T) {
 	fitness := quadraticFitness(0.7, 0.2, 2)
 	searchers := []Searcher{
-		GA{Seed: 1, Generations: 25, Population: 24},
-		SAA{Seed: 1, Steps: 500},
-		Random{Seed: 1, Trials: 500},
+		GA{Seed: 1},
+		SAA{Seed: 1},
+		Random{Seed: 1},
 	}
 	for _, s := range searchers {
 		res := s.Search(4, fitness)
@@ -85,6 +88,36 @@ func TestSearchersFindQuadraticOptimum(t *testing.T) {
 		for _, a := range res.Best.Alpha {
 			if math.Abs(a-0.7) > 0.12 {
 				t.Errorf("%s alpha %v far from optimum 0.7", s.Name(), a)
+			}
+		}
+	}
+}
+
+// TestSearchersPinned pins what each searcher finds at its default
+// population, schedule, trial count and ranges on the quadratic landscape:
+// a SHA-256 digest of the result for seeds 1-3. Floats are pinned on amd64
+// only, as in TestVerdictDigests.
+func TestSearchersPinned(t *testing.T) {
+	want := map[string]string{
+		"GA/1":     "9542b8650f9bffffc5408ec662ef4b950f4eb1580a04d6e2b4ca30da76248bef",
+		"GA/2":     "7ade7b1ecb5d88ff53c061b4046173d6fa847fbc25fe7ca888d7b5f6ce26b3fd",
+		"GA/3":     "5ea83368661032c3034a084cff6f66a8721bc4503321199dd9d15665f10cd528",
+		"SAA/1":    "6df7ba56d21377a91af8df5e25024c9e741f1eda110ac46999a4849ef60193e6",
+		"SAA/2":    "943385607241e2b0a52bef9e92026f9820ffffd68ee5dacfa22b312c531ae529",
+		"SAA/3":    "a1064b51cec3c1be389c65620dc906c38ba29deed6bb5193e077adeb95ee09c3",
+		"Random/1": "17d1d224fffb31c42f00b852af13569cb94344f6da9cbf36d292fbf9e911a885",
+		"Random/2": "e3c2ca1ff3bc7487906092fd3e7f22b0c9a1d973aa6a04614dbfb46a3c6a316c",
+		"Random/3": "9720174414bfdb66c122d764cb6ddf064773c4df230948287dfccce159470eb4",
+	}
+	fitness := quadraticFitness(0.7, 0.2, 2)
+	for seed := uint64(1); seed <= 3; seed++ {
+		for _, s := range []Searcher{GA{Seed: seed}, SAA{Seed: seed}, Random{Seed: seed}} {
+			res := s.Search(4, fitness)
+			name := fmt.Sprintf("%s/%d", s.Name(), seed)
+			got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("%v %v %v %d %d",
+				res.Fitness, res.Best.Alpha, res.Best.Theta, res.Best.MaxTolerance, res.Evaluations))))
+			if runtime.GOARCH == "amd64" && got != want[name] {
+				t.Errorf("%s: result digest %s, pinned %s", name, got, want[name])
 			}
 		}
 	}
@@ -115,14 +148,14 @@ func TestGAKeepsHistoricalBest(t *testing.T) {
 		}
 		return 0.1
 	}
-	res := GA{Seed: 3, Population: 10, Generations: 5}.Search(3, fitness)
+	res := GA{Seed: 3}.Search(3, fitness)
 	if res.Fitness != 0.99 {
 		t.Fatalf("GA lost the historical best: %v", res.Fitness)
 	}
 }
 
 func TestGACrossoverSwapsTails(t *testing.T) {
-	g := GA{}.withDefaults()
+	g := GA{}
 	rng := mathx.NewRNG(5)
 	a := window.Thresholds{Alpha: []float64{1, 1, 1, 1}, Theta: 0.1, MaxTolerance: 0}
 	b := window.Thresholds{Alpha: []float64{2, 2, 2, 2}, Theta: 0.3, MaxTolerance: 3}
@@ -146,18 +179,26 @@ func TestGACrossoverSwapsTails(t *testing.T) {
 }
 
 func TestMutationRespectsBounds(t *testing.T) {
-	g := GA{MutationProb: 1}.withDefaults()
-	g.MutationProb = 1
+	// A mutation always redraws θ; one skipped at probability 1-β leaves
+	// it. Check until 200 genomes were mutated.
 	rng := mathx.NewRNG(6)
-	for i := 0; i < 200; i++ {
-		th := g.Ranges.random(4, rng)
-		g.mutate(&th, rng)
+	for i, mutated := 0, 0; mutated < 200; i++ {
+		if i == 10000 {
+			t.Fatalf("%d mutations in %d calls", mutated, i)
+		}
+		th := searchRanges.random(4, rng)
+		theta := th.Theta
+		GA{}.mutate(&th, rng)
+		if th.Theta == theta {
+			continue
+		}
+		mutated++
 		for _, a := range th.Alpha {
 			if a < 0 || a > 1 {
 				t.Fatalf("mutated alpha %v outside [0,1]", a)
 			}
 		}
-		if th.Theta < g.Ranges.ThetaMin || th.Theta >= g.Ranges.ThetaMax {
+		if th.Theta < searchRanges.ThetaMin || th.Theta >= searchRanges.ThetaMax {
 			t.Fatalf("mutated theta %v out of range", th.Theta)
 		}
 		if th.MaxTolerance < 0 || th.MaxTolerance > 3 {
@@ -230,7 +271,7 @@ func TestDetectorFitnessImprovesOverBadThresholds(t *testing.T) {
 	}
 	badF := fitness(bad)
 
-	res := GA{Seed: 12, Population: 10, Generations: 5}.Search(14, fitness)
+	res := GA{Seed: 12}.Search(14, fitness)
 	if res.Fitness <= badF {
 		t.Fatalf("GA fitness %v should beat degenerate %v", res.Fitness, badF)
 	}

@@ -3,16 +3,11 @@ package window
 import "fmt"
 
 // FlexConfig parameterizes the flexible time window (§III-C): the initial
-// size W (paper range 15-25 points), the expansion step Δ (generally equal
-// to W), and the maximum size W_M (paper range 45-75).
+// size W (paper range 15-25 points) and the maximum size W_M (paper range
+// 45-75). The expansion step Δ is W, as the paper generally sets it.
 type FlexConfig struct {
-	Initial int // W
-	Delta   int // Δ; 0 means Initial
+	Initial int // W, also Δ
 	Max     int // W_M
-	// ExhaustState is the verdict when the window reaches Max while still
-	// observable. A deviation that persists across the maximum window is
-	// no longer a temporal fluctuation, so the default is Abnormal.
-	ExhaustState State
 	// Disabled turns expansion off (the MM-KCD ablation of Table X): an
 	// Observable verdict resolves immediately to Healthy within the
 	// initial window.
@@ -22,7 +17,7 @@ type FlexConfig struct {
 // DefaultFlexConfig returns the paper's mid-range setting: W=20, Δ=W,
 // W_M=60.
 func DefaultFlexConfig() FlexConfig {
-	return FlexConfig{Initial: 20, Max: 60, ExhaustState: Abnormal}
+	return FlexConfig{Initial: 20, Max: 60}
 }
 
 // Validate checks the configuration.
@@ -33,38 +28,20 @@ func (c FlexConfig) Validate() error {
 	if c.Max < c.Initial {
 		return fmt.Errorf("window: max %d below initial %d", c.Max, c.Initial)
 	}
-	if c.Delta < 0 {
-		return fmt.Errorf("window: negative delta %d", c.Delta)
-	}
 	return nil
-}
-
-func (c FlexConfig) delta() int {
-	if c.Delta == 0 {
-		return c.Initial
-	}
-	return c.Delta
 }
 
 // MaxWindow returns the largest window size a judgment round can actually
 // reach under this configuration: the last element of the expansion
-// sequence W, W+Δ, W+2Δ, ... that does not exceed Max. Ring buffers sized
-// to this value can never evict a live round's window start — Resolve
+// sequence W, 2W, 3W, ... that does not exceed Max. Ring buffers sized to
+// this value can never evict a live round's window start — Resolve
 // refuses to grow past Max, so no round ever needs more than MaxWindow
 // retained points.
 func (c FlexConfig) MaxWindow() int {
-	if c.Disabled {
+	if c.Disabled || c.Initial <= 0 || c.Max < c.Initial {
 		return c.Initial
 	}
-	d := c.delta()
-	if d <= 0 {
-		return c.Initial
-	}
-	steps := (c.Max - c.Initial) / d
-	if steps < 0 {
-		steps = 0
-	}
-	return c.Initial + steps*d
+	return c.Max / c.Initial * c.Initial
 }
 
 // Flex tracks one in-flight judgment round: the current window size and
@@ -89,8 +66,9 @@ func (f *Flex) Size() int { return f.size }
 //
 //   - Healthy / Abnormal end the round (done=true, final=state).
 //   - Observable expands the window (done=false) unless expansion is
-//     disabled or the maximum is reached, in which case done=true with the
-//     configured terminal state.
+//     disabled (done=true, Healthy) or the maximum is reached (done=true,
+//     Abnormal): a deviation that persists across the maximum window is
+//     no longer a temporal fluctuation.
 func (f *Flex) Resolve(s State) (final State, done bool) {
 	if s != Observable {
 		return s, true
@@ -99,9 +77,9 @@ func (f *Flex) Resolve(s State) (final State, done bool) {
 		// MM variant: no expansion; within-tolerance deviations pass.
 		return Healthy, true
 	}
-	next := f.size + f.cfg.delta()
+	next := f.size + f.cfg.Initial
 	if next > f.cfg.Max {
-		return f.cfg.ExhaustState, true
+		return Abnormal, true
 	}
 	f.size = next
 	return Observable, false
@@ -112,7 +90,7 @@ func (f *Flex) Reset() { f.size = f.cfg.Initial }
 
 // Restore positions the round at a previously observed window size (used
 // when resuming a persisted judgment round). The size must be reachable by
-// the configured expansion sequence W, W+Δ, ..., MaxWindow().
+// the expansion sequence W, 2W, ..., MaxWindow().
 func (f *Flex) Restore(size int) error {
 	if f.cfg.Disabled {
 		if size != f.cfg.Initial {
@@ -124,8 +102,8 @@ func (f *Flex) Restore(size int) error {
 	if size < f.cfg.Initial || size > f.cfg.MaxWindow() {
 		return fmt.Errorf("window: size %d outside [%d, %d]", size, f.cfg.Initial, f.cfg.MaxWindow())
 	}
-	if (size-f.cfg.Initial)%f.cfg.delta() != 0 {
-		return fmt.Errorf("window: size %d not on the expansion sequence (W=%d, delta=%d)", size, f.cfg.Initial, f.cfg.delta())
+	if size%f.cfg.Initial != 0 {
+		return fmt.Errorf("window: size %d not on the expansion sequence (W=%d)", size, f.cfg.Initial)
 	}
 	f.size = size
 	return nil

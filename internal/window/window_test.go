@@ -122,7 +122,7 @@ func TestLevelAndStateStrings(t *testing.T) {
 }
 
 func TestFlexExpansion(t *testing.T) {
-	f, err := NewFlex(FlexConfig{Initial: 20, Max: 60, ExhaustState: Abnormal})
+	f, err := NewFlex(FlexConfig{Initial: 20, Max: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +150,21 @@ func TestFlexExpansion(t *testing.T) {
 	f.Reset()
 	if f.Size() != 20 {
 		t.Fatal("Reset failed")
+	}
+}
+
+// A config built field by field, as the facade's users build one, judges a
+// deviation still observable at W_M Abnormal (§III-C, Fig. 7).
+func TestFlexExhaustionIsAbnormal(t *testing.T) {
+	f, err := NewFlex(FlexConfig{Initial: 4, Max: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, done := f.Resolve(Observable); done {
+		t.Fatal("first observable should expand to the maximum")
+	}
+	if final, done := f.Resolve(Observable); !done || final != Abnormal {
+		t.Fatalf("exhaustion = %v done=%v, want abnormal/true", final, done)
 	}
 }
 
@@ -181,7 +196,6 @@ func TestFlexConfigValidate(t *testing.T) {
 	bad := []FlexConfig{
 		{Initial: 1, Max: 60},
 		{Initial: 20, Max: 10},
-		{Initial: 20, Max: 60, Delta: -5},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -190,14 +204,6 @@ func TestFlexConfigValidate(t *testing.T) {
 	}
 	if err := DefaultFlexConfig().Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFlexCustomDelta(t *testing.T) {
-	f, _ := NewFlex(FlexConfig{Initial: 15, Delta: 10, Max: 45})
-	f.Resolve(Observable)
-	if f.Size() != 25 {
-		t.Fatalf("size = %d, want 25", f.Size())
 	}
 }
 
@@ -262,11 +268,11 @@ func TestFlexConfigMaxWindow(t *testing.T) {
 		cfg  FlexConfig
 		want int
 	}{
-		{DefaultFlexConfig(), 60},                         // 20 + 2*20
-		{FlexConfig{Initial: 15, Max: 75}, 75},            // delta defaults to 15
-		{FlexConfig{Initial: 20, Delta: 15, Max: 60}, 50}, // 20,35,50; 65 > 60
-		{FlexConfig{Initial: 25, Delta: 25, Max: 45}, 25}, // first expansion overshoots
-		{FlexConfig{Initial: 20, Max: 20}, 20},            // no headroom
+		{DefaultFlexConfig(), 60},              // 20 + 2*20
+		{FlexConfig{Initial: 15, Max: 75}, 75}, // 15,30,45,60,75
+		{FlexConfig{Initial: 20, Max: 50}, 40}, // 20,40; 60 > 50
+		{FlexConfig{Initial: 25, Max: 45}, 25}, // first expansion overshoots
+		{FlexConfig{Initial: 20, Max: 20}, 20}, // no headroom
 		{FlexConfig{Initial: 20, Max: 60, Disabled: true}, 20},
 	}
 	for _, tc := range cases {

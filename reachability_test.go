@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -57,18 +58,7 @@ const modulePath = "dbcatcher"
 // is handed, or stdlibAssertedMethods). Entries on reachAllowlist that are
 // reached, or no longer exist, fail too.
 func TestProductionCodeIsReachable(t *testing.T) {
-	// Type-check the standard library's pure-Go files: with cgo enabled the
-	// source importer would run cgo on net and os/user.
-	cgo := build.Default.CgoEnabled
-	build.Default.CgoEnabled = false
-	t.Cleanup(func() { build.Default.CgoEnabled = cgo })
-
-	l := &loader{fset: token.NewFileSet(), pkgs: map[string]*srcPkg{}}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
-	if err := l.loadAll("."); err != nil {
-		t.Fatal(err)
-	}
-	r := newReach(l)
+	r := newReach(loadRepo(t))
 	r.roots()
 	r.flood()
 	decls := r.checked()
@@ -106,6 +96,94 @@ func TestProductionCodeIsReachable(t *testing.T) {
 	for _, name := range stale {
 		t.Errorf("allowlisted %s is reached or no longer exists; drop it from reachAllowlist", name)
 	}
+}
+
+// configAllowlist names fields of config types that no root sets but that
+// stay, each with its reason: the test that needs another value to reach a
+// behaviour or to finish in bounded time, or the test seam it is. Keys are
+// "<package dir>.<Type>.<Field>".
+var configAllowlist = map[string]string{
+	"internal/incident.Config.MaxOpen":      "TestEventValidationAndDropCounters reaches the Dropped counter at 2 open incidents, not 4096; FuzzRestore bounds its state at 128",
+	"internal/relearn.Config.Drift":         "carries DriftConfig.Lambda, with which supervisor_test.go's testConfig switches the drift trigger off",
+	"internal/relearn.Config.Policy":        "testConfig in supervisor_test.go switches the F-Measure trigger off (Criterion -1) and gates attempts at 10 records, so TestFaultInjectionMatrix and the other one-attempt tests drive exactly the attempt they trigger",
+	"internal/relearn.Config.Searcher":      "test seam: the supervisor tests inject fakeSearcher (panicking, blocking, regressing, NaN and instant searches)",
+	"internal/relearn.DriftConfig.Lambda":   "testConfig in supervisor_test.go sets it out of reach (1e9) so no drift alarm starts a second attempt in TestFaultInjectionMatrix, TestShadowRollbackOnFlipBudget and TestPromotionSurvivesCrashRecovery",
+	"internal/replicate.Config.Client":      "test seam: fastCfg in replicate_test.go injects a 300ms-timeout client so hang faults resolve quickly",
+	"internal/replicate.Config.MaxChunk":    "TestTailerMirrorsByteIdentical and TestTailerSurvivesInjectedFaults fetch each segment in several 64-byte chunks",
+	"internal/replicate.GuardConfig.Client": "test seam: the guard tests inject a 300ms-timeout client",
+	"internal/store.Options.RetainSegments": "TestStoreRotationAndCompaction, TestEpochSurvivesCompactionViaSnapshot, TestSlowReaderRetentionBoundaries, TestTailerSnapshotRestartAfterCompaction and TestCrashMatrix compact at other retention counts",
+	"internal/store.Options.SegmentBytes":   "rotation within a test's few records needs segments of tens of bytes, not 1 MiB: TestStoreRotationAndCompaction, TestCrashMatrix, TestTailerMirrorsByteIdentical and the other replication tests",
+}
+
+// TestConfigFieldsAreSet fails for every field of a config type under
+// internal/ that no code the roots of TestProductionCodeIsReachable writes:
+// such a field always holds its default, which belongs in a constant where
+// it is used. A config type is a struct type with a withDefaults method or
+// a name ending in Config or Options. A field is written by a keyed
+// composite-literal entry, an assignment, ++ or --, or by taking its
+// address; an unkeyed literal writes every field. Writes in the type's own
+// withDefaults method fill defaults and do not count. Entries on
+// configAllowlist that a root writes, or that no longer exist, fail too.
+func TestConfigFieldsAreSet(t *testing.T) {
+	l := loadRepo(t)
+	r := newReach(l)
+	r.roots()
+	r.flood()
+	fields := configFields(l)
+	set := r.fieldWrites(fields)
+	owners := map[*types.TypeName]bool{}
+	byName := map[string]bool{}
+	var unset, stale []string
+	for _, f := range fields {
+		owners[f.owner] = true
+		byName[f.name] = true
+		_, listed := configAllowlist[f.name]
+		switch {
+		case set[f.field] && listed:
+			stale = append(stale, f.name)
+		case !set[f.field] && !listed:
+			unset = append(unset, fmt.Sprintf("%s %s", f.pos, f.name))
+		}
+	}
+	t.Logf("%d fields in %d config types; %d allowlisted", len(fields), len(owners), len(configAllowlist))
+	if len(unset) > 0 {
+		t.Errorf("%d config fields are set by no root; make each default a constant where it is used, or allowlist a field that a test needs to set:\n%s",
+			len(unset), strings.Join(unset, "\n"))
+	}
+	for name := range configAllowlist {
+		if !byName[name] {
+			stale = append(stale, name)
+		}
+	}
+	sort.Strings(stale)
+	for _, name := range stale {
+		t.Errorf("allowlisted %s is set by a root or no longer exists; drop it from configAllowlist", name)
+	}
+}
+
+var (
+	repoOnce   sync.Once
+	repoLoader *loader
+	repoErr    error
+)
+
+// loadRepo type-checks the repository's production code once per test
+// binary.
+func loadRepo(t *testing.T) *loader {
+	repoOnce.Do(func() {
+		// Type-check the standard library's pure-Go files: with cgo
+		// enabled the source importer would run cgo on net and os/user.
+		cgo := build.Default.CgoEnabled
+		build.Default.CgoEnabled = false
+		defer func() { build.Default.CgoEnabled = cgo }()
+		l := &loader{fset: token.NewFileSet(), pkgs: map[string]*srcPkg{}}
+		l.std = importer.ForCompiler(l.fset, "source", nil)
+		repoLoader, repoErr = l, l.loadAll(".")
+	})
+	if repoErr != nil {
+		t.Fatal(repoErr)
+	}
+	return repoLoader
 }
 
 type srcPkg struct {
@@ -191,7 +269,8 @@ func (l *loader) load(path string) (*srcPkg, error) {
 		}
 		p.files = append(p.files, f)
 	}
-	p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	p.info = &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{}}
 	conf := types.Config{Importer: l}
 	if p.types, err = conf.Check(path, l.fset, p.files, p.info); err != nil {
 		return nil, fmt.Errorf("type-checking %s: %v", path, err)
@@ -211,6 +290,7 @@ type reach struct {
 	l       *loader
 	declOf  map[types.Object]decl
 	walked  map[ast.Node]bool
+	seen    []decl // every declaration queued, in order
 	queue   []decl
 	live    map[types.Object]bool
 	called  map[string]bool // method names an interface call or the standard library may dispatch
@@ -312,6 +392,7 @@ func (r *reach) roots() {
 func (r *reach) enqueue(d decl) {
 	if !r.walked[d.node] {
 		r.walked[d.node] = true
+		r.seen = append(r.seen, d)
 		r.queue = append(r.queue, d)
 	}
 }
@@ -479,4 +560,116 @@ func (r *reach) checked() []checkedDecl {
 		return a.Line < b.Line
 	})
 	return out
+}
+
+type configField struct {
+	pos   token.Position
+	name  string
+	field *types.Var
+	owner *types.TypeName
+}
+
+// configFields lists the fields of every config type under internal/ in
+// source order.
+func configFields(l *loader) []configField {
+	var out []configField
+	for _, p := range l.order {
+		if !strings.HasPrefix(p.dir, "internal/") {
+			continue
+		}
+		defaulted := map[string]bool{}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "withDefaults" {
+					defaulted[receiverType(p.info.Defs[fd.Name].(*types.Func)).Name()] = true
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				name := ts.Name.Name
+				tn := p.info.Defs[ts.Name].(*types.TypeName)
+				st, ok := tn.Type().Underlying().(*types.Struct)
+				if !ok || !defaulted[name] && !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
+					return false
+				}
+				for i := 0; i < st.NumFields(); i++ {
+					fv := st.Field(i)
+					pos := l.fset.Position(fv.Pos())
+					pos.Filename = filepath.ToSlash(pos.Filename)
+					out = append(out, configField{pos, p.dir + "." + name + "." + fv.Name(), fv, tn})
+				}
+				return false
+			})
+		}
+	}
+	return out
+}
+
+// fieldWrites reports which of fields the walked declarations write,
+// leaving out each type's writes in its own withDefaults method.
+func (r *reach) fieldWrites(fields []configField) map[*types.Var]bool {
+	owner := map[*types.Var]*types.TypeName{}
+	for _, f := range fields {
+		owner[f.field] = f.owner
+	}
+	set := map[*types.Var]bool{}
+	for _, d := range r.seen {
+		var defaults types.Object
+		if fd, ok := d.node.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "withDefaults" {
+			defaults = receiverType(d.pkg.info.Defs[fd.Name].(*types.Func))
+		}
+		info := d.pkg.info
+		mark := func(obj types.Object) {
+			if v, ok := obj.(*types.Var); ok {
+				if o, ok := owner[v.Origin()]; ok && o != defaults {
+					set[v.Origin()] = true
+				}
+			}
+		}
+		write := func(e ast.Expr) {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				mark(info.Uses[sel.Sel])
+			}
+		}
+		ast.Inspect(d.node, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, e := range n.Lhs {
+					write(e)
+				}
+			case *ast.IncDecStmt:
+				write(n.X)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(n.X)
+				}
+			case *ast.CompositeLit:
+				t := info.Types[n].Type
+				if p, ok := t.(*types.Pointer); ok {
+					t = p.Elem()
+				}
+				st, ok := t.Underlying().(*types.Struct)
+				if !ok {
+					return true
+				}
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						mark(info.Uses[kv.Key.(*ast.Ident)])
+						continue
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						mark(st.Field(i))
+					}
+					break
+				}
+			}
+			return true
+		})
+	}
+	return set
 }
